@@ -42,7 +42,7 @@ from .fan import (
     validate_fan,
 )
 from .lattice import hermite_canonical
-from .polytope import anticanonical, divisor, facet_volumes, is_ample, polytope_from_divisor
+from .polytope import anticanonical, divisor, is_ample, polytope_from_divisor
 from .sheafdata import validate_lambda_vector
 from .stability import Stability, certificate, decide
 
@@ -106,7 +106,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def report_for(f: Fan, a, max_rays: int = 24) -> dict:
     """Stability report for an already-validated fan and ample divisor."""
-    vols = facet_volumes(polytope_from_divisor(a))
     v = decide(f, a, max_rays=max_rays)
     cert = certificate(v)
     cert_dict = None
@@ -121,7 +120,7 @@ def report_for(f: Fan, a, max_rays: int = 24) -> dict:
         "fan": fan_to_dict(f),
         "divisor": [_frac_str(c) for c in a.coeffs],
         "ample": True,
-        "volumes": [_frac_str(x) for x in vols.values],
+        "volumes": [_frac_str(x) for x in v.volumes.values],
         "mu_tx": _frac_str(v.mu_tx),
         "verdict": v.status.value,
         "certificate": cert_dict,

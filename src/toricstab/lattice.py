@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in this package reduces to a handful of lattice computations:
-primitive generators, Hermite-canonical bases of saturated sublattices,
-dual bases of unimodular cones, and normalized volumes of facet polytopes
-measured in the induced lattice of the facet hyperplane.
+primitive generators, Hermite-canonical bases of saturated sublattices and
+dual bases of unimodular cones.  Facet volumes need nothing more: the
+vertex formula in ``polytope`` reads them off the dual bases.
 
 All arithmetic uses ``int`` and ``fractions.Fraction``; no floats anywhere.
 Outputs are canonical, so equal subspaces compare equal as values.
@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd
+from math import gcd
 
 from .errors import (
     DimMismatch,
-    EmptyFacet,
-    NotOnFacetHyperplane,
     NotSmoothCone,
     ZeroSpan,
     ZeroVector,
@@ -33,10 +30,6 @@ def dot(u, v) -> Fraction | int:
     if len(u) != len(v):
         raise DimMismatch(f"dot of lengths {len(u)} and {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def primitive_vector(v) -> Vector:
@@ -262,43 +255,6 @@ def _inverse(rows) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _coords_in_rowspace(basis_rows, target):
-    """Solve ``sum x_i * basis_rows[i] == target`` exactly, or return None.
-
-    The basis rows must be linearly independent; the solution, when the
-    system is consistent, is then unique.
-    """
-    m = len(basis_rows)
-    n = len(target)
-    # equations indexed by coordinate, unknowns indexed by basis row
-    aug = [
-        [Fraction(basis_rows[i][eq]) for i in range(m)] + [Fraction(target[eq])]
-        for eq in range(n)
-    ]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [a / inv for a in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, n):
-        if aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for row, col in pivots:
-        x[col] = aug[row][m]
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # Dual bases of unimodular cones
 
@@ -323,171 +279,3 @@ def dual_basis(rays) -> tuple[Vector, ...]:
         col = [inv[k][i] for k in range(n)]
         duals.append(tuple(int(x) for x in col))
     return tuple(duals)
-
-
-def facet_lattice_basis(alpha) -> tuple[Vector, ...]:
-    """Canonical basis of the sublattice ``alpha-perp ∩ Z^n``.
-
-    Scaling ``alpha`` does not change the answer, so primitivity is not
-    required, only nonzero.  For n = 1 the basis is empty.
-    """
-    a = tuple(map(int, alpha))
-    if not a or all(x == 0 for x in a):
-        raise ZeroVector("facet normal must be nonzero")
-    return integer_kernel([a])
-
-
-# ---------------------------------------------------------------------------
-# Normalized volume of a facet polytope
-
-
-def lattice_volume(vertices, alpha) -> Fraction:
-    """Lattice-normalized (n-1)-volume of the convex hull of ``vertices``.
-
-    The vertices (rational) must lie on a common level set of ``alpha``;
-    the hull is measured against the lattice ``alpha-perp ∩ Z^n``, i.e. the
-    unit (n-1)-simplex in that lattice has volume 1/(n-1)!.  For n = 1 a
-    single point counts as volume 1; hulls of deficient affine dimension
-    have volume 0.
-    """
-    verts = [tuple(Fraction(x) for x in v) for v in vertices]
-    if not verts:
-        raise EmptyFacet("no vertices")
-    a = tuple(map(int, alpha))
-    if all(x == 0 for x in a):
-        raise ZeroVector("facet normal must be nonzero")
-    n = len(a)
-    if any(len(v) != n for v in verts):
-        raise DimMismatch("vertex length does not match normal length")
-    levels = {dot(v, a) for v in verts}
-    if len(levels) != 1:
-        raise NotOnFacetHyperplane(f"pairings with {a} take values {sorted(levels)}")
-    if n == 1:
-        return Fraction(1)
-    basis = facet_lattice_basis(a)
-    origin = min(verts)
-    pts = set()
-    for v in verts:
-        coords = _coords_in_rowspace(basis, vsub(v, origin))
-        assert coords is not None  # differences lie in alpha-perp
-        pts.add(coords)
-    points = sorted(pts)
-    d = n - 1
-    if len(points) <= d or _rank([vsub(p, points[0]) for p in points[1:]]) < d:
-        return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate_hull(points, d):
-        base = points[simplex[0]]
-        rows = [vsub(points[i], base) for i in simplex[1:]]
-        total += abs(_det(rows))
-    return total / factorial(d)
-
-
-def _triangulate_hull(points, d):
-    """Triangulate the hull of sorted, distinct, full-dimensional points.
-
-    Returns index tuples into ``points``; each tuple is a d-simplex.  The
-    triangulation fans out from the lexicographically smallest point (always
-    a vertex of the hull), recursing into the facets that miss it.
-    """
-    if d == 1:
-        return [(0, len(points) - 1)]
-    out = []
-    for incident in _hull_facets(points, d):
-        if 0 in incident:
-            continue
-        if len(incident) == d:
-            out.append((0,) + incident)
-            continue
-        sub = [points[i] for i in incident]
-        local, order = _localize(sub, d - 1)
-        for simplex in _triangulate_hull(local, d - 1):
-            out.append((0,) + tuple(incident[order[j]] for j in simplex))
-    return out
-
-
-def _hull_facets(points, d):
-    """Sorted list of facet incidence tuples of the convex hull.
-
-    Brute force over d-subsets: each affinely independent subset spans a
-    candidate hyperplane; it is a facet hyperplane when every point lies on
-    one side.  Exact arithmetic makes the side test unambiguous.
-    """
-    found = {}
-    for comb in combinations(range(len(points)), d):
-        q0 = points[comb[0]]
-        vecs = [vsub(points[i], q0) for i in comb[1:]]
-        normal = _null_functional(vecs, d)
-        if normal is None:
-            continue
-        level = dot(normal, q0)
-        vals = [dot(normal, p) - level for p in points]
-        has_pos = any(v > 0 for v in vals)
-        has_neg = any(v < 0 for v in vals)
-        if has_pos and has_neg:
-            continue
-        if has_pos:
-            normal = tuple(-x for x in normal)
-            level = -level
-            vals = [-v for v in vals]
-        key = (normal, level)
-        if key not in found:
-            found[key] = tuple(i for i, v in enumerate(vals) if v == 0)
-    return sorted(found.values())
-
-
-def _null_functional(vecs, d):
-    """Primitive integer functional vanishing on d-1 spanning vectors.
-
-    Returns None unless the vectors have rank exactly d-1 (so the functional
-    is unique up to scale).
-    """
-    if _rank(vecs) != d - 1:
-        return None
-    mat = [[Fraction(x) for x in v] for v in vecs]
-    rank = 0
-    pivots = []
-    for col in range(d):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [a / inv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(d) if c not in pivots)
-    x = [Fraction(0)] * d
-    x[free] = Fraction(1)
-    for row, col in enumerate(pivots):
-        x[col] = -mat[row][free]
-    return primitive_vector(x)
-
-
-def _localize(sub, d):
-    """Map points affinely spanning dimension d to sorted coords in Q^d.
-
-    Returns ``(local_points, order)`` where ``local_points`` is sorted and
-    ``local_points[j]`` is the image of ``sub[order[j]]``.  Affine
-    isomorphism preserves hull combinatorics, which is all the recursion
-    needs.
-    """
-    q0 = sub[0]
-    basis = []
-    for p in sub[1:]:
-        v = vsub(p, q0)
-        if _rank(basis + [v]) > len(basis):
-            basis.append(v)
-        if len(basis) == d:
-            break
-    coords = []
-    for p in sub:
-        c = _coords_in_rowspace(basis, vsub(p, q0))
-        assert c is not None
-        coords.append(c)
-    order = sorted(range(len(sub)), key=lambda i: coords[i])
-    return [coords[i] for i in order], order

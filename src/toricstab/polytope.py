@@ -9,6 +9,12 @@ every inequality it does not saturate strictly.  For an ample divisor these
 points are precisely the vertices and the polytope's facets correspond to
 the rays; each facet volume is measured in the lattice of its own
 hyperplane (unit simplex = 1/(dim-1)!).
+
+Facet volumes come from the vertex formula for simple lattice polytopes
+(Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988):
+every vertex of a facet contributes one term built from its height and its
+edge directions under a generic linear functional, so the cost is
+O(cones * n^2) exact operations and no hull is ever triangulated.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial, prod
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, cone_rays
-from .lattice import QVector, dot, dual_basis, lattice_volume
+from .lattice import QVector, Vector, dot, dual_basis
 
 
 @dataclass(frozen=True)
@@ -48,11 +55,16 @@ class Polytope:
     ``vertices[ci]`` is the point attached to maximal cone ``ci`` and
     ``facets[r]`` lists the cones containing ray ``r`` (equivalently, for an
     ample divisor, the vertices of the facet where ``<x, ray r>`` is tight).
+    ``edges[ci]`` is the dual basis of cone ``ci`` in cone order: moving
+    from ``vertices[ci]`` along ``edges[ci][k]`` keeps every equality of the
+    cone but the one of its k-th ray, so for an ample divisor these are the
+    primitive edge directions at that vertex.
     """
 
     divisor: ToricDivisor
     vertices: tuple[QVector, ...]
     facets: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[Vector, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,7 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
     f = d.fan
     n = f.dim
     verts = []
+    edges = []
     for cone in f.max_cones:
         duals = dual_basis(cone_rays(f, cone))
         v = [Fraction(0)] * n
@@ -93,11 +106,12 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
             for j in range(n):
                 v[j] -= c * duals[pos][j]
         verts.append(tuple(v))
+        edges.append(duals)
     facets = tuple(
         tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
         for r in range(len(f.rays))
     )
-    return Polytope(d, tuple(verts), facets)
+    return Polytope(d, tuple(verts), facets, tuple(edges))
 
 
 def is_ample(p: Polytope) -> bool:
@@ -114,8 +128,31 @@ def is_ample(p: Polytope) -> bool:
     return True
 
 
+def generic_functional(p: Polytope) -> Vector:
+    """First ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
+    every edge direction of the polytope.
+
+    Each edge is a nonzero integer vector, so it vanishes on the moment
+    curve at no more than n-1 values of t and the search stops.
+    """
+    n = p.divisor.fan.dim
+    t = 2
+    while True:
+        xi = tuple(t**j for j in range(n))
+        if all(dot(xi, m) for cone in p.edges for m in cone):
+            return xi
+        t += 1
+
+
 def facet_volumes(p: Polytope) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
+
+    With xi from ``generic_functional``, vertex ``u`` of cone s and its
+    edges ``m_k``, the facet of ray i has volume
+    ``sum over cones s containing i of <xi, u>^(n-1)
+    / ((n-1)! * prod_{k in s, k != i} -<xi, m_k>)``:
+    the edges at ``u`` other than ``m_i`` span the facet and form a basis
+    of its lattice, because the polytope is simple and the fan smooth.
 
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
@@ -123,11 +160,17 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     f = p.divisor.fan
     if not is_ample(p):
         raise NonAmple("facet volumes need an ample divisor")
-    vols = []
-    for r, ray in enumerate(f.rays):
-        verts = [p.vertices[ci] for ci in p.facets[r]]
-        vols.append(lattice_volume(verts, ray))
-    return VolumeTable(f.dim, tuple(vols))
+    n = f.dim
+    xi = generic_functional(p)
+    scale = factorial(n - 1)
+    vols = [Fraction(0)] * len(f.rays)
+    for cone, u, edges in zip(f.max_cones, p.vertices, p.edges):
+        height = dot(xi, u) ** (n - 1)
+        slopes = [-dot(xi, m) for m in edges]
+        all_slopes = prod(slopes)
+        for pos, r in enumerate(cone):
+            vols[r] += height / (scale * (all_slopes // slopes[pos]))
+    return VolumeTable(n, tuple(vols))
 
 
 def is_reflexive(p: Polytope) -> bool:

@@ -64,11 +64,15 @@ class SubsheafCandidate:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """Verdict of ``decide``; ``volumes`` is the facet-volume table the
+    slopes were computed from."""
+
     status: Stability
     mu_tx: Fraction
     best: SubsheafCandidate | None
     candidates: tuple[SubsheafCandidate, ...]
     notes: tuple[str, ...]
+    volumes: VolumeTable | None = None
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,7 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
         best=best,
         candidates=cands,
         notes=(SCOPE_NOTE, GENERIC_NOTE),
+        volumes=vols,
     )
 
 
@@ -289,4 +294,5 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
         best=best,
         candidates=cands,
         notes=(SCOPE_NOTE, GENERIC_NOTE),
+        volumes=vols,
     )

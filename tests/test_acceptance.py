@@ -223,7 +223,7 @@ def test_criterion_5_family_published_closed_form():
             )
             assert v.mu_tx == Fraction(chow, n), (n, m, v.mu_tx)
 
-            vols = facet_volumes(polytope_from_divisor(anticanonical(f)))
+            vols = v.volumes
             fact = factorial(n - 1)
             exact_side = Fraction((n + m) ** (n - 1) - (n - m) ** (n - 1), m * fact)
             prism_side = Fraction(

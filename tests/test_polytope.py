@@ -1,6 +1,8 @@
 """Divisors, polytopes, ampleness, facet volumes, reflexivity."""
 
+import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,22 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
+from toricstab.lattice import dot
 from toricstab.polytope import (
     anticanonical,
     divisor,
     facet_volumes,
+    generic_functional,
     is_ample,
     is_reflexive,
     polytope_from_divisor,
+)
+from toricstab.testkit import (
+    build_case_fan,
+    golden_suite,
+    random_polarized,
+    random_unimodular,
+    transform_fan,
 )
 
 
@@ -111,7 +122,9 @@ class TestFacetVolumes:
 
     def test_segment_endpoints(self):
         f = construct_projective_space(1)
-        t = facet_volumes(polytope_from_divisor(divisor(f, (2, 3))))
+        p = polytope_from_divisor(divisor(f, (2, 3)))
+        assert generic_functional(p) == (1,)
+        t = facet_volumes(p)
         assert t.values == (1, 1)
         assert t.dim == 1
 
@@ -143,6 +156,91 @@ class TestFacetVolumes:
     def test_rational_coefficients(self):
         p = hirzebruch_polytope(0, (Fraction(1, 2),) * 4)
         assert facet_volumes(p).values == (1, 1, 1, 1)
+
+
+def _polarized_cases():
+    """(fan, ample divisor) params for every golden case and 20 random seeds."""
+    for case in golden_suite():
+        f = build_case_fan(case)
+        d = anticanonical(f) if case.divisor == "anticanonical" else divisor(f, case.divisor)
+        yield pytest.param(f, d, id=case.name)
+    for seed in range(20):
+        yield pytest.param(*random_polarized(seed), id=f"seed{seed}")
+
+
+POLARIZED = list(_polarized_cases())
+
+
+def _volumes(f, coeffs):
+    return facet_volumes(polytope_from_divisor(divisor(f, coeffs))).values
+
+
+def _polytope_volume(p):
+    """Normalized n-volume of the polytope from the degree-n vertex sum."""
+    n = p.divisor.fan.dim
+    xi = generic_functional(p)
+    return sum(
+        (
+            dot(xi, u) ** n / (factorial(n) * prod(-dot(xi, m) for m in edges))
+            for u, edges in zip(p.vertices, p.edges)
+        ),
+        Fraction(0),
+    )
+
+
+class TestVertexFormulaProperties:
+    @pytest.mark.parametrize("f, d", POLARIZED)
+    def test_homogeneity(self, f, d):
+        base = _volumes(f, d.coeffs)
+        for k in (2, 3):
+            scaled = _volumes(f, [k * c for c in d.coeffs])
+            assert scaled == tuple(k ** (f.dim - 1) * v for v in base)
+
+    @pytest.mark.parametrize("f, d", POLARIZED)
+    def test_character_shift_invariance(self, f, d):
+        rng = random.Random(len(f.rays))
+        m = [rng.randint(-3, 3) for _ in range(f.dim)]
+        shifted = [c + dot(m, ray) for c, ray in zip(d.coeffs, f.rays)]
+        assert _volumes(f, shifted) == _volumes(f, d.coeffs)
+
+    @pytest.mark.parametrize("f, d", POLARIZED)
+    def test_change_of_basis_invariance(self, f, d):
+        g = transform_fan(f, random_unimodular(f.dim, random.Random(len(f.rays))))
+        assert _volumes(g, d.coeffs) == _volumes(f, d.coeffs)
+
+    @pytest.mark.parametrize("f, d", POLARIZED)
+    def test_pyramid_identity(self, f, d):
+        # cone over each facet from the origin: its lattice height is the
+        # (signed) coefficient of the facet's ray
+        p = polytope_from_divisor(d)
+        vols = facet_volumes(p)
+        assert f.dim * _polytope_volume(p) == sum(
+            a * v for a, v in zip(d.coeffs, vols)
+        )
+
+
+class TestGenericFunctional:
+    # SKEW sends the rays e1, e2 of cone {0, 1} to (0,-1), (1,2), which
+    # gives that cone the edge (2,-1), orthogonal to (1, 2): the search must
+    # step on.
+    SKEW = ((0, 1), (-1, 2))
+
+    @pytest.mark.parametrize(
+        "f, coeffs",
+        [
+            (construct_projective_space(2), (1, 1, 1)),
+            (construct_hirzebruch(1), (1, 0, 0, 4)),
+        ],
+        ids=["P2", "F1"],
+    )
+    def test_search_steps_past_an_orthogonal_edge(self, f, coeffs):
+        g = transform_fan(f, self.SKEW)
+        p = polytope_from_divisor(divisor(g, coeffs))
+        assert (2, -1) in p.edges[g.max_cones.index((0, 1))]
+        xi = generic_functional(p)
+        assert xi[1] > 2
+        assert all(dot(xi, m) for cone in p.edges for m in cone)
+        assert facet_volumes(p).values == _volumes(f, coeffs)
 
 
 class TestReflexive:
