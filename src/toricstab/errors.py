@@ -28,6 +28,14 @@ class NotSmoothCone(ToricStabError):
     """Ray set does not form a unimodular (smooth, simplicial) cone basis."""
 
 
+class NotOnFacetHyperplane(ToricStabError):
+    """Vertices passed as a facet do not lie on a common level set of the ray."""
+
+
+class EmptyFacet(ToricStabError):
+    """A facet volume was requested for an empty vertex list."""
+
+
 class InvalidFan(ToricStabError):
     """Fan data violates a structural invariant.
 

@@ -3,7 +3,9 @@
 Everything in this package reduces to a handful of lattice computations:
 primitive generators, Hermite-canonical bases of saturated sublattices and
 dual bases of unimodular cones.  Facet volumes need nothing more: the
-vertex formula in ``polytope`` reads them off the dual bases.
+vertex formula in ``polytope`` reads them off the dual bases.  The
+brute-force ``lattice_volume`` of an arbitrary point set stays here as the
+slow, assumption-free check of that formula; no computation path calls it.
 
 All arithmetic uses ``int`` and ``fractions.Fraction``; no floats anywhere.
 Outputs are canonical, so equal subspaces compare equal as values.
@@ -13,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import (
     DimMismatch,
+    EmptyFacet,
+    NotOnFacetHyperplane,
     NotSmoothCone,
     ZeroSpan,
     ZeroVector,
@@ -30,6 +35,10 @@ def dot(u, v) -> Fraction | int:
     if len(u) != len(v):
         raise DimMismatch(f"dot of lengths {len(u)} and {len(v)}")
     return sum(a * b for a, b in zip(u, v))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def primitive_vector(v) -> Vector:
@@ -279,3 +288,83 @@ def dual_basis(rays) -> tuple[Vector, ...]:
         col = [inv[k][i] for k in range(n)]
         duals.append(tuple(int(x) for x in col))
     return tuple(duals)
+
+
+def facet_lattice_basis(alpha) -> tuple[Vector, ...]:
+    """Canonical basis of the sublattice ``alpha-perp ∩ Z^n``.
+
+    Scaling ``alpha`` does not change the answer, so primitivity is not
+    required, only nonzero.  For n = 1 the basis is empty.
+    """
+    a = tuple(map(int, alpha))
+    if not a or all(x == 0 for x in a):
+        raise ZeroVector("facet normal must be nonzero")
+    return integer_kernel([a])
+
+
+# ---------------------------------------------------------------------------
+# Normalized volume of the hull of a point set
+
+
+def lattice_volume(vertices, alpha) -> Fraction:
+    """Lattice-normalized (n-1)-volume of the convex hull of ``vertices``.
+
+    The vertices (rational) must lie on a common level set of ``alpha``;
+    the hull is measured against the lattice ``alpha-perp ∩ Z^n``, i.e. the
+    unit (n-1)-simplex in that lattice has volume 1/(n-1)!.  For n = 1 a
+    single point counts as volume 1; hulls of deficient affine dimension
+    have volume 0.  Unlike ``polytope.facet_volumes`` it assumes nothing
+    about the points, at a cost exponential in the dimension.
+    """
+    verts = [tuple(Fraction(x) for x in v) for v in vertices]
+    if not verts:
+        raise EmptyFacet("no vertices")
+    a = tuple(map(int, alpha))
+    if all(x == 0 for x in a):
+        raise ZeroVector("facet normal must be nonzero")
+    n = len(a)
+    if any(len(v) != n for v in verts):
+        raise DimMismatch("vertex length does not match normal length")
+    levels = {dot(v, a) for v in verts}
+    if len(levels) != 1:
+        raise NotOnFacetHyperplane(f"pairings with {a} take values {sorted(levels)}")
+    if n == 1:
+        return Fraction(1)
+    # Coordinates against the rows of [basis; alpha]: the basis part is a
+    # lattice coordinate system on the hyperplane, the alpha part constant.
+    cols = list(zip(*_inverse(list(facet_lattice_basis(a)) + [a])))[:-1]
+    points = sorted({tuple(dot(v, c) for c in cols) for v in verts})
+    return _hull_volume(points, n - 1)
+
+
+def _hull_volume(points, d) -> Fraction:
+    """Volume of the hull of sorted, distinct points of Q^d (0 unless full-dimensional).
+
+    Sums the pyramids from ``points[0]`` over the hull facets, found by
+    brute force over d-subsets: an affinely independent subset spans a
+    candidate hyperplane, a facet hyperplane when every point lies on one
+    side.  With a primitive outer normal the pyramid's volume is its lattice
+    height times the base's ``lattice_volume``, over d.
+    """
+    if d == 1:
+        return points[-1][0] - points[0][0]
+    apex = points[0]
+    if _rank([vsub(p, apex) for p in points[1:]]) < d:
+        return Fraction(0)
+    total = Fraction(0)
+    seen = set()
+    for comb in combinations(points, d):
+        kernel = integer_kernel([primitive_vector(vsub(p, comb[0])) for p in comb[1:]])
+        if len(kernel) != 1:
+            continue
+        nu = kernel[0]
+        level = dot(nu, comb[0])
+        vals = [dot(nu, p) for p in points]
+        if max(vals) != level:
+            nu, level, vals = tuple(-x for x in nu), -level, [-v for v in vals]
+        if max(vals) != level or (nu, level) in seen:
+            continue
+        seen.add((nu, level))
+        face = [p for p, v in zip(points, vals) if v == level]
+        total += (level - dot(nu, apex)) * lattice_volume(face, nu) / d
+    return total

@@ -1,7 +1,7 @@
 """Tests for exact lattice linear algebra.
 
-Expected values below were worked out by hand (small matrices, explicit
-dual bases) and are frozen as oracles.
+Expected values below were worked out by hand (small matrices, shoelace
+areas, explicit dual bases) and are frozen as oracles.
 """
 
 from fractions import Fraction
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from toricstab.errors import (
     DimMismatch,
+    EmptyFacet,
+    NotOnFacetHyperplane,
     NotSmoothCone,
     ZeroSpan,
     ZeroVector,
@@ -19,8 +21,10 @@ from toricstab.errors import (
 from toricstab.lattice import (
     Subspace,
     dual_basis,
+    facet_lattice_basis,
     hermite_canonical,
     integer_kernel,
+    lattice_volume,
     primitive_vector,
     row_hermite,
     subspace_contains,
@@ -192,6 +196,113 @@ class TestDualBasis:
     def test_wrong_count_raises(self):
         with pytest.raises(DimMismatch):
             dual_basis([(1, 0, 0), (0, 1, 0)])
+
+
+class TestFacetLatticeBasis:
+    def test_coordinate_normal(self):
+        assert facet_lattice_basis((0, 0, 1)) == ((1, 0, 0), (0, 1, 0))
+
+    def test_scaling_invariant(self):
+        assert facet_lattice_basis((2, 0)) == facet_lattice_basis((1, 0)) == ((0, 1),)
+
+    def test_dimension_one(self):
+        assert facet_lattice_basis((1,)) == ()
+
+    def test_zero_raises(self):
+        with pytest.raises(ZeroVector):
+            facet_lattice_basis((0, 0))
+
+    def test_basis_spans_orthogonal_lattice(self):
+        alpha = (3, -1, 2)
+        basis = facet_lattice_basis(alpha)
+        assert len(basis) == 2
+        for b in basis:
+            assert sum(a * x for a, x in zip(alpha, b)) == 0
+
+
+class TestLatticeVolume:
+    def test_segment_length(self):
+        assert lattice_volume([(-1, -1), (-1, 2)], (1, 0)) == 3
+
+    def test_unit_triangle(self):
+        verts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert lattice_volume(verts, (1, 1, 1)) == Fraction(1, 2)
+
+    def test_projective_space_facet(self):
+        # facet z = -1 of the anticanonical polytope of 3-space
+        verts = [(-1, -1, -1), (3, -1, -1), (-1, 3, -1)]
+        assert lattice_volume(verts, (0, 0, 1)) == 8
+
+    def test_unit_square_needs_triangulation(self):
+        verts = [(0, 0, 5), (1, 0, 5), (0, 1, 5), (1, 1, 5)]
+        assert lattice_volume(verts, (0, 0, 1)) == 1
+
+    def test_pentagon_with_interior_point(self):
+        flat = [(0, 0), (2, 0), (3, 1), (1, 3), (0, 2), (1, 1)]
+        verts = [(x, y, 2) for x, y in flat]
+        assert lattice_volume(verts, (0, 0, 1)) == 6
+
+    def test_skew_hyperplane_normalization(self):
+        # unit simplex of the lattice (1,1,1)-perp at level 1, doubled
+        verts = [(1, 0, 0), (-1, 2, 0), (1, 0, 0), (-1, 0, 2)]
+        assert lattice_volume(verts, (1, 1, 1)) == 2
+
+    def test_point_in_dimension_one(self):
+        assert lattice_volume([(5,)], (1,)) == 1
+
+    def test_degenerate_hull_is_zero(self):
+        verts = [(0, 0, 1), (1, 1, 1), (2, 2, 1)]
+        assert lattice_volume(verts, (0, 0, 1)) == 0
+
+    def test_rational_vertices(self):
+        verts = [(Fraction(1, 2), 0), (Fraction(1, 2), Fraction(7, 3))]
+        assert lattice_volume(verts, (2, 0)) == Fraction(7, 3)
+
+    def test_off_hyperplane_raises(self):
+        with pytest.raises(NotOnFacetHyperplane):
+            lattice_volume([(0, 0), (1, 1)], (1, 0))
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptyFacet):
+            lattice_volume([], (1, 0))
+
+    def test_zero_normal_raises(self):
+        with pytest.raises(ZeroVector):
+            lattice_volume([(1, 1)], (0, 0))
+
+    @given(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+        st.integers(-5, 5),
+        st.integers(-30, 30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segment_spread(self, ys, level, shift):
+        verts = [(level, y) for y in ys]
+        vol = lattice_volume(verts, (1, 0))
+        assert vol == max(ys) - min(ys)
+        shifted = [(level, y + shift) for y in ys]
+        assert lattice_volume(shifted, (1, 0)) == vol
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=3,
+            max_size=7,
+            unique=True,
+        ),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planar_translation_and_midpoint_invariance(self, flat, shift):
+        verts = [(x, y, 3) for x, y in flat]
+        vol = lattice_volume(verts, (0, 0, 1))
+        assert vol >= 0
+        moved = [(x + shift[0], y + shift[1], 3) for x, y in flat]
+        assert lattice_volume(moved, (0, 0, 1)) == vol
+        mid = tuple(
+            Fraction(a + b, 2) for a, b in zip(verts[0], verts[-1])
+        )
+        assert lattice_volume(verts + [mid], (0, 0, 1)) == vol
 
 
 def test_subspace_is_hashable_value():

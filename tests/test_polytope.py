@@ -15,7 +15,7 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
-from toricstab.lattice import dot
+from toricstab.lattice import dot, lattice_volume
 from toricstab.polytope import (
     anticanonical,
     divisor,
@@ -169,6 +169,8 @@ def _polarized_cases():
 
 
 POLARIZED = list(_polarized_cases())
+# the brute-force hull costs exponentially in the dimension
+HULL_CHECKED = [case for case in POLARIZED if case.values[0].dim <= 5]
 
 
 def _volumes(f, coeffs):
@@ -216,6 +218,17 @@ class TestVertexFormulaProperties:
         vols = facet_volumes(p)
         assert f.dim * _polytope_volume(p) == sum(
             a * v for a, v in zip(d.coeffs, vols)
+        )
+
+
+    @pytest.mark.parametrize("f, d", HULL_CHECKED)
+    def test_matches_hull_volumes(self, f, d):
+        # independent of the vertex formula: each facet is the hull of the
+        # vertices of the cones through its ray
+        p = polytope_from_divisor(d)
+        assert facet_volumes(p).values == tuple(
+            lattice_volume([p.vertices[ci] for ci in p.facets[r]], ray)
+            for r, ray in enumerate(f.rays)
         )
 
 
