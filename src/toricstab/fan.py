@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import BadDimension, BadIndex, BadTwist, InvalidFan
+from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
 from .lattice import Vector, _det, dot, dual_basis, integer_kernel, primitive_vector
 
 
@@ -139,10 +139,13 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
 
+    duals = []
     for c in cones:
-        d = _det([rays[i] for i in c])
-        if d not in (1, -1):
-            violations.append(("NotSmooth", f"cone {c} has |det| = {abs(d)}"))
+        generators = [rays[i] for i in c]
+        try:
+            duals.append(dual_basis(generators))
+        except NotSmoothCone:
+            violations.append(("NotSmooth", f"cone {c} has |det| = {abs(_det(generators))}"))
     if violations:
         raise InvalidFan(violations)
 
@@ -190,7 +193,6 @@ def validate_fan(f: Fan) -> Fan:
     if len(reached) != len(cones):
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    duals = [dual_basis([rays[i] for i in c]) for c in cones]
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
             detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])

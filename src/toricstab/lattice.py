@@ -1,14 +1,18 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything in this package reduces to a handful of lattice computations:
-primitive generators, Hermite-canonical bases of saturated sublattices and
-dual bases of unimodular cones.  Facet volumes need nothing more: the
-vertex formula in ``polytope`` reads them off the dual bases.  The
-brute-force ``lattice_volume`` of an arbitrary point set stays here as the
-slow, assumption-free check of that formula; no computation path calls it.
+primitive generators, Hermite-canonical bases of saturated sublattices,
+dual bases of unimodular cones and span membership, all in integer
+arithmetic: ``row_hermite`` gives canonical and dual bases, and the
+fraction-free ``eliminate`` decides spans (and the ray-matroid closures of
+``stability``).  Facet volumes need nothing more: the vertex formula in
+``polytope`` reads them off the dual bases.  The brute-force
+``lattice_volume`` of an arbitrary point set stays here as the slow,
+assumption-free check of that formula; no computation path calls it.
 
-All arithmetic uses ``int`` and ``fractions.Fraction``; no floats anywhere.
-Outputs are canonical, so equal subspaces compare equal as values.
+No floats anywhere; ``Fraction`` elimination is left to error messages and
+test oracles.  Outputs are canonical, so equal subspaces compare equal as
+values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     DimMismatch,
@@ -148,6 +152,40 @@ def integer_kernel(rows) -> tuple[Vector, ...]:
     return row_hermite(kernel)
 
 
+def pivot_of(v) -> int:
+    """Index of the first nonzero entry of ``v``."""
+    return next(i for i, x in enumerate(v) if x)
+
+
+def eliminate(v: Vector, pivot: int, row: Vector) -> Vector:
+    """``row[pivot]*v - v[pivot]*row`` divided by its content, or ``v`` when
+    ``v[pivot]`` is 0: zero at ``pivot``, and with ``row`` the same span."""
+    c = v[pivot]
+    if not c:
+        return v
+    a = row[pivot]
+    w = [a * x - c * y for x, y in zip(v, row)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def integer_echelon(rows) -> list[tuple[int, Vector]]:
+    """Fraction-free echelon of integer rows as ``(pivot, row)`` pairs.
+
+    Each row is reduced against the earlier ones, so it vanishes at their
+    pivots; rows in the span of the earlier ones reduce to zero and are
+    dropped, so the length is the rank.
+    """
+    echelon: list[tuple[int, Vector]] = []
+    for v in rows:
+        v = tuple(map(int, v))
+        for pivot, row in echelon:
+            v = eliminate(v, pivot, row)
+        if any(v):
+            echelon.append((pivot_of(v), v))
+    return echelon
+
+
 def identity_rows(n: int) -> tuple[Vector, ...]:
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
@@ -195,33 +233,13 @@ def subspace_contains(s: Subspace, v) -> bool:
     """Whether ``v`` (ints or rationals) lies in the rational span of ``s``."""
     if len(v) != s.ambient_dim:
         raise DimMismatch(f"vector of length {len(v)} in Q^{s.ambient_dim}")
-    vec = [Fraction(x) for x in v]
-    rows = [list(map(Fraction, b)) for b in s.basis]
-    return _rank(rows + [vec]) == len(rows)
+    if not any(v):
+        return True
+    return len(integer_echelon([*s.basis, primitive_vector(v)])) == s.dim
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination helpers
-
-
-def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+# Rational elimination, for error messages and test oracles
 
 
 def _det(rows) -> Fraction:
@@ -273,21 +291,19 @@ def dual_basis(rays) -> tuple[Vector, ...]:
 
     ``rays`` must be n integer vectors of length n forming a unimodular
     basis (|det| = 1); otherwise NotSmoothCone is raised.  The duals are the
-    columns of the inverse matrix and are themselves integer vectors.
+    columns of the inverse matrix.  The Hermite form of ``[rays | I]`` is
+    ``[U*rays | U]`` with ``U*rays`` upper triangular, so its diagonal
+    multiplies to |det|, and it is ``[I | rays^-1]`` exactly when that is 1.
     """
     mat = [tuple(map(int, r)) for r in rays]
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise DimMismatch("dual basis needs n vectors of length n")
-    d = _det(mat)
-    if d not in (1, -1):
-        raise NotSmoothCone(f"|det| = {abs(d)} != 1 for rays {mat}")
-    inv = _inverse(mat)
-    duals = []
-    for i in range(n):
-        col = [inv[k][i] for k in range(n)]
-        duals.append(tuple(int(x) for x in col))
-    return tuple(duals)
+    h = row_hermite([r + e for r, e in zip(mat, identity_rows(n))])
+    det = prod(row[i] for i, row in enumerate(h))
+    if det != 1:
+        raise NotSmoothCone(f"|det| = {det} != 1 for rays {mat}")
+    return tuple(zip(*(row[n:] for row in h)))
 
 
 def facet_lattice_basis(alpha) -> tuple[Vector, ...]:
@@ -349,7 +365,7 @@ def _hull_volume(points, d) -> Fraction:
     if d == 1:
         return points[-1][0] - points[0][0]
     apex = points[0]
-    if _rank([vsub(p, apex) for p in points[1:]]) < d:
+    if len(integer_echelon(primitive_vector(vsub(p, apex)) for p in points[1:])) < d:
         return Fraction(0)
     total = Fraction(0)
     seen = set()

@@ -53,8 +53,9 @@ class Polytope:
     """Vertex data of a divisor's polytope.
 
     ``vertices[ci]`` is the point attached to maximal cone ``ci`` and
-    ``facets[r]`` lists the cones containing ray ``r`` (equivalently, for an
-    ample divisor, the vertices of the facet where ``<x, ray r>`` is tight).
+    ``facets[r]``, computed on access, lists the cones containing ray ``r``
+    (equivalently, for an ample divisor, the vertices of the facet where
+    ``<x, ray r>`` is tight).
     ``edges[ci]`` is the dual basis of cone ``ci`` in cone order: moving
     from ``vertices[ci]`` along ``edges[ci][k]`` keeps every equality of the
     cone but the one of its k-th ray, so for an ample divisor these are the
@@ -63,8 +64,15 @@ class Polytope:
 
     divisor: ToricDivisor
     vertices: tuple[QVector, ...]
-    facets: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[Vector, ...], ...]
+
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        f = self.divisor.fan
+        return tuple(
+            tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
+            for r in range(len(f.rays))
+        )
 
 
 @dataclass(frozen=True)
@@ -107,11 +115,7 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
                 v[j] -= c * duals[pos][j]
         verts.append(tuple(v))
         edges.append(duals)
-    facets = tuple(
-        tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
-        for r in range(len(f.rays))
-    )
-    return Polytope(d, tuple(verts), facets, tuple(edges))
+    return Polytope(d, tuple(verts), tuple(edges))
 
 
 def is_ample(p: Polytope) -> bool:

@@ -7,6 +7,9 @@ determines jump data with a single level -1 on each ray lying in V, so
 its degree is (n-1)! times the sum of the facet volumes over those
 rays.  Subspaces containing no ray have degree zero and never compete.
 All arithmetic is exact.
+
+The ray-spanned subspaces are the proper nonempty flats (closed ray
+sets) of the ray matroid, grown by fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ from math import factorial
 
 from .errors import BadRank, BadTwist, DimMismatch, NonAmple
 from .fan import Fan, is_cone, validate_fan
-from .lattice import Subspace, hermite_canonical, subspace_contains
-from .polytope import (
-    ToricDivisor,
-    VolumeTable,
-    facet_volumes,
-    is_ample,
-    polytope_from_divisor,
-)
+from .lattice import Subspace, eliminate, hermite_canonical, pivot_of
+from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import (
     JumpData,
     _volume_values,
@@ -97,50 +94,63 @@ def _candidate_jump(n_rays: int, rays_in, rank: int) -> JumpData:
     return jump_data(per_ray)
 
 
+def _covering_flats(flat, residues):
+    """Yield each flat covering ``flat`` with the residues modulo its span.
+
+    ``residues`` maps each ray outside ``flat`` to its residue modulo the
+    span of ``flat``.  Adding ray i makes its residue one more echelon row,
+    so one elimination per residue gives the closure of ``flat`` plus i and
+    the residues modulo it.  Rays in a closure already taken are skipped.
+    """
+    taken = set()
+    for i, row in residues.items():
+        if i in taken:
+            continue
+        pivot = pivot_of(row)
+        closure, rest = list(flat), {}
+        for j, res in residues.items():
+            res = eliminate(res, pivot, row)
+            if any(res):
+                rest[j] = res
+            else:
+                closure.append(j)
+                taken.add(j)
+        yield tuple(sorted(closure)), rest
+
+
 def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
     """All distinct proper subspaces spanned by nonempty sets of rays.
 
-    Spans are grown one ray at a time and deduplicated by canonical
-    form; anything reaching the ambient dimension is pruned.  Slopes
-    are left unfilled.
+    These are the flats of rank 1 to n-1 of the ray matroid, grown one
+    rank at a time from the empty flat and deduplicated by their closed
+    ray sets; flats of rank n-1 are not extended, since every extension
+    has full rank.  ``rays_in`` is the flat itself and ``subspace`` its
+    Hermite-canonical basis.  Slopes are left unfilled.
     """
     if len(f.rays) > max_rays:
         raise ValueError(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "
             f"{max_rays} (raise max_rays to override)"
         )
-    n = f.dim
-    seen: set[Subspace] = set()
-    frontier: set[Subspace] = set()
-    for ray in f.rays:
-        s = hermite_canonical([ray])
-        if s.dim < n and s not in seen:
-            seen.add(s)
-            frontier.add(s)
-    while frontier:
-        grown: set[Subspace] = set()
-        for s in frontier:
-            for ray in f.rays:
-                if subspace_contains(s, ray):
-                    continue
-                t = hermite_canonical(list(s.basis) + [ray])
-                if t.dim < n and t not in seen:
-                    seen.add(t)
-                    grown.add(t)
-        frontier = grown
-    out = []
-    for s in seen:
-        rays_in = tuple(
-            i for i, ray in enumerate(f.rays) if subspace_contains(s, ray)
+    ranks: dict[tuple[int, ...], int] = {}
+    level = [((), dict(enumerate(f.rays)))]
+    for rank in range(1, f.dim):
+        grown = []
+        for flat, residues in level:
+            for closure, rest in _covering_flats(flat, residues):
+                if closure not in ranks:
+                    ranks[closure] = rank
+                    grown.append((closure, rest))
+        level = grown
+    out = [
+        SubsheafCandidate(
+            subspace=hermite_canonical([f.rays[i] for i in rays_in]),
+            rank=rank,
+            rays_in=rays_in,
+            jump=_candidate_jump(len(f.rays), rays_in, rank),
         )
-        out.append(
-            SubsheafCandidate(
-                subspace=s,
-                rank=s.dim,
-                rays_in=rays_in,
-                jump=_candidate_jump(len(f.rays), rays_in, s.dim),
-            )
-        )
+        for rays_in, rank in ranks.items()
+    ]
     out.sort(key=lambda c: (c.rank, c.rays_in))
     return out
 
@@ -171,10 +181,7 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
         f = validate_fan(f)
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
-    p = polytope_from_divisor(a)
-    if not is_ample(p):
-        raise NonAmple("stability is defined against an ample divisor")
-    vols = facet_volumes(p)
+    vols = facet_volumes(polytope_from_divisor(a))
     n = f.dim
     mu = Fraction(factorial(n - 1)) * vols.total / n
     cands = tuple(

@@ -4,6 +4,7 @@ Expected values below were worked out by hand (small matrices, shoelace
 areas, explicit dual bases) and are frozen as oracles.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,15 +21,18 @@ from toricstab.errors import (
 )
 from toricstab.lattice import (
     Subspace,
+    _inverse,
     dual_basis,
     facet_lattice_basis,
     hermite_canonical,
+    integer_echelon,
     integer_kernel,
     lattice_volume,
     primitive_vector,
     row_hermite,
     subspace_contains,
 )
+from toricstab.testkit import random_unimodular
 
 
 class TestPrimitiveVector:
@@ -148,6 +152,19 @@ class TestHermiteCanonical:
             assert subspace_contains(s, b)
 
 
+class TestIntegerEchelon:
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_pivots_and_span_members(self, rows):
+        echelon = integer_echelon(rows)
+        assert len(echelon) == len(row_hermite(rows))
+        for k, (pivot, row) in enumerate(echelon):
+            assert row[pivot] != 0
+            assert all(row[p] == 0 for p, _ in echelon[:k])
+        for r in rows:
+            assert len(integer_echelon([*rows, r])) == len(echelon)
+
+
 class TestSubspaceContains:
     def test_rational_point(self):
         s = hermite_canonical([(1, 1, 1)])
@@ -192,6 +209,23 @@ class TestDualBasis:
     def test_non_unimodular_raises(self):
         with pytest.raises(NotSmoothCone):
             dual_basis([(1, 0), (1, 2)])
+
+    def test_singular_raises(self):
+        with pytest.raises(NotSmoothCone, match=r"\|det\| = 0 "):
+            dual_basis([(1, 0), (2, 0)])
+
+    def test_det_three_raises_with_det(self):
+        with pytest.raises(NotSmoothCone, match=r"\|det\| = 3 "):
+            dual_basis([(1, 0, 0), (0, 1, 0), (1, 1, 3)])
+
+    def test_matches_rational_inverse(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for _ in range(10):
+                mat = random_unimodular(n, rng)
+                inv = _inverse(mat)
+                columns = tuple(tuple(inv[k][i] for k in range(n)) for i in range(n))
+                assert dual_basis(mat) == columns
 
     def test_wrong_count_raises(self):
         with pytest.raises(DimMismatch):

@@ -1,5 +1,6 @@
 """The stability decision procedure and its closed-form cross-checks."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricstab import stability
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
@@ -34,6 +36,7 @@ from toricstab.stability import (
     enumerate_candidates,
     hirzebruch_closed_form,
 )
+from toricstab.testkit import random_unimodular, transform_fan
 
 B5 = construct_proj_split(1, (1, 0, 0))
 F1 = construct_hirzebruch(1)
@@ -67,8 +70,19 @@ class TestEnumeration:
         assert sub.basis == ((1, 0, 0, 0), (0, 0, 0, 1))
 
     def test_matches_brute_force_subset_spans(self):
-        # independent route: span every nonempty ray subset directly
-        for _, f in (catalog_fano4()[0], catalog_fano4()[5], ("F2", F2)):
+        # independent route: span every nonempty ray subset directly; the
+        # skewed bases give rays with large entries, so residues need their
+        # content divided out
+        p1, p2 = construct_projective_space(1), construct_projective_space(2)
+        skewed = []
+        for seed, base in enumerate((
+            construct_product(F1, p1),
+            construct_product(construct_product(p1, p1), p1),
+            construct_product(p2, p1),
+        )):
+            mat = random_unimodular(base.dim, random.Random(seed))
+            skewed.append(("skewed", transform_fan(base, mat)))
+        for _, f in (catalog_fano4()[0], catalog_fano4()[5], ("F2", F2), *skewed):
             expected = set()
             for k in range(1, len(f.rays) + 1):
                 for subset in combinations(f.rays, k):
@@ -78,6 +92,22 @@ class TestEnumeration:
             got = enumerate_candidates(f)
             assert {c.subspace for c in got} == expected
             assert len({c.subspace for c in got}) == len(got)
+            for c in got:
+                inside = [hermite_canonical([*c.subspace.basis, r]).dim == c.rank for r in f.rays]
+                assert c.rays_in == tuple(i for i, ok in enumerate(inside) if ok)
+
+    def test_one_canonical_basis_per_candidate(self, monkeypatch):
+        calls = []
+
+        def counting(vectors):
+            calls.append(vectors)
+            return hermite_canonical(vectors)
+
+        monkeypatch.setattr(stability, "hermite_canonical", counting)
+        for f, flats in ((construct_projective_space(4), 25), (B5, 29)):
+            calls.clear()
+            assert len(enumerate_candidates(f)) == flats
+            assert len(calls) == flats
 
     def test_ray_cap(self):
         with pytest.raises(ValueError):
