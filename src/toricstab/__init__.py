@@ -88,7 +88,6 @@ from .stability import (
     certificate,
     decide,
     enumerate_candidates,
-    hirzebruch_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -106,8 +105,8 @@ __all__ = [
     "construct_proj_split", "construct_projective_space", "decide",
     "degree_monotonicity_check", "degree_of", "divisor",
     "enumerate_candidates", "expand_in_chart", "facet_volumes",
-    "hirzebruch_closed_form", "in_semigroup", "is_ample", "is_cone",
-    "is_reflexive", "is_regular", "jump_data", "jump_to_lambda_matrix",
+    "in_semigroup", "is_ample", "is_cone", "is_reflexive", "is_regular",
+    "jump_data", "jump_to_lambda_matrix",
     "jump_to_lambda_vector", "lambda_matrix_to_jump",
     "lambda_vector_to_jump", "make_fan", "polytope_from_divisor",
     "rank_of", "rank_one_exists", "reexpand", "slope_of",

@@ -42,7 +42,7 @@ from .fan import (
     validate_fan,
 )
 from .lattice import hermite_canonical
-from .polytope import anticanonical, divisor, is_ample, polytope_from_divisor
+from .polytope import anticanonical, divisor
 from .sheafdata import validate_lambda_vector
 from .stability import Stability, certificate, decide
 
@@ -105,7 +105,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def report_for(f: Fan, a, max_rays: int = 24) -> dict:
-    """Stability report for an already-validated fan and ample divisor."""
+    """Stability report for an already-validated fan and a divisor; raises
+    NonAmple when the divisor is not ample."""
     v = decide(f, a, max_rays=max_rays)
     cert = certificate(v)
     cert_dict = None
@@ -134,8 +135,6 @@ def cmd_analyze(args) -> int:
         a = anticanonical(f)
     else:
         a = divisor(f, tuple(_parse_fraction(t) for t in args.divisor.split(",")))
-    if not is_ample(polytope_from_divisor(a)):
-        raise NonAmple("the divisor is not ample on this fan")
     report = report_for(f, a, max_rays=args.max_rays)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
@@ -225,8 +224,10 @@ def cmd_scan(args) -> int:
                     a = a1 + a3 - args.m * a2
                     b = a2 + a4
                     d = divisor(f, (a1, a2, a3, a4))
-                    ample = is_ample(polytope_from_divisor(d))
-                    verdict = decide(f, d).status.value if ample else ""
+                    try:
+                        ample, verdict = True, decide(f, d).status.value
+                    except NonAmple:
+                        ample, verdict = False, ""
                     lines.append(
                         f"{a1},{a2},{a3},{a4},{a},{b},{str(ample).lower()},{verdict}"
                     )

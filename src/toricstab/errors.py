@@ -25,7 +25,15 @@ class DimMismatch(ToricStabError):
 
 
 class NotSmoothCone(ToricStabError):
-    """Ray set does not form a unimodular (smooth, simplicial) cone basis."""
+    """Ray set does not form a unimodular (smooth, simplicial) cone basis.
+
+    ``det`` is the absolute determinant of the rays (0 when they are
+    dependent).
+    """
+
+    def __init__(self, det, rays):
+        self.det = det
+        super().__init__(f"|det| = {det} != 1 for rays {rays}")
 
 
 class NotOnFacetHyperplane(ToricStabError):

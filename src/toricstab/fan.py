@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
-from .lattice import Vector, _det, dot, dual_basis, integer_kernel, primitive_vector
+from .lattice import Vector, dot, dual_basis, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,10 @@ def validate_fan(f: Fan) -> Fan:
 
     duals = []
     for c in cones:
-        generators = [rays[i] for i in c]
         try:
-            duals.append(dual_basis(generators))
-        except NotSmoothCone:
-            violations.append(("NotSmooth", f"cone {c} has |det| = {abs(_det(generators))}"))
+            duals.append(dual_basis([rays[i] for i in c]))
+        except NotSmoothCone as e:
+            violations.append(("NotSmooth", f"cone {c} has |det| = {e.det}"))
     if violations:
         raise InvalidFan(violations)
 
@@ -158,7 +157,8 @@ def validate_fan(f: Fan) -> Fan:
             raise InvalidFan(violations)
         return Fan(n, rays, cones, validated=True)
 
-    # Wall pairing and orientation.
+    # Wall pairing and orientation.  The dual of the omitted ray is a
+    # normal of the wall that pairs to 1 with that ray.
     walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, c in enumerate(cones):
         for omit in c:
@@ -172,10 +172,8 @@ def validate_fan(f: Fan) -> Fan:
             )
             continue
         (c1, o1), (c2, o2) = members
-        normal = integer_kernel([rays[i] for i in wall])[0]
-        s1 = dot(normal, rays[o1])
-        s2 = dot(normal, rays[o2])
-        if s1 * s2 >= 0:
+        normal = duals[c1][cones[c1].index(o1)]
+        if dot(normal, rays[o2]) >= 0:
             violations.append(
                 ("NotComplete", f"cones {cones[c1]} and {cones[c2]} lie on one side of wall {wall}")
             )

@@ -10,9 +10,9 @@ fraction-free ``eliminate`` decides spans (and the ray-matroid closures of
 ``lattice_volume`` of an arbitrary point set stays here as the slow,
 assumption-free check of that formula; no computation path calls it.
 
-No floats anywhere; ``Fraction`` elimination is left to error messages and
-test oracles.  Outputs are canonical, so equal subspaces compare equal as
-values.
+No floats anywhere; ``Fraction`` elimination is left to the brute-force
+volume and test oracles.  Outputs are canonical, so equal subspaces
+compare equal as values.
 """
 
 from __future__ import annotations
@@ -239,29 +239,7 @@ def subspace_contains(s: Subspace, v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination, for error messages and test oracles
-
-
-def _det(rows) -> Fraction:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise DimMismatch("determinant of a non-square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
+# Rational elimination, for the brute-force volume and test oracles
 
 
 def _inverse(rows) -> list[list[Fraction]]:
@@ -302,7 +280,7 @@ def dual_basis(rays) -> tuple[Vector, ...]:
     h = row_hermite([r + e for r, e in zip(mat, identity_rows(n))])
     det = prod(row[i] for i, row in enumerate(h))
     if det != 1:
-        raise NotSmoothCone(f"|det| = {det} != 1 for rays {mat}")
+        raise NotSmoothCone(det, mat)
     return tuple(zip(*(row[n:] for row in h)))
 
 

@@ -163,7 +163,7 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     """
     f = p.divisor.fan
     if not is_ample(p):
-        raise NonAmple("facet volumes need an ample divisor")
+        raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
     xi = generic_functional(p)
     scale = factorial(n - 1)

@@ -9,7 +9,9 @@ rays.  Subspaces containing no ray have degree zero and never compete.
 All arithmetic is exact.
 
 The ray-spanned subspaces are the proper nonempty flats (closed ray
-sets) of the ray matroid, grown by fraction-free integer elimination.
+sets) of the ray matroid, grown by fraction-free integer elimination.  A
+flat's ray set and rank decide its slope; its lattice basis and jump data
+are derived only for the maximizer, when a certificate is rendered.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .errors import BadRank, BadTwist, DimMismatch, NonAmple
+from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, is_cone, validate_fan
-from .lattice import Subspace, eliminate, hermite_canonical, pivot_of
+from .lattice import eliminate, hermite_canonical, pivot_of
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import (
     JumpData,
@@ -50,19 +52,18 @@ class Stability(Enum):
 
 @dataclass(frozen=True)
 class SubsheafCandidate:
-    """A ray-spanned proper subspace together with its induced jump data."""
+    """A ray-spanned proper subspace: its rank and the rays it contains."""
 
-    subspace: Subspace
     rank: int
     rays_in: tuple[int, ...]
-    jump: JumpData
     slope: Fraction | None = None
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Verdict of ``decide``; ``volumes`` is the facet-volume table the
-    slopes were computed from."""
+    slopes were computed from and ``fan`` the validated fan, whose rays
+    the certificate's basis and jump data are derived from."""
 
     status: Stability
     mu_tx: Fraction
@@ -70,6 +71,7 @@ class StabilityVerdict:
     candidates: tuple[SubsheafCandidate, ...]
     notes: tuple[str, ...]
     volumes: VolumeTable | None = None
+    fan: Fan | None = None
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
     These are the flats of rank 1 to n-1 of the ray matroid, grown one
     rank at a time from the empty flat and deduplicated by their closed
     ray sets; flats of rank n-1 are not extended, since every extension
-    has full rank.  ``rays_in`` is the flat itself and ``subspace`` its
-    Hermite-canonical basis.  Slopes are left unfilled.
+    has full rank.  ``rays_in`` is the flat itself.  Slopes are left
+    unfilled.
     """
     if len(f.rays) > max_rays:
         raise ValueError(
@@ -142,15 +144,7 @@ def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
                     ranks[closure] = rank
                     grown.append((closure, rest))
         level = grown
-    out = [
-        SubsheafCandidate(
-            subspace=hermite_canonical([f.rays[i] for i in rays_in]),
-            rank=rank,
-            rays_in=rays_in,
-            jump=_candidate_jump(len(f.rays), rays_in, rank),
-        )
-        for rays_in, rank in ranks.items()
-    ]
+    out = [SubsheafCandidate(rank, rays_in) for rays_in, rank in ranks.items()]
     out.sort(key=lambda c: (c.rank, c.rays_in))
     return out
 
@@ -196,18 +190,24 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
         candidates=cands,
         notes=(SCOPE_NOTE, GENERIC_NOTE),
         volumes=vols,
+        fan=f,
     )
 
 
 def certificate(v: StabilityVerdict) -> Certificate | None:
-    """Render the maximizing candidate, or None when no candidate exists."""
+    """Render the maximizing candidate, or None when no candidate exists.
+
+    The basis spans the candidate's rays; the jump data puts level -1 on
+    each of them.
+    """
     if v.best is None:
         return None
     c = v.best
+    rays = v.fan.rays
     return Certificate(
         rank=c.rank,
-        lambda_matrix=jump_to_lambda_matrix(c.jump),
-        subspace_basis=c.subspace.basis,
+        lambda_matrix=jump_to_lambda_matrix(_candidate_jump(len(rays), c.rays_in, c.rank)),
+        subspace_basis=hermite_canonical([rays[i] for i in c.rays_in]).basis,
         slope=c.slope,
         mu_tx=v.mu_tx,
     )
@@ -254,52 +254,3 @@ def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
 
     grow(0, Fraction(0))
     return Fraction(factorial(n - 1)) * best / r
-
-
-def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:
-    """Closed-form verdict for the twisted surface, independent of decide().
-
-    With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
-    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the candidates are
-    the two or three ray-spanned lines with slopes b, 2a + m*b (and b).
-    """
-    if m < 0:
-        raise BadTwist(f"twist must be nonnegative, got {m}")
-    a = a1 + a3 - m * a2
-    b = a2 + a4
-    if a <= 0 or b <= 0:
-        raise NonAmple(f"divisor is not ample: a = {a}, b = {b} must both be positive")
-    vols = VolumeTable(
-        2, (Fraction(b), Fraction(a), Fraction(b), Fraction(a + m * b))
-    )
-    mu = Fraction(2 * a + (m + 2) * b, 2)
-
-    def line(direction, rays_in, slope):
-        return SubsheafCandidate(
-            subspace=hermite_canonical([direction]),
-            rank=1,
-            rays_in=rays_in,
-            jump=_candidate_jump(4, rays_in, 1),
-            slope=Fraction(slope),
-        )
-
-    if m == 0:
-        cands = (
-            line((1, 0), (0, 2), 2 * b),
-            line((0, 1), (1, 3), 2 * a),
-        )
-    else:
-        cands = (
-            line((1, 0), (0,), b),
-            line((0, 1), (1, 3), 2 * a + m * b),
-            line((-1, m), (2,), b),
-        )
-    best = _pick_best(cands)
-    return StabilityVerdict(
-        status=_status_against(best, mu),
-        mu_tx=mu,
-        best=best,
-        candidates=cands,
-        notes=(SCOPE_NOTE, GENERIC_NOTE),
-        volumes=vols,
-    )

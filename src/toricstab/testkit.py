@@ -1,4 +1,5 @@
-"""Shared fixtures: golden cases, fuzzers, and random fan generators."""
+"""Shared fixtures: golden cases, fuzzers, random fan generators, and the
+Hirzebruch closed-form oracle."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .errors import BadTwist, NonAmple
 from .fan import (
     Fan,
     construct_hirzebruch,
@@ -20,13 +22,24 @@ from .fan import (
     validate_fan,
 )
 from .polytope import (
+    VolumeTable,
     anticanonical,
     divisor,
     is_ample,
     polytope_from_divisor,
 )
 from .sheafdata import validate_lambda_matrix, validate_lambda_vector
-from .stability import Stability, certificate, decide
+from .stability import (
+    GENERIC_NOTE,
+    SCOPE_NOTE,
+    Stability,
+    StabilityVerdict,
+    SubsheafCandidate,
+    _pick_best,
+    _status_against,
+    certificate,
+    decide,
+)
 
 
 @dataclass(frozen=True)
@@ -267,3 +280,38 @@ def random_ample(f: Fan, seed: int):
         if not is_ample(polytope_from_divisor(d)):
             raise ValueError("no ample divisor found for this fan/seed pair")
     return d
+
+
+def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:
+    """Closed-form verdict for the twisted surface, independent of decide().
+
+    With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
+    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the candidates are
+    the two or three ray-spanned lines with slopes b, 2a + m*b (and b).
+    """
+    if m < 0:
+        raise BadTwist(f"twist must be nonnegative, got {m}")
+    a = a1 + a3 - m * a2
+    b = a2 + a4
+    if a <= 0 or b <= 0:
+        raise NonAmple(f"divisor is not ample: a = {a}, b = {b} must both be positive")
+    vols = VolumeTable(2, (Fraction(b), Fraction(a), Fraction(b), Fraction(a + m * b)))
+    mu = Fraction(2 * a + (m + 2) * b, 2)
+
+    def line(rays_in, slope):
+        return SubsheafCandidate(1, rays_in, Fraction(slope))
+
+    if m == 0:
+        cands = (line((0, 2), 2 * b), line((1, 3), 2 * a))
+    else:
+        cands = (line((0,), b), line((1, 3), 2 * a + m * b), line((2,), b))
+    best = _pick_best(cands)
+    return StabilityVerdict(
+        status=_status_against(best, mu),
+        mu_tx=mu,
+        best=best,
+        candidates=cands,
+        notes=(SCOPE_NOTE, GENERIC_NOTE),
+        volumes=vols,
+        fan=construct_hirzebruch(m),
+    )

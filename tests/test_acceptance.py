@@ -282,7 +282,11 @@ def test_criterion_6_catalog_published_product_rows():
         v = decide(f, anticanonical(f))
         assert v.status is Stability.SEMISTABLE and v.mu_tx == mu
         assert all(c.slope <= mu for c in v.candidates)
-        ties = sorted((c.rays_in, c.rank, c.subspace.basis) for c in v.candidates if c.slope == mu)
+        ties = sorted(
+            (c.rays_in, c.rank, hermite_canonical([f.rays[i] for i in c.rays_in]).basis)
+            for c in v.candidates
+            if c.slope == mu
+        )
         unit = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
         assert ties == [
             (tuple(range(n1 + 1)), n1, tuple(unit[:n1])),

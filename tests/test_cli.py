@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toricstab import polytope
 from toricstab.cli import fan_to_dict, load_fan_file, main
 from toricstab.fan import (
     construct_hirzebruch,
@@ -107,6 +108,13 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-ample" in captured.err
+
+    def test_one_ampleness_check_per_request(self, f2_path, count_calls, capsys):
+        for divisor, code in (("1,1,3,1", 0), ("1,1,1,1", 3)):
+            polytopes = count_calls(polytope, "polytope_from_divisor")
+            ample = count_calls(polytope, "is_ample")
+            assert main(["analyze", f2_path, "--divisor", divisor]) == code
+            assert len(polytopes) == 1 and len(ample) == 1
 
     def test_missing_file_exits_4(self, capsys):
         assert main(["analyze", "/no/such/file.json", "--anticanonical"]) == 4
@@ -261,6 +269,14 @@ class TestScan:
         main(["scan", "--m", "0", "--a1", "1", "--a2", "1", "--a3", "1",
               "--a4", "1"])
         assert capsys.readouterr().out.splitlines()[1] == "1,1,1,1,2,2,true,semistable"
+
+    def test_one_ampleness_check_per_grid_point(self, count_calls, capsys):
+        polytopes = count_calls(polytope, "polytope_from_divisor")
+        ample = count_calls(polytope, "is_ample")
+        args = ["scan", "--m", "2", "--a1", "1", "--a2", "1", "--a3", "3", "--a4", "1"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,1,3,1,2,2,true,unstable"]
+        assert len(polytopes) == 1 and len(ample) == 1
 
     def test_uses_lf_line_endings(self, capsys):
         main(["scan", "--m", "0", "--a1", "1", "--a2", "1", "--a3", "1",

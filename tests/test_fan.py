@@ -210,6 +210,32 @@ class TestValidateFan:
         assert "BadIntersection" in codes_of(ei)
         assert "NotComplete" in codes_of(ei)
 
+    def test_cones_on_one_side_of_a_wall(self):
+        f = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(f)
+        assert ei.value.violations == (
+            ("NotComplete", "wall (0,) lies in 1 maximal cone(s)"),
+            ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
+            ("NotComplete", "wall (2,) lies in 1 maximal cone(s)"),
+            ("NotComplete", "maximal cones are not connected through walls"),
+            ("BadIntersection", "cones (0, 1) and (1, 2) intersect outside the face "
+             "spanned by their common rays (1,)"),
+        )
+        g = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(g)
+        assert ei.value.violations == (
+            ("NotComplete", "cones (0, 1, 2) and (0, 1, 3) lie on one side of wall (0, 1)"),
+            ("NotComplete", "wall (0, 2) lies in 1 maximal cone(s)"),
+            ("NotComplete", "wall (0, 3) lies in 1 maximal cone(s)"),
+            ("NotComplete", "wall (1, 2) lies in 1 maximal cone(s)"),
+            ("NotComplete", "wall (1, 3) lies in 1 maximal cone(s)"),
+            ("NotComplete", "maximal cones are not connected through walls"),
+            ("BadIntersection", "cones (0, 1, 2) and (0, 1, 3) intersect outside the face "
+             "spanned by their common rays (0, 1)"),
+        )
+
     def test_unused_ray(self):
         f = make_fan(
             2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)]

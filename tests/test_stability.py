@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import stability
+from toricstab import lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
@@ -34,9 +34,8 @@ from toricstab.stability import (
     certificate,
     decide,
     enumerate_candidates,
-    hirzebruch_closed_form,
 )
-from toricstab.testkit import random_unimodular, transform_fan
+from toricstab.testkit import hirzebruch_closed_form, random_unimodular, transform_fan
 
 B5 = construct_proj_split(1, (1, 0, 0))
 F1 = construct_hirzebruch(1)
@@ -66,7 +65,7 @@ class TestEnumeration:
         cands = {c.rays_in: c for c in enumerate_candidates(B5)}
         assert cands[(0, 1, 2, 3)].rank == 3
         assert cands[(0, 4, 5)].rank == 2
-        sub = cands[(0, 4, 5)].subspace
+        sub = hermite_canonical([B5.rays[i] for i in (0, 4, 5)])
         assert sub.basis == ((1, 0, 0, 0), (0, 0, 0, 1))
 
     def test_matches_brute_force_subset_spans(self):
@@ -90,24 +89,29 @@ class TestEnumeration:
                     if s.dim < f.dim:
                         expected.add(s)
             got = enumerate_candidates(f)
-            assert {c.subspace for c in got} == expected
-            assert len({c.subspace for c in got}) == len(got)
-            for c in got:
-                inside = [hermite_canonical([*c.subspace.basis, r]).dim == c.rank for r in f.rays]
+            spans = [hermite_canonical([f.rays[i] for i in c.rays_in]) for c in got]
+            assert set(spans) == expected
+            assert len(set(spans)) == len(got)
+            for c, sub in zip(got, spans):
+                inside = [hermite_canonical([*sub.basis, r]).dim == c.rank for r in f.rays]
                 assert c.rays_in == tuple(i for i, ok in enumerate(inside) if ok)
 
-    def test_one_canonical_basis_per_candidate(self, monkeypatch):
-        calls = []
-
-        def counting(vectors):
-            calls.append(vectors)
-            return hermite_canonical(vectors)
-
-        monkeypatch.setattr(stability, "hermite_canonical", counting)
-        for f, flats in ((construct_projective_space(4), 25), (B5, 29)):
-            calls.clear()
+    def test_no_basis_or_jump_data_per_candidate(self, count_calls):
+        p4 = construct_projective_space(4)
+        hermite = count_calls(lattice, "hermite_canonical")
+        jumps = count_calls(sheafdata, "jump_data")
+        for f, flats in ((p4, 25), (B5, 29)):
             assert len(enumerate_candidates(f)) == flats
-            assert len(calls) == flats
+        decide(B5, anticanonical(B5))
+        assert hermite == [] and jumps == []
+
+    def test_certificate_derives_one_basis(self, count_calls):
+        v = decide(B5, anticanonical(B5))
+        hermite = count_calls(lattice, "hermite_canonical")
+        jumps = count_calls(sheafdata, "jump_data")
+        cert = certificate(v)
+        assert len(hermite) == 1 and len(jumps) == 1
+        assert cert.subspace_basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
     def test_ray_cap(self):
         with pytest.raises(ValueError):
