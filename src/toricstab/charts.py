@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidLambda, NotMaximal, ZeroVector
-from .fan import Fan, cone_rays
-from .lattice import Vector, dot, dual_basis, hermite_canonical
+from .fan import Fan, cone_dual, cone_rays
+from .lattice import Vector, dot, hermite_canonical
 from .sheafdata import validate_lambda_vector
 
 
@@ -47,10 +47,11 @@ class MonomialDerivation:
 
 def chart_of(f: Fan, sigma) -> Chart:
     cone = tuple(sorted(sigma))
-    if cone not in f.max_cones:
-        raise NotMaximal(f"{cone} is not a maximal cone of the fan")
-    rays = cone_rays(f, cone)
-    return Chart(fan=f, cone=cone, rays=rays, dual=dual_basis(rays))
+    try:
+        ci = f.max_cones.index(cone)
+    except ValueError:
+        raise NotMaximal(f"{cone} is not a maximal cone of the fan") from None
+    return Chart(fan=f, cone=cone, rays=cone_rays(f, cone), dual=cone_dual(f, ci))
 
 
 def in_semigroup(c: Chart, u) -> bool:

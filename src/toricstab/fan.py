@@ -6,12 +6,44 @@ checks the full package of invariants exactly:
 
 * rays primitive, distinct, each used by some maximal cone;
 * every maximal cone a unimodular basis (smoothness);
-* completeness, established by three exact criteria together: every wall
-  (codimension-one face) lies in exactly two maximal cones which sit on
-  opposite sides of it, the wall-adjacency graph is connected, and any two
-  maximal cones intersect exactly in the cone spanned by their common rays.
-  For a simplicial fan these force the support to be all of R^n, covered
-  once.
+* completeness: every wall (codimension-one face) lies in exactly two
+  maximal cones which sit on opposite sides of it, the wall-adjacency
+  graph is connected, and exactly one maximal cone contains the generic
+  vector ``v`` (the covering count).  Only when a check fails or the count
+  is not one does the pairwise test run, that any two maximal cones
+  intersect exactly in the cone spanned by their common rays; it names
+  the offending pairs in the violations.
+
+Why the covering count suffices (Ewald, *Combinatorial Convexity and
+Algebraic Geometry*, 1996, ch. III).  Let the walls pair up with their
+cones on opposite sides, the adjacency graph be connected, and ``v`` be
+the first ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
+every cone dual; each dual is the normal of a wall, so ``v`` lies on no
+wall hyperplane and a cone contains it iff every dual pairs positively.
+
+1. Glue the maximal cones along their shared walls and map the result
+   radially to the sphere S^(n-1).  Near an interior point of a cone or of
+   a wall the map is a local homeomorphism, because the two cones at a
+   wall lie on opposite sides.  What is left are the images of faces with
+   at most n-2 rays: they have codimension >= 2 in the sphere (for n = 2
+   they are empty, the faces being the origin alone), so they do not
+   separate it.  The map is proper (finitely many compact simplices), so
+   off those images it is a covering of a connected space with a constant
+   number of sheets d.  ``v`` avoids them, so the count equals d.
+2. If d = 1, distinct maximal cones have disjoint interiors.
+3. Every face tau inherits pairing and sidedness in its link: project along
+   span tau, which unimodularity keeps a lattice basis, and the walls of
+   star(tau) become walls of a fan of dimension n - dim tau.  So star(tau)
+   covers a neighbourhood of relint tau.  Let p lie in sigma_a ∩ sigma_b,
+   with tau the minimal face of sigma_a containing it.  Points of
+   int sigma_b near p and off every wall hyperplane then lie in the
+   interior of a cone of star(tau), which by step 2 is sigma_b.  So tau is
+   a face of sigma_b as well, and p lies in the cone spanned by the common
+   rays of sigma_a and sigma_b: the pairwise condition holds.
+
+Conversely, a count d >= 2 means two cones overlap, and then the pairwise
+test names them.  The count costs O(cones * n^2); the pairwise test stays
+as the fallback that reports violations, and as a test oracle.
 
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
@@ -24,21 +56,23 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
-from .lattice import Vector, dot, dual_basis, primitive_vector
+from .lattice import Vector, dot, dual_basis, generic_vector, primitive_vector
 
 
 @dataclass(frozen=True)
 class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
-    ``max_cones`` holds sorted tuples of ray indices.  ``validated`` is set
-    by ``validate_fan`` and never participates in equality.
+    ``max_cones`` holds sorted tuples of ray indices.  ``validated`` and
+    ``duals`` (the dual basis of each maximal cone, in cone order) are set
+    by ``validate_fan`` and never participate in equality.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     validated: bool = field(default=False, compare=False)
+    duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
 
 
 def make_fan(dim, rays, max_cones) -> Fan:
@@ -52,6 +86,17 @@ def make_fan(dim, rays, max_cones) -> Fan:
 
 def cone_rays(f: Fan, cone) -> tuple[Vector, ...]:
     return tuple(f.rays[i] for i in cone)
+
+
+def cone_dual(f: Fan, ci: int) -> tuple[Vector, ...]:
+    """Dual basis of maximal cone ``ci``, in cone order.
+
+    A validated fan keeps them; for any other fan it is computed here
+    (NotSmoothCone when the cone is not unimodular).
+    """
+    if f.duals is not None:
+        return f.duals[ci]
+    return dual_basis(cone_rays(f, f.max_cones[ci]))
 
 
 def is_cone(f: Fan, ray_indices) -> bool:
@@ -155,7 +200,7 @@ def validate_fan(f: Fan) -> Fan:
             )
         if violations:
             raise InvalidFan(violations)
-        return Fan(n, rays, cones, validated=True)
+        return Fan(n, rays, cones, validated=True, duals=tuple(duals))
 
     # Wall pairing and orientation.  The dual of the omitted ray is a
     # normal of the wall that pairs to 1 with that ray.
@@ -191,6 +236,9 @@ def validate_fan(f: Fan) -> Fan:
     if len(reached) != len(cones):
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
+    if not violations and _covering_count(n, duals) == 1:
+        return Fan(n, rays, cones, validated=True, duals=tuple(duals))
+
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
             detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])
@@ -199,7 +247,14 @@ def validate_fan(f: Fan) -> Fan:
 
     if violations:
         raise InvalidFan(violations)
-    return Fan(n, rays, cones, validated=True)
+    return Fan(n, rays, cones, validated=True, duals=tuple(duals))
+
+
+def _covering_count(n: int, duals) -> int:
+    """Number of maximal cones containing the generic vector ``v``: those
+    whose duals all pair positively with it (see the module docstring)."""
+    v = generic_vector(n, duals)
+    return sum(all(dot(m, v) > 0 for m in ms) for ms in duals)
 
 
 def _pair_face_violation(rays, ca, cb, duals_a, duals_b):

@@ -6,9 +6,10 @@ dual bases of unimodular cones and span membership, all in integer
 arithmetic: ``row_hermite`` gives canonical and dual bases, and the
 fraction-free ``eliminate`` decides spans (and the ray-matroid closures of
 ``stability``).  Facet volumes need nothing more: the vertex formula in
-``polytope`` reads them off the dual bases.  The brute-force
-``lattice_volume`` of an arbitrary point set stays here as the slow,
-assumption-free check of that formula; no computation path calls it.
+``polytope`` reads them off the dual bases, at the ``generic_vector`` of
+the moment curve that ``fan`` also counts covering cones with.  The
+brute-force ``lattice_volume`` of an arbitrary point set stays here as the
+slow, assumption-free check of that formula; no computation path calls it.
 
 No floats anywhere; ``Fraction`` elimination is left to the brute-force
 volume and test oracles.  Outputs are canonical, so equal subspaces
@@ -282,6 +283,21 @@ def dual_basis(rays) -> tuple[Vector, ...]:
     if det != 1:
         raise NotSmoothCone(det, mat)
     return tuple(zip(*(row[n:] for row in h)))
+
+
+def generic_vector(n: int, bases) -> Vector:
+    """First ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
+    every vector of every basis in ``bases``.
+
+    Each vector is nonzero and integral, so it vanishes on the moment curve
+    at no more than n-1 values of t and the search stops.
+    """
+    t = 2
+    while True:
+        v = tuple(t**j for j in range(n))
+        if all(dot(v, m) for basis in bases for m in basis):
+            return v
+        t += 1
 
 
 def facet_lattice_basis(alpha) -> tuple[Vector, ...]:

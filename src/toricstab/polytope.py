@@ -25,8 +25,8 @@ from itertools import product as iproduct
 from math import factorial, prod
 
 from .errors import DimMismatch, NonAmple
-from .fan import Fan, cone_rays
-from .lattice import QVector, Vector, dot, dual_basis
+from .fan import Fan, cone_dual
+from .lattice import QVector, Vector, dot, generic_vector
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
     n = f.dim
     verts = []
     edges = []
-    for cone in f.max_cones:
-        duals = dual_basis(cone_rays(f, cone))
+    for ci, cone in enumerate(f.max_cones):
+        duals = cone_dual(f, ci)
         v = [Fraction(0)] * n
         for pos, ray_idx in enumerate(cone):
             c = d.coeffs[ray_idx]
@@ -132,27 +132,12 @@ def is_ample(p: Polytope) -> bool:
     return True
 
 
-def generic_functional(p: Polytope) -> Vector:
-    """First ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
-    every edge direction of the polytope.
-
-    Each edge is a nonzero integer vector, so it vanishes on the moment
-    curve at no more than n-1 values of t and the search stops.
-    """
-    n = p.divisor.fan.dim
-    t = 2
-    while True:
-        xi = tuple(t**j for j in range(n))
-        if all(dot(xi, m) for cone in p.edges for m in cone):
-            return xi
-        t += 1
-
-
 def facet_volumes(p: Polytope) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
 
-    With xi from ``generic_functional``, vertex ``u`` of cone s and its
-    edges ``m_k``, the facet of ray i has volume
+    With xi the ``generic_vector`` of the edge directions (the cone duals,
+    so the vector ``validate_fan`` counts covering cones with), vertex ``u``
+    of cone s and its edges ``m_k``, the facet of ray i has volume
     ``sum over cones s containing i of <xi, u>^(n-1)
     / ((n-1)! * prod_{k in s, k != i} -<xi, m_k>)``:
     the edges at ``u`` other than ``m_i`` span the facet and form a basis
@@ -165,7 +150,7 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
-    xi = generic_functional(p)
+    xi = generic_vector(n, p.edges)
     scale = factorial(n - 1)
     vols = [Fraction(0)] * len(f.rays)
     for cone, u, edges in zip(f.max_cones, p.vertices, p.edges):

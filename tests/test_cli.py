@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toricstab import polytope
+from toricstab import lattice, polytope
 from toricstab.cli import fan_to_dict, load_fan_file, main
 from toricstab.fan import (
     construct_hirzebruch,
@@ -102,6 +102,28 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid fan" in captured.err
+
+    def test_fan_that_winds_twice_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "winding.json"
+        bad.write_text(json.dumps({
+            "dim": 2,
+            "rays": [[1, 0], [0, 1], [-1, -2], [2, 3], [-1, -1], [0, -1]],
+            "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
+        }))
+        assert main(["analyze", str(bad), "--anticanonical"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pairs = ("(0, 1) and (2, 3)", "(0, 1) and (3, 4)", "(1, 2) and (3, 4)",
+                 "(1, 2) and (4, 5)", "(2, 3) and (4, 5)", "(2, 3) and (0, 5)")
+        assert captured.err == "error: invalid fan: invalid fan ({})\n".format(", ".join(
+            f"BadIntersection: cones {p} intersect outside the face spanned by "
+            "their common rays ()" for p in pairs
+        ))
+
+    def test_one_dual_basis_per_cone(self, b5_path, count_calls, capsys):
+        duals = count_calls(lattice, "dual_basis")
+        assert main(["analyze", b5_path, "--anticanonical"]) == 0
+        assert len(duals) == 8
 
     def test_non_ample_exits_3(self, f2_path, capsys):
         assert main(["analyze", f2_path, "--anticanonical"]) == 3
@@ -311,6 +333,13 @@ class TestOracle:
         assert capsys.readouterr().out == (
             "witness: non-existent\nspan dim: 2 (no witness expected)\nAGREE\n"
         )
+
+    def test_one_dual_basis_per_cone(self, f2_path, b5_path, count_calls, capsys):
+        duals = count_calls(lattice, "dual_basis")
+        for path, lam, cones in ((f2_path, "0,-1,0,-1", 4), (b5_path, "0,0,0,0,-1,-1", 8)):
+            duals.clear()
+            assert main(["oracle", path, "--lam", lam]) == 0
+            assert len(duals) == cones
 
     def test_invalid_lambda_exits_5(self, f2_path, capsys):
         assert main(["oracle", f2_path, "--lam=-1,-1,0,0"]) == 5

@@ -1,7 +1,10 @@
 """Fan validation and the standard constructors."""
 
+import random
+
 import pytest
 
+from toricstab import fan
 from toricstab.errors import BadDimension, BadIndex, BadTwist, InvalidFan
 from toricstab.fan import (
     Fan,
@@ -15,10 +18,56 @@ from toricstab.fan import (
     make_fan,
     validate_fan,
 )
+from toricstab.lattice import dual_basis
+from toricstab.testkit import random_fan, random_unimodular, transform_fan
 
 
 def codes_of(excinfo) -> set:
     return {code for code, _ in excinfo.value.violations}
+
+
+def winding_fan() -> Fan:
+    """Six unimodular cones, consecutive ones sharing a wall on opposite
+    sides, that wind twice around the origin: every wall check passes and
+    only the intersection check fails."""
+    rays = [(1, 0), (0, 1), (-1, -2), (2, 3), (-1, -1), (0, -1)]
+    return make_fan(2, rays, [(i, (i + 1) % 6) for i in range(6)])
+
+
+def suspension(f: Fan) -> Fan:
+    """Cones of ``f`` joined with +-e_(n+1): the same winding one dimension up."""
+    n, k = f.dim, len(f.rays)
+    rays = [r + (0,) for r in f.rays] + [(0,) * n + (1,), (0,) * n + (-1,)]
+    return make_fan(n + 1, rays, [c + (j,) for c in f.max_cones for j in (k, k + 1)])
+
+
+def bad_intersection(a, b, common):
+    return (
+        "BadIntersection",
+        f"cones {a} and {b} intersect outside the face spanned by their common rays {common}",
+    )
+
+
+# Every fan the tests below reject, by the test that rejects it.
+INVALID_FANS = {
+    "nonprimitive_ray": make_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    "duplicate_ray": make_fan(2, [(1, 0), (0, 1), (1, 0)], [(0, 1), (1, 2)]),
+    "missing_cone": make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+    "not_smooth": make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)]),
+    "overlapping_cones": make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+    "one_side_of_a_wall": make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)]),
+    "one_side_of_a_wall_3d": make_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)]
+    ),
+    "unused_ray": make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)]),
+    "bad_cone_index": make_fan(2, [(1, 0), (0, 1)], [(0, 5)]),
+    "duplicate_cone": make_fan(
+        2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 0), (1, 2), (0, 2)]
+    ),
+    "half_line": make_fan(1, [(1,)], [(0,)]),
+    "winding": winding_fan(),
+    "winding_suspension": suspension(winding_fan()),
+}
 
 
 class TestProjectiveSpace:
@@ -176,44 +225,38 @@ class TestValidateFan:
         assert v.max_cones == ((1, 2), (0, 2), (0, 1))
 
     def test_nonprimitive_ray(self):
-        f = make_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["nonprimitive_ray"])
         assert "NonPrimitiveRay" in codes_of(ei)
 
     def test_duplicate_ray(self):
-        f = make_fan(2, [(1, 0), (0, 1), (1, 0)], [(0, 1), (1, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["duplicate_ray"])
         assert "DuplicateRay" in codes_of(ei)
 
     def test_missing_cone_breaks_completeness(self):
         f = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         validate_fan(f)
-        g = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(g)
+            validate_fan(INVALID_FANS["missing_cone"])
         assert "NotComplete" in codes_of(ei)
         assert "UnusedRay" not in codes_of(ei)
 
     def test_not_smooth(self):
-        f = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["not_smooth"])
         assert codes_of(ei) == {"NotSmooth"}
         assert any("(0, 2)" in detail for _, detail in ei.value.violations)
 
     def test_overlapping_cones(self):
-        f = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["overlapping_cones"])
         assert "BadIntersection" in codes_of(ei)
         assert "NotComplete" in codes_of(ei)
 
     def test_cones_on_one_side_of_a_wall(self):
-        f = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["one_side_of_a_wall"])
         assert ei.value.violations == (
             ("NotComplete", "wall (0,) lies in 1 maximal cone(s)"),
             ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
@@ -222,9 +265,8 @@ class TestValidateFan:
             ("BadIntersection", "cones (0, 1) and (1, 2) intersect outside the face "
              "spanned by their common rays (1,)"),
         )
-        g = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(g)
+            validate_fan(INVALID_FANS["one_side_of_a_wall_3d"])
         assert ei.value.violations == (
             ("NotComplete", "cones (0, 1, 2) and (0, 1, 3) lie on one side of wall (0, 1)"),
             ("NotComplete", "wall (0, 2) lies in 1 maximal cone(s)"),
@@ -237,31 +279,25 @@ class TestValidateFan:
         )
 
     def test_unused_ray(self):
-        f = make_fan(
-            2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)]
-        )
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["unused_ray"])
         assert "UnusedRay" in codes_of(ei)
 
     def test_bad_cone_index(self):
-        f = make_fan(2, [(1, 0), (0, 1)], [(0, 5)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["bad_cone_index"])
         assert "BadIndex" in codes_of(ei)
 
     def test_duplicate_cone(self):
-        f = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 0), (1, 2), (0, 2)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
+            validate_fan(INVALID_FANS["duplicate_cone"])
         assert "DuplicateCone" in codes_of(ei)
 
     def test_line_fan(self):
         f = validate_fan(make_fan(1, [(1,), (-1,)], [(0,), (1,)]))
         assert f.validated
-        g = make_fan(1, [(1,)], [(0,)])
         with pytest.raises(InvalidFan) as ei:
-            validate_fan(g)
+            validate_fan(INVALID_FANS["half_line"])
         assert "NotComplete" in codes_of(ei)
 
     def test_unimodular_change_of_basis(self):
@@ -304,3 +340,119 @@ class TestIsCone:
         f = construct_hirzebruch(0)
         assert not is_cone(f, (0, 2))
         assert not is_cone(f, (1, 3))
+
+
+def _covering_and_pairwise(f: Fan):
+    """Covering count and pairwise violations of a smooth fan, computed
+    directly from the two checks ``validate_fan`` chooses between."""
+    duals = [dual_basis([f.rays[i] for i in c]) for c in f.max_cones]
+    cones = f.max_cones
+    pairwise = [
+        detail
+        for a in range(len(cones))
+        for b in range(a + 1, len(cones))
+        if (detail := fan._pair_face_violation(
+            f.rays, cones[a], cones[b], duals[a], duals[b]
+        )) is not None
+    ]
+    return fan._covering_count(f.dim, duals), pairwise
+
+
+def _power(factor: Fan, k: int) -> Fan:
+    f = factor
+    for _ in range(k - 1):
+        f = construct_product(f, factor)
+    return f
+
+
+class TestCoveringCount:
+    def test_winding_fan_fails_only_the_intersection_check(self):
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(INVALID_FANS["winding"])
+        assert ei.value.violations == (
+            bad_intersection((0, 1), (2, 3), ()),
+            bad_intersection((0, 1), (3, 4), ()),
+            bad_intersection((1, 2), (3, 4), ()),
+            bad_intersection((1, 2), (4, 5), ()),
+            bad_intersection((2, 3), (4, 5), ()),
+            bad_intersection((2, 3), (0, 5), ()),
+        )
+
+    def test_winding_suspension_fails_only_the_intersection_check(self):
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(INVALID_FANS["winding_suspension"])
+        assert len(INVALID_FANS["winding_suspension"].max_cones) == 12
+        # (cone a, cone b, rays shared by both) of every offending pair
+        pairs = [
+            ((0, 1, 6), (2, 3, 6), (6,)), ((0, 1, 6), (2, 3, 7), ()),
+            ((0, 1, 6), (3, 4, 6), (6,)), ((0, 1, 6), (3, 4, 7), ()),
+            ((0, 1, 7), (2, 3, 6), ()), ((0, 1, 7), (2, 3, 7), (7,)),
+            ((0, 1, 7), (3, 4, 6), ()), ((0, 1, 7), (3, 4, 7), (7,)),
+            ((1, 2, 6), (3, 4, 6), (6,)), ((1, 2, 6), (3, 4, 7), ()),
+            ((1, 2, 6), (4, 5, 6), (6,)), ((1, 2, 6), (4, 5, 7), ()),
+            ((1, 2, 7), (3, 4, 6), ()), ((1, 2, 7), (3, 4, 7), (7,)),
+            ((1, 2, 7), (4, 5, 6), ()), ((1, 2, 7), (4, 5, 7), (7,)),
+            ((2, 3, 6), (4, 5, 6), (6,)), ((2, 3, 6), (4, 5, 7), ()),
+            ((2, 3, 6), (0, 5, 6), (6,)), ((2, 3, 6), (0, 5, 7), ()),
+            ((2, 3, 7), (4, 5, 6), ()), ((2, 3, 7), (4, 5, 7), (7,)),
+            ((2, 3, 7), (0, 5, 6), ()), ((2, 3, 7), (0, 5, 7), (7,)),
+        ]
+        assert ei.value.violations == tuple(bad_intersection(*p) for p in pairs)
+
+    def test_winding_fans_cover_twice(self):
+        for name in ("winding", "winding_suspension"):
+            count, pairwise = _covering_and_pairwise(INVALID_FANS[name])
+            assert count == 2 and pairwise, name
+
+    def test_count_is_one_exactly_when_no_pair_overlaps(self):
+        # The equivalence needs the wall stages: "overlapping_cones" has
+        # count 1 but unpaired walls, and there the pairwise check runs anyway.
+        fans = list(INVALID_FANS.values())
+        for seed in range(50):
+            f = random_fan(seed)
+            g = transform_fan(f, random_unimodular(f.dim, random.Random(seed)))
+            fans += [f, g]
+        checked = 0
+        for f in fans:
+            try:
+                validate_fan(f)
+                codes = set()
+            except InvalidFan as e:
+                codes = {code for code, _ in e.violations}
+            if codes - {"BadIntersection"}:
+                continue
+            count, pairwise = _covering_and_pairwise(f)
+            assert (count == 1) == (not pairwise), f
+            checked += 1
+        assert checked == 102
+
+    def test_failed_wall_stage_still_reports_every_overlap(self):
+        for name in ("overlapping_cones", "one_side_of_a_wall", "one_side_of_a_wall_3d"):
+            f = INVALID_FANS[name]
+            with pytest.raises(InvalidFan) as ei:
+                validate_fan(f)
+            reported = [d for code, d in ei.value.violations if code == "BadIntersection"]
+            assert reported == _covering_and_pairwise(f)[1], name
+        assert _covering_and_pairwise(INVALID_FANS["overlapping_cones"])[0] == 1
+
+    def test_pairwise_check_only_runs_as_fallback(self, count_calls):
+        calls = count_calls(fan, "_pair_face_violation")
+        catalog_fano4()
+        _power(construct_projective_space(1), 8)
+        _power(construct_hirzebruch(1), 4)
+        assert len(calls) == 0
+        with pytest.raises(InvalidFan):
+            validate_fan(INVALID_FANS["winding"])
+        assert len(calls) > 0
+
+    def test_validated_fan_keeps_cone_duals(self):
+        f = construct_hirzebruch(1)
+        assert f.duals == tuple(
+            dual_basis([f.rays[i] for i in c]) for c in f.max_cones
+        )
+        assert make_fan(f.dim, f.rays, f.max_cones).duals is None
+
+    def test_p1_to_the_twelve(self):
+        f = _power(construct_projective_space(1), 12)
+        assert f.validated and f.dim == 12
+        assert len(f.rays) == 24 and len(f.max_cones) == 4096

@@ -15,12 +15,11 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
-from toricstab.lattice import dot, lattice_volume
+from toricstab.lattice import dot, generic_vector, lattice_volume
 from toricstab.polytope import (
     anticanonical,
     divisor,
     facet_volumes,
-    generic_functional,
     is_ample,
     is_reflexive,
     polytope_from_divisor,
@@ -123,7 +122,7 @@ class TestFacetVolumes:
     def test_segment_endpoints(self):
         f = construct_projective_space(1)
         p = polytope_from_divisor(divisor(f, (2, 3)))
-        assert generic_functional(p) == (1,)
+        assert generic_vector(1, p.edges) == (1,)
         t = facet_volumes(p)
         assert t.values == (1, 1)
         assert t.dim == 1
@@ -180,7 +179,7 @@ def _volumes(f, coeffs):
 def _polytope_volume(p):
     """Normalized n-volume of the polytope from the degree-n vertex sum."""
     n = p.divisor.fan.dim
-    xi = generic_functional(p)
+    xi = generic_vector(n, p.edges)
     return sum(
         (
             dot(xi, u) ** n / (factorial(n) * prod(-dot(xi, m) for m in edges))
@@ -250,7 +249,7 @@ class TestGenericFunctional:
         g = transform_fan(f, self.SKEW)
         p = polytope_from_divisor(divisor(g, coeffs))
         assert (2, -1) in p.edges[g.max_cones.index((0, 1))]
-        xi = generic_functional(p)
+        xi = generic_vector(g.dim, p.edges)
         assert xi[1] > 2
         assert all(dot(xi, m) for cone in p.edges for m in cone)
         assert facet_volumes(p).values == _volumes(f, coeffs)
