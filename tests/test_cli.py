@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
+from toricstab.testkit import build_case_fan, golden_suite
 
 
 def write_fan(tmp_path, f, name="fan.json"):
@@ -363,3 +366,36 @@ class TestTopLevel:
 
     def test_no_arguments_exits_4(self, capsys):
         assert main([]) == 4
+
+
+def _pinned_runs(tmp_path):
+    """Argument lists of the pinned CLI digest: every golden case with its
+    own divisor scaled by 1, 1/2 and 2/3, the catalog, and a scan grid."""
+    for i, case in enumerate(golden_suite()):
+        f = build_case_fan(case)
+        path = write_fan(tmp_path, f, f"golden{i}.json")
+        base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
+        if case.divisor == "anticanonical":
+            yield ["analyze", path, "--anticanonical"]
+        else:
+            yield ["analyze", path, "--divisor", ",".join(str(c) for c in base)]
+        for k in (Fraction(1, 2), Fraction(2, 3)):
+            coeffs = ",".join(str(k * Fraction(c)) for c in base)
+            yield ["analyze", path, "--divisor", coeffs]
+    yield ["catalog", "--json"]
+    yield ["scan", "--m", "1", "--a1", "0:2", "--a2", "0:2", "--a3", "0:2", "--a4", "0:2"]
+
+
+class TestPinnedDigest:
+    # SHA-256 over "<exit code>\n<stdout>" of every run of _pinned_runs, in
+    # order; any change to a number, a verdict, a certificate or the
+    # formatting of a report moves it.
+    DIGEST = "4fb93abc77253a2b66cc1f60e9c36a35f7dc2d80e2862225dbb9a7a3cfe73976"
+
+    def test_cli_output_digest(self, tmp_path, capsys):
+        h = hashlib.sha256()
+        for argv in _pinned_runs(tmp_path):
+            code = main(argv)
+            h.update(f"{code}\n".encode())
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == self.DIGEST
