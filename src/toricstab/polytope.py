@@ -10,11 +10,18 @@ points are precisely the vertices and the polytope's facets correspond to
 the rays; each facet volume is measured in the lattice of its own
 hyperplane (unit simplex = 1/(dim-1)!).
 
+All of this is done in integers.  With q the common denominator of the
+coefficients, the polytope of ``q * D`` has integer cone points (integer
+combinations of the cone's dual basis), so ``Polytope`` keeps those and q,
+and the inequalities are compared as ``<q*u, ray> + q*coeff > 0``.
+
 Facet volumes come from the vertex formula for simple lattice polytopes
 (Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988):
 every vertex of a facet contributes one term built from its height and its
 edge directions under a generic linear functional, so the cost is
-O(cones * n^2) exact operations and no hull is ever triangulated.
+O(cones * n^2) integer operations and no hull is ever triangulated.  The
+terms are summed over one common integer denominator, and each facet
+volume is a single ``Fraction`` built at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, cone_dual
@@ -50,12 +58,11 @@ def anticanonical(f: Fan) -> ToricDivisor:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Vertex data of a divisor's polytope.
+    """Integer vertex data of a divisor's polytope.
 
-    ``vertices[ci]`` is the point attached to maximal cone ``ci`` and
-    ``facets[r]``, computed on access, lists the cones containing ray ``r``
-    (equivalently, for an ample divisor, the vertices of the facet where
-    ``<x, ray r>`` is tight).
+    ``scale`` is the common denominator q of the divisor's coefficients and
+    ``points[ci]`` is q times the point attached to maximal cone ``ci``, an
+    integer vector; ``vertices`` gives the points themselves as fractions.
     ``edges[ci]`` is the dual basis of cone ``ci`` in cone order: moving
     from ``vertices[ci]`` along ``edges[ci][k]`` keeps every equality of the
     cone but the one of its k-th ray, so for an ample divisor these are the
@@ -63,16 +70,13 @@ class Polytope:
     """
 
     divisor: ToricDivisor
-    vertices: tuple[QVector, ...]
+    scale: int
+    points: tuple[Vector, ...]
     edges: tuple[tuple[Vector, ...], ...]
 
     @property
-    def facets(self) -> tuple[tuple[int, ...], ...]:
-        f = self.divisor.fan
-        return tuple(
-            tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
-            for r in range(len(f.rays))
-        )
+    def vertices(self) -> tuple[QVector, ...]:
+        return tuple(tuple(Fraction(x, self.scale) for x in pt) for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -96,38 +100,38 @@ class VolumeTable:
         return sum(self.values, Fraction(0))
 
 
+def _scaled_coeffs(d: ToricDivisor, q: int) -> list[int]:
+    """``q * coeff`` for every coefficient, where q is a common denominator."""
+    return [c.numerator * (q // c.denominator) for c in d.coeffs]
+
+
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:
     """Solve each maximal cone's equality system for its polytope point.
 
     In the dual basis m_1..m_n of a smooth cone the solution of
-    ``<v, ray_i> = -coeff_i`` is ``v = sum_i (-coeff_i) m_i``.
+    ``<v, ray_i> = -coeff_i`` is ``v = sum_i (-coeff_i) m_i``; it is kept
+    as the integer vector ``q * v``.
     """
     f = d.fan
-    n = f.dim
-    verts = []
+    q = lcm(*(c.denominator for c in d.coeffs))
+    cs = _scaled_coeffs(d, q)
+    points = []
     edges = []
     for ci, cone in enumerate(f.max_cones):
         duals = cone_dual(f, ci)
-        v = [Fraction(0)] * n
-        for pos, ray_idx in enumerate(cone):
-            c = d.coeffs[ray_idx]
-            for j in range(n):
-                v[j] -= c * duals[pos][j]
-        verts.append(tuple(v))
+        weights = [cs[r] for r in cone]
+        points.append(tuple(-sum(map(mul, weights, column)) for column in zip(*duals)))
         edges.append(duals)
-    return Polytope(d, tuple(verts), tuple(edges))
+    return Polytope(d, q, tuple(points), tuple(edges))
 
 
 def is_ample(p: Polytope) -> bool:
     """Strict convexity: each cone's vertex strictly satisfies all other inequalities."""
     f = p.divisor.fan
-    for ci, cone in enumerate(f.max_cones):
-        v = p.vertices[ci]
-        inside = set(cone)
+    cs = _scaled_coeffs(p.divisor, p.scale)
+    for cone, point in zip(f.max_cones, p.points):
         for r, ray in enumerate(f.rays):
-            if r in inside:
-                continue
-            if dot(v, ray) <= -p.divisor.coeffs[r]:
+            if r not in cone and sum(map(mul, point, ray)) + cs[r] <= 0:
                 return False
     return True
 
@@ -142,6 +146,9 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     / ((n-1)! * prod_{k in s, k != i} -<xi, m_k>)``:
     the edges at ``u`` other than ``m_i`` span the facet and form a basis
     of its lattice, because the polytope is simple and the fan smooth.
+    With ``g_k = -<xi, m_k>``, ``P_s = prod_k g_k``, L the lcm of the
+    ``|P_s|`` and ``q*u`` the integer point, that term is the integer
+    ``<xi, q*u>^(n-1) * g_i * (L // P_s)`` over ``L * q^(n-1) * (n-1)!``.
 
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
@@ -151,15 +158,18 @@ def facet_volumes(p: Polytope) -> VolumeTable:
         raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
     xi = generic_vector(n, p.edges)
-    scale = factorial(n - 1)
-    vols = [Fraction(0)] * len(f.rays)
-    for cone, u, edges in zip(f.max_cones, p.vertices, p.edges):
-        height = dot(xi, u) ** (n - 1)
-        slopes = [-dot(xi, m) for m in edges]
-        all_slopes = prod(slopes)
-        for pos, r in enumerate(cone):
-            vols[r] += height / (scale * (all_slopes // slopes[pos]))
-    return VolumeTable(n, tuple(vols))
+    terms = []
+    for cone, point, edges in zip(f.max_cones, p.points, p.edges):
+        slopes = [-sum(map(mul, xi, m)) for m in edges]
+        terms.append((cone, sum(map(mul, xi, point)) ** (n - 1), slopes, prod(slopes)))
+    common = lcm(*(abs(all_slopes) for *_, all_slopes in terms))
+    nums = [0] * len(f.rays)
+    for cone, height, slopes, all_slopes in terms:
+        height *= common // all_slopes
+        for r, slope in zip(cone, slopes):
+            nums[r] += height * slope
+    den = common * p.scale ** (n - 1) * factorial(n - 1)
+    return VolumeTable(n, tuple(Fraction(x, den) for x in nums))
 
 
 def is_reflexive(p: Polytope) -> bool:
@@ -174,16 +184,16 @@ def is_reflexive(p: Polytope) -> bool:
     cone points may not all be true vertices.
     """
     f = p.divisor.fan
-    if any(x.denominator != 1 for v in p.vertices for x in v):
+    q = p.scale
+    if any(x % q for pt in p.points for x in pt):
         return False
-    lo = [min(int(v[j]) for v in p.vertices) for j in range(f.dim)]
-    hi = [max(int(v[j]) for v in p.vertices) for j in range(f.dim)]
+    cs = _scaled_coeffs(p.divisor, q)
+    verts = [tuple(x // q for x in pt) for pt in p.points]
+    lo = [min(v[j] for v in verts) for j in range(f.dim)]
+    hi = [max(v[j] for v in verts) for j in range(f.dim)]
     interior = []
     for point in iproduct(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(
-            dot(point, ray) > -p.divisor.coeffs[r]
-            for r, ray in enumerate(f.rays)
-        ):
+        if all(q * dot(point, ray) + cs[r] > 0 for r, ray in enumerate(f.rays)):
             interior.append(point)
             if len(interior) > 1:
                 return False

@@ -11,16 +11,20 @@ All arithmetic is exact.
 The ray-spanned subspaces are the proper nonempty flats (closed ray
 sets) of the ray matroid, grown by fraction-free integer elimination.  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
-are derived only for the maximizer, when a certificate is rendered.
+are derived only for the maximizer, when a certificate is rendered.  The
+flats depend on the fan alone, so they are kept per validated fan (in a
+weak mapping: an entry lives as long as its fan) and every further
+polarization of that fan only sums integer volume weights over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, is_cone, validate_fan
@@ -120,6 +124,12 @@ def _covering_flats(flat, residues):
         yield tuple(sorted(closure)), rest
 
 
+# The flats of each validated fan, as a tuple of slope-less candidates.
+_FLATS: weakref.WeakKeyDictionary[Fan, tuple[SubsheafCandidate, ...]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
     """All distinct proper subspaces spanned by nonempty sets of rays.
 
@@ -127,13 +137,23 @@ def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
     rank at a time from the empty flat and deduplicated by their closed
     ray sets; flats of rank n-1 are not extended, since every extension
     has full rank.  ``rays_in`` is the flat itself.  Slopes are left
-    unfilled.
+    unfilled.  A validated fan's flats are grown once and kept while the
+    fan lives; each call returns a new list.
     """
     if len(f.rays) > max_rays:
         raise ValueError(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "
             f"{max_rays} (raise max_rays to override)"
         )
+    if not f.validated:
+        return list(_grow_flats(f))
+    flats = _FLATS.get(f)
+    if flats is None:
+        flats = _FLATS[f] = _grow_flats(f)
+    return list(flats)
+
+
+def _grow_flats(f: Fan) -> tuple[SubsheafCandidate, ...]:
     ranks: dict[tuple[int, ...], int] = {}
     level = [((), dict(enumerate(f.rays)))]
     for rank in range(1, f.dim):
@@ -146,15 +166,28 @@ def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
         level = grown
     out = [SubsheafCandidate(rank, rays_in) for rays_in, rank in ranks.items()]
     out.sort(key=lambda c: (c.rank, c.rays_in))
-    return out
+    return tuple(out)
+
+
+def _slope_weights(vols, n: int) -> tuple[list[int], int]:
+    """``(n-1)! * vol_i * D`` for every ray, as ints, and D, the common
+    denominator of the volumes; raises NonAmple unless all are positive."""
+    vals = _volume_values(vols, n)
+    den = lcm(*(v.denominator for v in vals))
+    weights = [factorial(n - 1) * v.numerator * (den // v.denominator) for v in vals]
+    if any(w <= 0 for w in weights):
+        raise NonAmple("candidate slopes require positive facet volumes")
+    return weights, den
+
+
+def _slope(weights: list[int], den: int, rays_in, rank: int) -> Fraction:
+    """(n-1)! times the volume summed over ``rays_in``, divided by ``rank``."""
+    return Fraction(sum(weights[i] for i in rays_in), den * rank)
 
 
 def candidate_slope(c: SubsheafCandidate, vols, n: int) -> Fraction:
-    vals = _volume_values(vols, n)
-    if any(v <= 0 for v in vals):
-        raise NonAmple("candidate slopes require positive facet volumes")
-    total = sum((vals[i] for i in c.rays_in), Fraction(0))
-    return Fraction(factorial(n - 1)) * total / c.rank
+    weights, den = _slope_weights(vols, n)
+    return _slope(weights, den, c.rays_in, c.rank)
 
 
 def _pick_best(cands):
@@ -175,11 +208,12 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
         f = validate_fan(f)
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
-    vols = facet_volumes(polytope_from_divisor(a))
+    vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
     n = f.dim
-    mu = Fraction(factorial(n - 1)) * vols.total / n
+    weights, den = _slope_weights(vols, n)
+    mu = _slope(weights, den, range(len(weights)), n)
     cands = tuple(
-        replace(c, slope=candidate_slope(c, vols, n))
+        SubsheafCandidate(c.rank, c.rays_in, _slope(weights, den, c.rays_in, c.rank))
         for c in enumerate_candidates(f, max_rays=max_rays)
     )
     best = _pick_best(cands)

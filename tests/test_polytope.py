@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import factorial, prod
+from itertools import product as iproduct
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
-from toricstab.lattice import dot, generic_vector, lattice_volume
+from toricstab.lattice import dot, dual_basis, generic_vector, lattice_volume
 from toricstab.polytope import (
     anticanonical,
     divisor,
@@ -37,6 +38,37 @@ def hirzebruch_polytope(m, coeffs):
     return polytope_from_divisor(divisor(construct_hirzebruch(m), coeffs))
 
 
+def facets(f):
+    """The cones containing each ray: for an ample divisor, the vertices of
+    the facet where ``<x, ray r>`` is tight."""
+    return tuple(
+        tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
+        for r in range(len(f.rays))
+    )
+
+
+def fraction_vertices(f, coeffs):
+    """Each cone's point ``-sum coeff_i * m_i`` computed in fractions."""
+    out = []
+    for cone in f.max_cones:
+        duals = dual_basis([f.rays[r] for r in cone])
+        out.append(tuple(
+            -sum((Fraction(coeffs[r]) * m[j] for r, m in zip(cone, duals)), Fraction(0))
+            for j in range(f.dim)
+        ))
+    return out
+
+
+def ample_by_fractions(f, coeffs):
+    """Strict convexity checked on fraction vertices."""
+    return all(
+        dot(u, ray) > -Fraction(coeffs[r])
+        for cone, u in zip(f.max_cones, fraction_vertices(f, coeffs))
+        for r, ray in enumerate(f.rays)
+        if r not in cone
+    )
+
+
 class TestVertices:
     def test_plane_anticanonical_triangle(self):
         p = polytope_from_divisor(anticanonical(construct_projective_space(2)))
@@ -50,7 +82,7 @@ class TestVertices:
         f = construct_projective_space(2)
         p = polytope_from_divisor(anticanonical(f))
         # ray r bounds exactly the cones containing it
-        assert p.facets == ((1, 2), (0, 2), (0, 1))
+        assert facets(p.divisor.fan) == ((1, 2), (0, 2), (0, 1))
 
     def test_vertices_satisfy_their_equalities(self):
         f = construct_proj_split(1, (1, 0, 0))
@@ -59,6 +91,20 @@ class TestVertices:
             v = p.vertices[ci]
             for r in cone:
                 assert sum(a * b for a, b in zip(v, f.rays[r])) == -1
+
+    @pytest.mark.parametrize("k", [1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)])
+    def test_points_are_scaled_vertices(self, k):
+        for case in golden_suite():
+            f = build_case_fan(case)
+            base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
+            coeffs = [k * Fraction(c) for c in base]
+            p = polytope_from_divisor(divisor(f, coeffs))
+            assert p.scale == lcm(*(c.denominator for c in coeffs))
+            assert all(type(x) is int for pt in p.points for x in pt)
+            assert p.points == tuple(
+                tuple(p.scale * x for x in u) for u in fraction_vertices(f, coeffs)
+            ), case.name
+            assert p.vertices == tuple(fraction_vertices(f, coeffs))
 
     def test_coefficient_count_checked(self):
         with pytest.raises(DimMismatch):
@@ -94,6 +140,28 @@ class TestAmpleness:
                         p = hirzebruch_polytope(m, (a1, a2, a3, a4))
                         expected = a1 + a3 - m * a2 > 0 and a2 + a4 > 0
                         assert is_ample(p) == expected, (m, a1, a2, a3, a4)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_halved_coefficients_match_twist_criterion(self, m):
+        span = [Fraction(a, 2) for a in (-1, 0, 1, 2, 3)]
+        for coeffs in iproduct(span, repeat=4):
+            a1, a2, a3, a4 = coeffs
+            p = hirzebruch_polytope(m, coeffs)
+            expected = a1 + a3 - m * a2 > 0 and a2 + a4 > 0
+            assert is_ample(p) == expected == ample_by_fractions(p.divisor.fan, coeffs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rational_divisors_match_fraction_check(self, seed):
+        rng = random.Random(seed)
+        f, d = random_polarized(seed)
+        seen = set()
+        for _ in range(20):
+            k = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            coeffs = [k * c + Fraction(rng.randint(-6, 2), rng.randint(1, 3)) for c in d.coeffs]
+            got = is_ample(polytope_from_divisor(divisor(f, coeffs)))
+            assert got == ample_by_fractions(f, coeffs), coeffs
+            seen.add(got)
+        assert seen == {True, False}
 
 
 class TestFacetVolumes:
@@ -193,7 +261,7 @@ class TestVertexFormulaProperties:
     @pytest.mark.parametrize("f, d", POLARIZED)
     def test_homogeneity(self, f, d):
         base = _volumes(f, d.coeffs)
-        for k in (2, 3):
+        for k in (2, 3, Fraction(1, 2), Fraction(2, 3)):
             scaled = _volumes(f, [k * c for c in d.coeffs])
             assert scaled == tuple(k ** (f.dim - 1) * v for v in base)
 
@@ -223,12 +291,14 @@ class TestVertexFormulaProperties:
     @pytest.mark.parametrize("f, d", HULL_CHECKED)
     def test_matches_hull_volumes(self, f, d):
         # independent of the vertex formula: each facet is the hull of the
-        # vertices of the cones through its ray
-        p = polytope_from_divisor(d)
-        assert facet_volumes(p).values == tuple(
-            lattice_volume([p.vertices[ci] for ci in p.facets[r]], ray)
-            for r, ray in enumerate(f.rays)
-        )
+        # vertices of the cones through its ray; half of D has scale 2
+        for k in (1, Fraction(1, 2)):
+            coeffs = [k * c for c in d.coeffs]
+            verts = fraction_vertices(f, coeffs)
+            assert _volumes(f, coeffs) == tuple(
+                lattice_volume([verts[ci] for ci in cones], ray)
+                for cones, ray in zip(facets(f), f.rays)
+            )
 
 
 class TestGenericFunctional:

@@ -1,6 +1,9 @@
 """The stability decision procedure and its closed-form cross-checks."""
 
+import gc
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import lattice, sheafdata
+from toricstab import lattice, sheafdata, stability
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
@@ -17,6 +20,8 @@ from toricstab.fan import (
     construct_product,
     construct_proj_split,
     construct_projective_space,
+    make_fan,
+    validate_fan,
 )
 from toricstab.lattice import hermite_canonical
 from toricstab.polytope import anticanonical, divisor, facet_volumes, polytope_from_divisor
@@ -123,6 +128,69 @@ class TestEnumeration:
         assert candidate_slope(by_rays[(0, 1, 2, 3)], vols, 4) == 128
         assert candidate_slope(by_rays[(0, 4, 5)], vols, 4) == 88
         assert candidate_slope(by_rays[(1, 2)], vols, 4) == 112
+
+
+def skewed_b5(seed):
+    """An unvalidated copy of B5 in a basis no other test uses."""
+    return transform_fan(B5, random_unimodular(4, random.Random(1000 + seed)))
+
+
+class TestPreparedFan:
+    def test_unvalidated_fan_computes_each_dual_once(self, count_calls):
+        raw = make_fan(B5.dim, B5.rays, B5.max_cones)
+        duals = count_calls(lattice, "dual_basis")
+        assert decide(raw, anticanonical(raw)).mu_tx == 128
+        assert len(duals) == len(B5.max_cones) == 8
+
+    def test_second_decide_grows_no_flats(self, count_calls):
+        f = validate_fan(skewed_b5(1))
+        covers = count_calls(stability, "_covering_flats")
+        first = decide(f, anticanonical(f))
+        assert covers
+        covers.clear()
+        second = decide(f, divisor(f, (1, 1, 1, 1, 3, 1)))
+        assert covers == []
+        assert [c.rays_in for c in second.candidates] == [
+            c.rays_in for c in first.candidates
+        ]
+        assert second.candidates == tuple(
+            replace(c, slope=candidate_slope(c, second.volumes, 4))
+            for c in enumerate_candidates(skewed_b5(1))
+        )
+
+    def test_returned_list_is_fresh(self):
+        f = validate_fan(skewed_b5(2))
+        first = enumerate_candidates(f)
+        expected = list(first)
+        first.pop()
+        first.reverse()
+        assert enumerate_candidates(f) == expected
+        assert enumerate_candidates(f) is not enumerate_candidates(f)
+
+    def test_ray_cap_checked_on_a_stored_fan(self):
+        f = validate_fan(skewed_b5(3))
+        enumerate_candidates(f)
+        assert f in stability._FLATS
+        with pytest.raises(ValueError):
+            enumerate_candidates(f, max_rays=3)
+
+    def test_unvalidated_fan_is_not_stored(self):
+        raw = skewed_b5(4)
+        assert len(enumerate_candidates(raw)) == 29
+        assert raw not in stability._FLATS
+        v = decide(raw, anticanonical(raw))
+        assert v.fan in stability._FLATS
+        assert not any(k is raw for k in stability._FLATS.keys())
+
+    def test_entry_dies_with_its_fan(self):
+        f = validate_fan(skewed_b5(5))
+        enumerate_candidates(f)
+        alive = weakref.ref(f)
+        assert skewed_b5(5) in stability._FLATS
+        del f
+        gc.collect()
+        assert alive() is None
+        assert skewed_b5(5) not in stability._FLATS
 
 
 class TestDecideSurfaces:
