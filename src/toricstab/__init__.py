@@ -67,13 +67,9 @@ from .sheafdata import (
     degree_monotonicity_check,
     degree_of,
     jump_data,
-    jump_to_lambda_matrix,
-    jump_to_lambda_vector,
     lambda_matrix_to_jump,
     lambda_vector_to_jump,
     rank_of,
-    slope_of,
-    slope_upper_bound,
     tangent_jump_data,
     validate_lambda_matrix,
     validate_lambda_vector,
@@ -84,7 +80,6 @@ from .stability import (
     StabilityVerdict,
     SubsheafCandidate,
     admissible_slope_bound,
-    candidate_slope,
     certificate,
     decide,
     enumerate_candidates,
@@ -99,18 +94,17 @@ __all__ = [
     "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
     "ToricDivisor", "ToricStabError", "VolumeTable", "ZeroVector",
-    "admissible_slope_bound", "anticanonical", "candidate_slope",
+    "admissible_slope_bound", "anticanonical",
     "catalog_fano4", "certificate", "chart_of", "cone_rays",
     "construct_hirzebruch", "construct_p1_bundle", "construct_product",
     "construct_proj_split", "construct_projective_space", "decide",
     "degree_monotonicity_check", "degree_of", "divisor",
     "enumerate_candidates", "expand_in_chart", "facet_volumes",
     "in_semigroup", "is_ample", "is_cone", "is_reflexive", "is_regular",
-    "jump_data", "jump_to_lambda_matrix",
-    "jump_to_lambda_vector", "lambda_matrix_to_jump",
+    "jump_data", "lambda_matrix_to_jump",
     "lambda_vector_to_jump", "make_fan", "polytope_from_divisor",
-    "rank_of", "rank_one_exists", "reexpand", "slope_of",
-    "slope_upper_bound", "tangent_jump_data", "validate_fan",
+    "rank_of", "rank_one_exists", "reexpand",
+    "tangent_jump_data", "validate_fan",
     "validate_lambda_matrix", "validate_lambda_vector",
     "weight_space_dim",
 ]

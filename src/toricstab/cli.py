@@ -43,7 +43,6 @@ from .fan import (
 )
 from .lattice import hermite_canonical
 from .polytope import anticanonical, divisor
-from .sheafdata import validate_lambda_vector
 from .stability import Stability, certificate, decide
 
 
@@ -241,9 +240,6 @@ def cmd_oracle(args) -> int:
         lam = tuple(int(t.strip()) for t in args.lam.split(","))
     except ValueError as e:
         raise ParseError(f"bad lambda list {args.lam!r}: {e}") from None
-    ok, problems = validate_lambda_vector(f, lam)
-    if not ok:
-        raise InvalidLambda(problems)
     witness = rank_one_exists(f, lam)
     poles = [f.rays[i] for i, x in enumerate(lam) if x == -1]
     span_dim = len(hermite_canonical(poles).basis) if poles else 0

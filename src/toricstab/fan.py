@@ -63,16 +63,20 @@ from .lattice import Vector, dot, dual_basis, generic_vector, primitive_vector
 class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
-    ``max_cones`` holds sorted tuples of ray indices.  ``validated`` and
-    ``duals`` (the dual basis of each maximal cone, in cone order) are set
-    by ``validate_fan`` and never participate in equality.
+    ``max_cones`` holds sorted tuples of ray indices.  ``duals`` (the dual
+    basis of each maximal cone, in cone order) is set by ``validate_fan``
+    alone and never participates in equality; a fan is validated exactly
+    when it carries them.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
-    validated: bool = field(default=False, compare=False)
     duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def validated(self) -> bool:
+        return self.duals is not None
 
 
 def make_fan(dim, rays, max_cones) -> Fan:
@@ -200,7 +204,7 @@ def validate_fan(f: Fan) -> Fan:
             )
         if violations:
             raise InvalidFan(violations)
-        return Fan(n, rays, cones, validated=True, duals=tuple(duals))
+        return Fan(n, rays, cones, duals=tuple(duals))
 
     # Wall pairing and orientation.  The dual of the omitted ray is a
     # normal of the wall that pairs to 1 with that ray.
@@ -237,7 +241,7 @@ def validate_fan(f: Fan) -> Fan:
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
     if not violations and _covering_count(n, duals) == 1:
-        return Fan(n, rays, cones, validated=True, duals=tuple(duals))
+        return Fan(n, rays, cones, duals=tuple(duals))
 
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
@@ -247,7 +251,7 @@ def validate_fan(f: Fan) -> Fan:
 
     if violations:
         raise InvalidFan(violations)
-    return Fan(n, rays, cones, validated=True, duals=tuple(duals))
+    return Fan(n, rays, cones, duals=tuple(duals))
 
 
 def _covering_count(n: int, duals) -> int:

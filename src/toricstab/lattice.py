@@ -3,13 +3,15 @@
 Everything in this package reduces to a handful of lattice computations:
 primitive generators, Hermite-canonical bases of saturated sublattices,
 dual bases of unimodular cones and span membership, all in integer
-arithmetic: ``row_hermite`` gives canonical and dual bases, and the
-fraction-free ``eliminate`` decides spans (and the ray-matroid closures of
-``stability``).  Facet volumes need nothing more: the vertex formula in
-``polytope`` reads them off the dual bases, at the ``generic_vector`` of
-the moment curve that ``fan`` also counts covering cones with.  The
-brute-force ``lattice_volume`` of an arbitrary point set stays here as the
-slow, assumption-free check of that formula; no computation path calls it.
+arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
+bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases;
+the fraction-free ``eliminate`` decides spans (and the ray-matroid
+closures of ``stability``).  Facet volumes need nothing more: the vertex
+formula in ``polytope`` reads them off the dual bases, at the
+``generic_vector`` of the moment curve that ``fan`` also counts covering
+cones with.  The brute-force ``lattice_volume`` of an arbitrary point set
+stays here as the slow, assumption-free check of that formula; no
+computation path calls it.
 
 No floats anywhere; ``Fraction`` elimination is left to the brute-force
 volume and test oracles.  Outputs are canonical, so equal subspaces
@@ -110,12 +112,18 @@ def row_hermite(rows) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in mat[:r])
 
 
+def identity_rows(n: int) -> tuple[Vector, ...]:
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
 def integer_kernel(rows) -> tuple[Vector, ...]:
     """Canonical basis of ``{x in Z^n : <x, row> = 0 for every row}``.
 
-    The result is automatically saturated (it is the full lattice of integer
-    points of the rational kernel) and is returned in Hermite form.  ``rows``
-    must be nonempty so the ambient dimension is known.
+    The Hermite form of ``[A | I]``, with A the n x m matrix whose columns
+    are the rows, is ``[U*A | U]`` for a unimodular U.  Its rows whose
+    A-part vanished come last and span the kernel lattice exactly, so the
+    basis is saturated, and their identity parts are already in Hermite
+    form.  ``rows`` must be nonempty so the ambient dimension is known.
     """
     rows = [tuple(map(int, r)) for r in rows]
     if not rows:
@@ -124,33 +132,8 @@ def integer_kernel(rows) -> tuple[Vector, ...]:
     if any(len(r) != n for r in rows):
         raise DimMismatch("rows of unequal length")
     m = len(rows)
-    # Row-reduce the n x m matrix A with A[i][j] = rows[j][i], carrying an
-    # identity block: rows of the carried block whose A-part vanished span
-    # the kernel lattice.
-    aug = [
-        [rows[j][i] for j in range(m)] + [1 if k == i else 0 for k in range(n)]
-        for i in range(n)
-    ]
-    r = 0
-    for col in range(m):
-        live = [i for i in range(r, n) if aug[i][col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(aug[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                q = aug[i][col] // aug[base][col]
-                if q:
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[base])]
-            live = [i for i in live if aug[i][col] != 0]
-        base = live[0]
-        aug[r], aug[base] = aug[base], aug[r]
-        r += 1
-        if r == n:
-            break
-    kernel = [tuple(aug[i][m:]) for i in range(r, n)]
-    return row_hermite(kernel)
+    h = row_hermite([col + e for col, e in zip(zip(*rows), identity_rows(n))])
+    return tuple(row[m:] for row in h if not any(row[:m]))
 
 
 def pivot_of(v) -> int:
@@ -185,10 +168,6 @@ def integer_echelon(rows) -> list[tuple[int, Vector]]:
         if any(v):
             echelon.append((pivot_of(v), v))
     return echelon
-
-
-def identity_rows(n: int) -> tuple[Vector, ...]:
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)

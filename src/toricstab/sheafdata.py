@@ -4,7 +4,7 @@ A sheaf's restriction to the line of each ray decomposes by torus weight;
 what survives of that structure after passing to numerical invariants is,
 per ray, a multiset of pairs ``(level, multiplicity)``: at which pairing
 level the weight filtration jumps, and by how much.  Everything needed for
-slopes lives here:
+degrees lives here:
 
 * rank = common per-ray multiplicity sum,
 * degree = -(n-1)! * sum over rays and pairs of level*multiplicity*volume,
@@ -26,7 +26,6 @@ from itertools import combinations
 from math import factorial
 
 from .errors import (
-    BadRank,
     DimMismatch,
     InconsistentRank,
     InvalidJumpData,
@@ -36,8 +35,6 @@ from .fan import Fan, is_cone
 from .polytope import VolumeTable
 
 JumpPairs = tuple[tuple[int, int], ...]
-LambdaVector = tuple[int, ...]
-LambdaMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -110,20 +107,6 @@ def degree_of(j: JumpData, vols, n: int) -> Fraction:
     return -factorial(n - 1) * total
 
 
-def slope_of(j: JumpData, vols, n: int) -> Fraction:
-    """degree_of / rank_of, exact."""
-    return degree_of(j, vols, n) / rank_of(j)
-
-
-def slope_upper_bound(r: int, vols, n: int) -> Fraction:
-    """((n-1)!/r) * (sum of all facet volumes): the coarse slope bound for
-    rank-r subsheaf data with all levels >= -1."""
-    if not isinstance(r, int) or not 1 <= r < n:
-        raise BadRank(f"rank must satisfy 1 <= r < {n}, got {r!r}")
-    vals = _volume_values(vols, n)
-    return factorial(n - 1) * sum(vals, Fraction(0)) / r
-
-
 # ---------------------------------------------------------------------------
 # Vector / matrix presentations
 
@@ -141,24 +124,6 @@ def lambda_matrix_to_jump(mat) -> JumpData:
     for j in range(width):
         per_ray.append([(rows[i][j], 1) for i in range(len(rows))])
     return jump_data(per_ray)
-
-
-def jump_to_lambda_matrix(j: JumpData) -> LambdaMatrix:
-    """Flatten jump data to the r x p matrix with sorted columns."""
-    r = rank_of(j)
-    cols = []
-    for pairs in j.per_ray:
-        col = []
-        for lam, e in pairs:
-            col.extend([lam] * e)
-        cols.append(col)
-    return tuple(tuple(cols[jdx][i] for jdx in range(len(cols))) for i in range(r))
-
-
-def jump_to_lambda_vector(j: JumpData) -> LambdaVector:
-    if rank_of(j) != 1:
-        raise RankMismatch("vector form exists only for rank-one data")
-    return tuple(pairs[0][0] for pairs in j.per_ray)
 
 
 def validate_lambda_vector(f: Fan, lam) -> tuple[bool, tuple[str, ...]]:

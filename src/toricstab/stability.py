@@ -30,12 +30,7 @@ from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, is_cone, validate_fan
 from .lattice import eliminate, hermite_canonical, pivot_of
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
-from .sheafdata import (
-    JumpData,
-    _volume_values,
-    jump_data,
-    jump_to_lambda_matrix,
-)
+from .sheafdata import _volume_values
 
 SCOPE_NOTE = (
     "scope: the verdict maximizes slope over saturated equivariant subsheaves "
@@ -87,17 +82,6 @@ class Certificate:
     subspace_basis: tuple[tuple[int, ...], ...]
     slope: Fraction
     mu_tx: Fraction
-
-
-def _candidate_jump(n_rays: int, rays_in, rank: int) -> JumpData:
-    inside = set(rays_in)
-    per_ray = []
-    for i in range(n_rays):
-        if i in inside:
-            per_ray.append(((-1, 1), (0, rank - 1)) if rank > 1 else ((-1, 1),))
-        else:
-            per_ray.append(((0, rank),))
-    return jump_data(per_ray)
 
 
 def _covering_flats(flat, residues):
@@ -185,11 +169,6 @@ def _slope(weights: list[int], den: int, rays_in, rank: int) -> Fraction:
     return Fraction(sum(weights[i] for i in rays_in), den * rank)
 
 
-def candidate_slope(c: SubsheafCandidate, vols, n: int) -> Fraction:
-    weights, den = _slope_weights(vols, n)
-    return _slope(weights, den, c.rays_in, c.rank)
-
-
 def _pick_best(cands):
     return min(cands, key=lambda c: (-c.slope, c.rank, c.rays_in)) if cands else None
 
@@ -231,16 +210,19 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
 def certificate(v: StabilityVerdict) -> Certificate | None:
     """Render the maximizing candidate, or None when no candidate exists.
 
-    The basis spans the candidate's rays; the jump data puts level -1 on
-    each of them.
+    The basis spans the candidate's rays.  The lambda-matrix has one
+    column per ray and ``rank`` rows: row 0 puts level -1 on each ray in
+    the candidate and 0 elsewhere, and the other rows are 0.
     """
     if v.best is None:
         return None
     c = v.best
     rays = v.fan.rays
+    inside = set(c.rays_in)
+    top = tuple(-1 if i in inside else 0 for i in range(len(rays)))
     return Certificate(
         rank=c.rank,
-        lambda_matrix=jump_to_lambda_matrix(_candidate_jump(len(rays), c.rays_in, c.rank)),
+        lambda_matrix=(top,) + ((0,) * len(rays),) * (c.rank - 1),
         subspace_basis=hermite_canonical([rays[i] for i in c.rays_in]).basis,
         slope=c.slope,
         mu_tx=v.mu_tx,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricstab import lattice, polytope
+from toricstab import lattice, polytope, sheafdata
 from toricstab.cli import fan_to_dict, load_fan_file, main
 from toricstab.fan import (
     construct_hirzebruch,
@@ -343,6 +343,13 @@ class TestOracle:
             duals.clear()
             assert main(["oracle", path, "--lam", lam]) == 0
             assert len(duals) == cones
+
+    def test_lambda_validated_once_per_request(self, f2_path, count_calls, capsys):
+        checks = count_calls(sheafdata, "validate_lambda_vector")
+        for lam, code in (("0,-1,0,-1", 0), ("-1,-1,0,0", 5), ("0,0", 5)):
+            checks.clear()
+            assert main(["oracle", f2_path, f"--lam={lam}"]) == code
+            assert len(checks) == 1
 
     def test_invalid_lambda_exits_5(self, f2_path, capsys):
         assert main(["oracle", f2_path, "--lam=-1,-1,0,0"]) == 5

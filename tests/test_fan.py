@@ -452,6 +452,14 @@ class TestCoveringCount:
         )
         assert make_fan(f.dim, f.rays, f.max_cones).duals is None
 
+    def test_validated_exactly_when_duals_are_kept(self):
+        raw = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        assert not raw.validated and raw.duals is None
+        f = validate_fan(raw)
+        assert f.validated and f.duals is not None
+        assert len(f.duals) == len(f.max_cones)
+        assert f == raw
+
     def test_p1_to_the_twelve(self):
         f = _power(construct_projective_space(1), 12)
         assert f.validated and f.dim == 12

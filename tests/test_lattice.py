@@ -6,6 +6,8 @@ areas, explicit dual bases) and are frozen as oracles.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,24 @@ class TestRowHermite:
         assert row_hermite(h) == h
 
 
+def det(rows) -> Fraction:
+    """Determinant by Fraction Gaussian elimination."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    d = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            d = -d
+        d *= mat[col][col]
+        for i in range(col + 1, len(mat)):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return d
+
+
 class TestIntegerKernel:
     def test_plane_kernel(self):
         assert integer_kernel([(1, 1, 1)]) == ((1, 0, -1), (0, 1, -1))
@@ -104,6 +124,27 @@ class TestIntegerKernel:
         for k in integer_kernel(rows):
             for r in rows:
                 assert sum(a * b for a, b in zip(k, r)) == 0
+
+    def test_hermite_saturated_kernel_of_dependent_rows(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([p * x + q * y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+            k = integer_kernel(rows)
+            assert row_hermite(k) == k, seed
+            assert all(sum(a * b for a, b in zip(v, r)) == 0 for v in k for r in rows), seed
+            assert len(k) == n - len(integer_echelon(rows)), seed
+            if k:
+                minors = [
+                    int(det([[v[c] for c in cols] for v in k]))
+                    for cols in combinations(range(n), len(k))
+                ]
+                assert gcd(*minors) == 1, seed
 
 
 class TestHermiteCanonical:

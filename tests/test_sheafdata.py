@@ -1,4 +1,4 @@
-"""Jump data, degrees/slopes, and the admissibility validators."""
+"""Jump data, degrees, and the admissibility validators."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricstab.errors import (
-    BadRank,
     DimMismatch,
     InconsistentRank,
     InvalidJumpData,
@@ -23,13 +22,9 @@ from toricstab.sheafdata import (
     degree_monotonicity_check,
     degree_of,
     jump_data,
-    jump_to_lambda_matrix,
-    jump_to_lambda_vector,
     lambda_matrix_to_jump,
     lambda_vector_to_jump,
     rank_of,
-    slope_of,
-    slope_upper_bound,
     tangent_jump_data,
     validate_lambda_matrix,
     validate_lambda_vector,
@@ -89,25 +84,26 @@ class TestDegreeAndSlope:
         assert vols.values == (2, 2, 2, 6)
         j = tangent_jump_data(F2)
         assert degree_of(j, vols, 2) == 12
-        assert slope_of(j, vols, 2) == 6
+        assert degree_of(j, vols, 2) / rank_of(j) == 6
 
     def test_twisted_surface_destabilizer(self):
         vols = volumes_of(F2, (1, 1, 3, 1))
         j = lambda_vector_to_jump((0, -1, 0, -1))
         assert degree_of(j, vols, 2) == 8
-        assert slope_of(j, vols, 2) == 8
+        assert degree_of(j, vols, 2) / rank_of(j) == 8
 
     def test_fourfold_bundle_tangent(self):
         vols = volumes_of(B5)
         j = tangent_jump_data(B5)
         assert degree_of(j, vols, 4) == 512
-        assert slope_of(j, vols, 4) == 128
+        assert degree_of(j, vols, 4) / rank_of(j) == 128
 
     def test_projective_space_slopes(self):
         for n in range(1, 7):
             f = construct_projective_space(n)
             vols = volumes_of(f)
-            mu = slope_of(tangent_jump_data(f), vols, n)
+            j = tangent_jump_data(f)
+            mu = degree_of(j, vols, n) / rank_of(j)
             assert mu == Fraction((n + 1) ** n, n)
 
     def test_degree_against_volume_total(self):
@@ -140,24 +136,6 @@ class TestDegreeAndSlope:
         d0 = degree_of(lambda_vector_to_jump(base), vols, 2)
         d1 = degree_of(lambda_vector_to_jump(bumped), vols, 2)
         assert d1 - d0 == -vols[ray]
-
-
-class TestSlopeUpperBound:
-    def test_fourfold_bounds(self):
-        vols = volumes_of(B5)
-        assert slope_upper_bound(2, vols, 4) == 256
-        assert slope_upper_bound(3, vols, 4) == Fraction(512, 3)
-
-    def test_surface_bound(self):
-        vols = volumes_of(F2, (1, 1, 3, 1))
-        # a = 2, b = 2: bound = 2a + (m+2)b = 12
-        assert slope_upper_bound(1, vols, 2) == 12
-
-    def test_bad_rank(self):
-        vols = volumes_of(F1)
-        for r in (0, 2, -1):
-            with pytest.raises(BadRank):
-                slope_upper_bound(r, vols, 2)
 
 
 class TestLambdaVectorValidation:
@@ -230,9 +208,8 @@ class TestLambdaMatrixValidation:
         assert any("span a cone" in p for p in probs)
 
     def test_tangent_matrix_is_admissible(self):
-        mat = jump_to_lambda_matrix(tangent_jump_data(B5))
-        assert mat[0] == (-1,) * 6
-        assert mat[1:] == ((0,) * 6, (0,) * 6, (0,) * 6)
+        mat = ((-1,) * 6, (0,) * 6, (0,) * 6, (0,) * 6)
+        assert lambda_matrix_to_jump(mat) == tangent_jump_data(B5)
         ok, _ = validate_lambda_matrix(B5, mat)
         assert ok
 
@@ -246,20 +223,22 @@ class TestConversions:
         lam = (0, -1, 2, 0)
         j = lambda_vector_to_jump(lam)
         assert rank_of(j) == 1
-        assert jump_to_lambda_vector(j) == lam
+        assert j.per_ray == (((0, 1),), ((-1, 1),), ((2, 1),), ((0, 1),))
 
     def test_matrix_round_trip(self):
         mat = ((-1, 0, 0, 0), (0, 0, 1, 2))
         j = lambda_matrix_to_jump(mat)
-        assert jump_to_lambda_matrix(j) == mat
-
-    def test_vector_form_needs_rank_one(self):
-        with pytest.raises(RankMismatch):
-            jump_to_lambda_vector(tangent_jump_data(F1))
+        assert rank_of(j) == 2
+        assert j.per_ray == (
+            ((-1, 1), (0, 1)),
+            ((0, 2),),
+            ((0, 1), (1, 1)),
+            ((0, 1), (2, 1)),
+        )
 
     def test_matrix_sorts_columns(self):
         j = lambda_matrix_to_jump(((2, 0), (0, 1)))
-        assert jump_to_lambda_matrix(j) == ((0, 0), (2, 1))
+        assert j.per_ray == (((0, 1), (2, 1)), ((0, 1), (1, 1)))
 
 
 class TestDegreeMonotonicity:
