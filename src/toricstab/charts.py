@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InvalidLambda, NotMaximal, ZeroVector
 from .fan import Fan, cone_dual, cone_rays
-from .lattice import Vector, dot, hermite_canonical
+from .lattice import Vector, dot, pivot_of, primitive_vector
 from .sheafdata import validate_lambda_vector
 
 
@@ -92,7 +92,9 @@ def _pinned_weight(c: Chart, lam) -> Vector:
 
 
 def _line_of(v) -> Vector:
-    return hermite_canonical([v]).basis[0]
+    """Hermite-canonical generator of the line: primitive, first nonzero entry > 0."""
+    p = primitive_vector(v)
+    return p if p[pivot_of(p)] > 0 else tuple(-x for x in p)
 
 
 def rank_one_exists(f: Fan, lam) -> Vector | None:

@@ -41,7 +41,7 @@ from .fan import (
     make_fan,
     validate_fan,
 )
-from .lattice import hermite_canonical
+from .lattice import integer_echelon
 from .polytope import anticanonical, divisor
 from .stability import Stability, certificate, decide
 
@@ -107,9 +107,9 @@ def report_for(f: Fan, a, max_rays: int = 24) -> dict:
     """Stability report for an already-validated fan and a divisor; raises
     NonAmple when the divisor is not ample."""
     v = decide(f, a, max_rays=max_rays)
-    cert = certificate(v)
+    cert = certificate(v) if v.status is not Stability.STABLE else None
     cert_dict = None
-    if v.status is not Stability.STABLE and cert is not None:
+    if cert is not None:
         cert_dict = {
             "rank": cert.rank,
             "lambda_matrix": [list(row) for row in cert.lambda_matrix],
@@ -179,8 +179,8 @@ def catalog_rows() -> list[dict]:
     rows = []
     for name, f in catalog_fano4():
         v = decide(f, anticanonical(f))
-        cert = certificate(v)
-        rank = cert.rank if v.status is not Stability.STABLE and cert else None
+        cert = certificate(v) if v.status is not Stability.STABLE else None
+        rank = cert.rank if cert else None
         rows.append({"name": name, "verdict": v.status.value, "rank": rank})
     return rows
 
@@ -242,7 +242,7 @@ def cmd_oracle(args) -> int:
         raise ParseError(f"bad lambda list {args.lam!r}: {e}") from None
     witness = rank_one_exists(f, lam)
     poles = [f.rays[i] for i, x in enumerate(lam) if x == -1]
-    span_dim = len(hermite_canonical(poles).basis) if poles else 0
+    span_dim = len(integer_echelon(poles))
     expected = span_dim <= 1
     lines = [
         f"witness: {witness if witness is not None else 'non-existent'}",

@@ -53,10 +53,11 @@ Fano fourfolds with b_2 <= 2 live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
-from .lattice import Vector, dot, dual_basis, generic_vector, primitive_vector
+from .lattice import Vector, dot, dual_basis, generic_vector, primitive_vector, proper_flats
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,27 @@ class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
     ``max_cones`` holds sorted tuples of ray indices.  ``duals`` (the dual
-    basis of each maximal cone, in cone order) is set by ``validate_fan``
-    alone and never participates in equality; a fan is validated exactly
-    when it carries them.
+    basis of each maximal cone, in cone order) and ``generic`` (the
+    moment-curve vector the covering count used, pairing nonzero with every
+    dual) are set by ``validate_fan`` alone and never participate in
+    equality; a fan is validated exactly when it carries them.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
+    generic: Vector | None = field(default=None, compare=False, repr=False)
 
     @property
     def validated(self) -> bool:
         return self.duals is not None
+
+    @cached_property
+    def flats(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(rank, rays_in)`` of every proper nonempty flat of the ray
+        matroid, sorted; grown on first use and kept with the fan."""
+        return proper_flats(self.rays, self.dim)
 
 
 def make_fan(dim, rays, max_cones) -> Fan:
@@ -196,6 +205,7 @@ def validate_fan(f: Fan) -> Fan:
             violations.append(("NotSmooth", f"cone {c} has |det| = {e.det}"))
     if violations:
         raise InvalidFan(violations)
+    v = generic_vector(n, duals)
 
     if n == 1:
         if set(rays) != {(1,), (-1,)} or {c for c in cones} != {(0,), (1,)}:
@@ -204,7 +214,7 @@ def validate_fan(f: Fan) -> Fan:
             )
         if violations:
             raise InvalidFan(violations)
-        return Fan(n, rays, cones, duals=tuple(duals))
+        return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
     # Wall pairing and orientation.  The dual of the omitted ray is a
     # normal of the wall that pairs to 1 with that ray.
@@ -240,8 +250,8 @@ def validate_fan(f: Fan) -> Fan:
     if len(reached) != len(cones):
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    if not violations and _covering_count(n, duals) == 1:
-        return Fan(n, rays, cones, duals=tuple(duals))
+    if not violations and _covering_count(v, duals) == 1:
+        return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
@@ -251,13 +261,12 @@ def validate_fan(f: Fan) -> Fan:
 
     if violations:
         raise InvalidFan(violations)
-    return Fan(n, rays, cones, duals=tuple(duals))
+    return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
 
-def _covering_count(n: int, duals) -> int:
+def _covering_count(v: Vector, duals) -> int:
     """Number of maximal cones containing the generic vector ``v``: those
     whose duals all pair positively with it (see the module docstring)."""
-    v = generic_vector(n, duals)
     return sum(all(dot(m, v) > 0 for m in ms) for ms in duals)
 
 

@@ -5,13 +5,13 @@ primitive generators, Hermite-canonical bases of saturated sublattices,
 dual bases of unimodular cones and span membership, all in integer
 arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
 bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases;
-the fraction-free ``eliminate`` decides spans (and the ray-matroid
-closures of ``stability``).  Facet volumes need nothing more: the vertex
-formula in ``polytope`` reads them off the dual bases, at the
-``generic_vector`` of the moment curve that ``fan`` also counts covering
-cones with.  The brute-force ``lattice_volume`` of an arbitrary point set
-stays here as the slow, assumption-free check of that formula; no
-computation path calls it.
+the fraction-free ``eliminate`` decides spans and grows the ray-matroid
+flats (``proper_flats``) that ``Fan.flats`` keeps.  Facet volumes need
+nothing more: the vertex formula in ``polytope`` reads them off the dual
+bases, at the ``generic_vector`` of the moment curve that ``validate_fan``
+counts covering cones with and keeps on the fan.  The brute-force
+``lattice_volume`` of an arbitrary point set stays here as the slow,
+assumption-free check of that formula; no computation path calls it.
 
 No floats anywhere; ``Fraction`` elimination is left to the brute-force
 volume and test oracles.  Outputs are canonical, so equal subspaces
@@ -168,6 +168,51 @@ def integer_echelon(rows) -> list[tuple[int, Vector]]:
         if any(v):
             echelon.append((pivot_of(v), v))
     return echelon
+
+
+def _covering_flats(flat, residues):
+    """Yield each flat covering ``flat`` with the residues modulo its span.
+
+    ``residues`` maps each ray outside ``flat`` to its residue modulo the
+    span of ``flat``.  Adding ray i makes its residue one more echelon row,
+    so one elimination per residue gives the closure of ``flat`` plus i and
+    the residues modulo it.  Rays in a closure already taken are skipped.
+    """
+    taken = set()
+    for i, row in residues.items():
+        if i in taken:
+            continue
+        pivot = pivot_of(row)
+        closure, rest = list(flat), {}
+        for j, res in residues.items():
+            res = eliminate(res, pivot, row)
+            if any(res):
+                rest[j] = res
+            else:
+                closure.append(j)
+                taken.add(j)
+        yield tuple(sorted(closure)), rest
+
+
+def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(rank, indices)`` of every flat of rank 1 to n-1 of the matroid of
+    the nonzero integer ``vectors`` (the rays) in Z^n, sorted.
+
+    The flats are grown one rank at a time from the empty flat and
+    deduplicated by their closed index sets; flats of rank n-1 are not
+    extended, since every extension has full rank.
+    """
+    ranks: dict[tuple[int, ...], int] = {}
+    level = [((), dict(enumerate(vectors)))]
+    for rank in range(1, n):
+        grown = []
+        for flat, residues in level:
+            for closure, rest in _covering_flats(flat, residues):
+                if closure not in ranks:
+                    ranks[closure] = rank
+                    grown.append((closure, rest))
+        level = grown
+    return tuple(sorted((rank, flat) for flat, rank in ranks.items()))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import DimMismatch, NonAmple
-from .fan import Fan, cone_dual
-from .lattice import QVector, Vector, dot, generic_vector
+from .fan import Fan, validate_fan
+from .lattice import QVector, Vector, dot
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,15 @@ class Polytope:
     ``scale`` is the common denominator q of the divisor's coefficients and
     ``points[ci]`` is q times the point attached to maximal cone ``ci``, an
     integer vector; ``vertices`` gives the points themselves as fractions.
-    ``edges[ci]`` is the dual basis of cone ``ci`` in cone order: moving
-    from ``vertices[ci]`` along ``edges[ci][k]`` keeps every equality of the
-    cone but the one of its k-th ray, so for an ample divisor these are the
-    primitive edge directions at that vertex.
+    The divisor's fan is validated, and its ``duals[ci]`` are the edge
+    directions at ``vertices[ci]``: moving along the k-th dual keeps every
+    equality of the cone but the one of its k-th ray, so for an ample
+    divisor these are the primitive edge directions at that vertex.
     """
 
     divisor: ToricDivisor
     scale: int
     points: tuple[Vector, ...]
-    edges: tuple[tuple[Vector, ...], ...]
 
     @property
     def vertices(self) -> tuple[QVector, ...]:
@@ -110,19 +109,19 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
 
     In the dual basis m_1..m_n of a smooth cone the solution of
     ``<v, ray_i> = -coeff_i`` is ``v = sum_i (-coeff_i) m_i``; it is kept
-    as the integer vector ``q * v``.
+    as the integer vector ``q * v``.  A fan that is not yet validated is
+    validated here (InvalidFan when it is not smooth and complete).
     """
+    if not d.fan.validated:
+        d = ToricDivisor(validate_fan(d.fan), d.coeffs)
     f = d.fan
     q = lcm(*(c.denominator for c in d.coeffs))
     cs = _scaled_coeffs(d, q)
     points = []
-    edges = []
-    for ci, cone in enumerate(f.max_cones):
-        duals = cone_dual(f, ci)
+    for cone, duals in zip(f.max_cones, f.duals):
         weights = [cs[r] for r in cone]
         points.append(tuple(-sum(map(mul, weights, column)) for column in zip(*duals)))
-        edges.append(duals)
-    return Polytope(d, q, tuple(points), tuple(edges))
+    return Polytope(d, q, tuple(points))
 
 
 def is_ample(p: Polytope) -> bool:
@@ -139,9 +138,9 @@ def is_ample(p: Polytope) -> bool:
 def facet_volumes(p: Polytope) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
 
-    With xi the ``generic_vector`` of the edge directions (the cone duals,
-    so the vector ``validate_fan`` counts covering cones with), vertex ``u``
-    of cone s and its edges ``m_k``, the facet of ray i has volume
+    With xi the fan's ``generic`` vector (it pairs nonzero with every edge
+    direction, the cone duals), vertex ``u`` of cone s and its edges
+    ``m_k``, the facet of ray i has volume
     ``sum over cones s containing i of <xi, u>^(n-1)
     / ((n-1)! * prod_{k in s, k != i} -<xi, m_k>)``:
     the edges at ``u`` other than ``m_i`` span the facet and form a basis
@@ -157,9 +156,9 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
-    xi = generic_vector(n, p.edges)
+    xi = f.generic
     terms = []
-    for cone, point, edges in zip(f.max_cones, p.points, p.edges):
+    for cone, point, edges in zip(f.max_cones, p.points, f.duals):
         slopes = [-sum(map(mul, xi, m)) for m in edges]
         terms.append((cone, sum(map(mul, xi, point)) ** (n - 1), slopes, prod(slopes)))
     common = lcm(*(abs(all_slopes) for *_, all_slopes in terms))

@@ -12,14 +12,13 @@ The ray-spanned subspaces are the proper nonempty flats (closed ray
 sets) of the ray matroid, grown by fraction-free integer elimination.  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The
-flats depend on the fan alone, so they are kept per validated fan (in a
-weak mapping: an entry lives as long as its fan) and every further
-polarization of that fan only sums integer volume weights over them.
+flats depend on the fan alone, so the fan keeps them (``Fan.flats``) and
+every further polarization of that fan only sums integer volume weights
+over them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +27,7 @@ from math import factorial, lcm
 
 from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, is_cone, validate_fan
-from .lattice import eliminate, hermite_canonical, pivot_of
+from .lattice import hermite_canonical
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import _volume_values
 
@@ -84,73 +83,19 @@ class Certificate:
     mu_tx: Fraction
 
 
-def _covering_flats(flat, residues):
-    """Yield each flat covering ``flat`` with the residues modulo its span.
-
-    ``residues`` maps each ray outside ``flat`` to its residue modulo the
-    span of ``flat``.  Adding ray i makes its residue one more echelon row,
-    so one elimination per residue gives the closure of ``flat`` plus i and
-    the residues modulo it.  Rays in a closure already taken are skipped.
-    """
-    taken = set()
-    for i, row in residues.items():
-        if i in taken:
-            continue
-        pivot = pivot_of(row)
-        closure, rest = list(flat), {}
-        for j, res in residues.items():
-            res = eliminate(res, pivot, row)
-            if any(res):
-                rest[j] = res
-            else:
-                closure.append(j)
-                taken.add(j)
-        yield tuple(sorted(closure)), rest
-
-
-# The flats of each validated fan, as a tuple of slope-less candidates.
-_FLATS: weakref.WeakKeyDictionary[Fan, tuple[SubsheafCandidate, ...]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
     """All distinct proper subspaces spanned by nonempty sets of rays.
 
-    These are the flats of rank 1 to n-1 of the ray matroid, grown one
-    rank at a time from the empty flat and deduplicated by their closed
-    ray sets; flats of rank n-1 are not extended, since every extension
-    has full rank.  ``rays_in`` is the flat itself.  Slopes are left
-    unfilled.  A validated fan's flats are grown once and kept while the
-    fan lives; each call returns a new list.
+    These are the flats of rank 1 to n-1 of the ray matroid (``Fan.flats``,
+    grown once per fan object and kept on it); ``rays_in`` is the flat
+    itself.  Slopes are left unfilled.  Each call returns a new list.
     """
     if len(f.rays) > max_rays:
         raise ValueError(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "
             f"{max_rays} (raise max_rays to override)"
         )
-    if not f.validated:
-        return list(_grow_flats(f))
-    flats = _FLATS.get(f)
-    if flats is None:
-        flats = _FLATS[f] = _grow_flats(f)
-    return list(flats)
-
-
-def _grow_flats(f: Fan) -> tuple[SubsheafCandidate, ...]:
-    ranks: dict[tuple[int, ...], int] = {}
-    level = [((), dict(enumerate(f.rays)))]
-    for rank in range(1, f.dim):
-        grown = []
-        for flat, residues in level:
-            for closure, rest in _covering_flats(flat, residues):
-                if closure not in ranks:
-                    ranks[closure] = rank
-                    grown.append((closure, rest))
-        level = grown
-    out = [SubsheafCandidate(rank, rays_in) for rays_in, rank in ranks.items()]
-    out.sort(key=lambda c: (c.rank, c.rays_in))
-    return tuple(out)
+    return [SubsheafCandidate(r, s) for r, s in f.flats]
 
 
 def _slope_weights(vols, n: int) -> tuple[list[int], int]:

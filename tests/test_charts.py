@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricstab import charts
 from toricstab.charts import (
     Chart,
     MonomialDerivation,
@@ -29,6 +30,7 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, hermite_canonical
 from toricstab.sheafdata import tangent_jump_data, validate_lambda_vector
+from toricstab.testkit import random_polarized
 
 B5 = construct_proj_split(1, (1, 0, 0))
 F1 = construct_hirzebruch(1)
@@ -229,6 +231,19 @@ class TestRankOneExists:
                 span_dim = hermite_canonical(negatives).dim if negatives else 0
                 witness = rank_one_exists(f, tuple(lam))
                 assert (witness is not None) == (span_dim <= 1), (lam,)
+
+    def test_line_is_the_hermite_basis_of_its_span(self):
+        rng = random.Random(20261018)
+        vectors = []
+        while len(vectors) < 20000:
+            v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 7)))
+            if any(v):
+                vectors.append(v)
+        vectors += [(1,) * n for n in range(1, 8)]
+        for seed in range(300):
+            vectors += random_polarized(seed)[0].rays
+        for v in vectors:
+            assert charts._line_of(v) == hermite_canonical([v]).basis[0], v
 
 
 def _normalized(terms):

@@ -128,6 +128,16 @@ class TestAnalyze:
         assert main(["analyze", b5_path, "--anticanonical"]) == 0
         assert len(duals) == 8
 
+    def test_certificate_only_for_non_stable_verdicts(self, tmp_path, b5_path, count_calls,
+                                                      capsys):
+        p4_path = write_fan(tmp_path, construct_projective_space(4), "p4.json")
+        hermite = count_calls(lattice, "hermite_canonical")
+        for path, verdict, calls in ((p4_path, "stable", 0), (b5_path, "semistable", 1)):
+            hermite.clear()
+            assert main(["analyze", path, "--anticanonical"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+            assert len(hermite) == calls
+
     def test_non_ample_exits_3(self, f2_path, capsys):
         assert main(["analyze", f2_path, "--anticanonical"]) == 3
         captured = capsys.readouterr()

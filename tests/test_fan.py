@@ -18,8 +18,9 @@ from toricstab.fan import (
     make_fan,
     validate_fan,
 )
-from toricstab.lattice import dual_basis
-from toricstab.testkit import random_fan, random_unimodular, transform_fan
+from toricstab.lattice import dot, dual_basis, generic_vector
+from toricstab.polytope import divisor, facet_volumes, polytope_from_divisor
+from toricstab.testkit import random_fan, random_polarized, random_unimodular, transform_fan
 
 
 def codes_of(excinfo) -> set:
@@ -355,7 +356,7 @@ def _covering_and_pairwise(f: Fan):
             f.rays, cones[a], cones[b], duals[a], duals[b]
         )) is not None
     ]
-    return fan._covering_count(f.dim, duals), pairwise
+    return fan._covering_count(generic_vector(f.dim, duals), duals), pairwise
 
 
 def _power(factor: Fan, k: int) -> Fan:
@@ -464,3 +465,36 @@ class TestCoveringCount:
         f = _power(construct_projective_space(1), 12)
         assert f.validated and f.dim == 12
         assert len(f.rays) == 24 and len(f.max_cones) == 4096
+
+
+def _validated_fans():
+    yield from (construct_projective_space(n) for n in range(1, 5))
+    yield from (construct_hirzebruch(m) for m in range(4))
+    yield construct_proj_split(2, (1, 0))
+    yield construct_proj_split(1, (2, 1, 0))
+    yield construct_p1_bundle(4, 2)
+    yield construct_product(construct_projective_space(1), construct_hirzebruch(1))
+    yield from (f for _, f in catalog_fano4())
+    yield from (random_polarized(seed)[0] for seed in range(50))
+
+
+class TestPreparedFan:
+    def test_generic_vector_is_kept(self):
+        for f in _validated_fans():
+            assert f.generic == generic_vector(f.dim, f.duals), f
+            assert all(dot(f.generic, m) for ms in f.duals for m in ms), f
+            assert make_fan(f.dim, f.rays, f.max_cones).generic is None
+
+    def test_polytope_of_a_raw_fan_validates_it(self):
+        f = construct_hirzebruch(1)
+        raw = transform_fan(f, random_unimodular(2, random.Random(7)))
+        assert not raw.validated
+        p = polytope_from_divisor(divisor(raw, (1, 0, 0, 4)))
+        assert p.divisor.fan.validated and p.divisor.fan == raw
+        assert facet_volumes(p) == facet_volumes(polytope_from_divisor(divisor(f, (1, 0, 0, 4))))
+
+    @pytest.mark.parametrize("name", ["overlapping_cones", "not_smooth"])
+    def test_polytope_of_an_invalid_fan_raises(self, name):
+        f = INVALID_FANS[name]
+        with pytest.raises(InvalidFan):
+            polytope_from_divisor(divisor(f, [1] * len(f.rays)))

@@ -16,7 +16,7 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
-from toricstab.lattice import dot, dual_basis, generic_vector, lattice_volume
+from toricstab.lattice import dot, dual_basis, lattice_volume
 from toricstab.polytope import (
     anticanonical,
     divisor,
@@ -190,7 +190,7 @@ class TestFacetVolumes:
     def test_segment_endpoints(self):
         f = construct_projective_space(1)
         p = polytope_from_divisor(divisor(f, (2, 3)))
-        assert generic_vector(1, p.edges) == (1,)
+        assert p.divisor.fan.generic == (1,)
         t = facet_volumes(p)
         assert t.values == (1, 1)
         assert t.dim == 1
@@ -246,12 +246,12 @@ def _volumes(f, coeffs):
 
 def _polytope_volume(p):
     """Normalized n-volume of the polytope from the degree-n vertex sum."""
-    n = p.divisor.fan.dim
-    xi = generic_vector(n, p.edges)
+    f = p.divisor.fan
+    n, xi = f.dim, f.generic
     return sum(
         (
             dot(xi, u) ** n / (factorial(n) * prod(-dot(xi, m) for m in edges))
-            for u, edges in zip(p.vertices, p.edges)
+            for u, edges in zip(p.vertices, f.duals)
         ),
         Fraction(0),
     )
@@ -318,10 +318,10 @@ class TestGenericFunctional:
     def test_search_steps_past_an_orthogonal_edge(self, f, coeffs):
         g = transform_fan(f, self.SKEW)
         p = polytope_from_divisor(divisor(g, coeffs))
-        assert (2, -1) in p.edges[g.max_cones.index((0, 1))]
-        xi = generic_vector(g.dim, p.edges)
+        duals, xi = p.divisor.fan.duals, p.divisor.fan.generic
+        assert (2, -1) in duals[g.max_cones.index((0, 1))]
         assert xi[1] > 2
-        assert all(dot(xi, m) for cone in p.edges for m in cone)
+        assert all(dot(xi, m) for cone in duals for m in cone)
         assert facet_volumes(p).values == _volumes(f, coeffs)
 
 
