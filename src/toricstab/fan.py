@@ -45,6 +45,16 @@ Conversely, a count d >= 2 means two cones overlap, and then the pairwise
 test names them.  The count costs O(cones * n^2); the pairwise test stays
 as the fallback that reports violations, and as a test oracle.
 
+Cone duals come by wall crossing (Oda, *Convex Bodies and Algebraic
+Geometry*, 1988).  Let sigma' = sigma - rho_k + rho' share a wall with
+sigma, whose duals are m_1..m_n.  As rho' = sum_l <m_l, rho'> rho_l,
+|det sigma'| = |p| for p = <m_k, rho'>: sigma' is unimodular iff p = +-1,
+and then its duals are p*m_k (for rho') and m_l - <m_l, rho'> p*m_k, which
+pair to delta with its rays (a dual basis is unique).  Only cones that no
+crossing reaches get a Hermite reduction (``dual_basis``): one per
+wall-connected component of a smooth fan, and the non-smooth ones.  Every
+other cone costs O(n^2) integer operations.
+
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
 Fano fourfolds with b_2 <= 2 live here as well.
@@ -156,17 +166,12 @@ def validate_fan(f: Fan) -> Fan:
         raise InvalidFan(violations)
 
     for i, r in enumerate(rays):
-        g = 0
-        for x in r:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*r) != 1:
             violations.append(("NonPrimitiveRay", f"ray {i} = {r}"))
     first_seen: dict[Vector, int] = {}
     for i, r in enumerate(rays):
-        if r in first_seen:
+        if first_seen.setdefault(r, i) != i:
             violations.append(("DuplicateRay", f"rays {first_seen[r]} and {i} are both {r}"))
-        else:
-            first_seen[r] = i
 
     cones = tuple(tuple(sorted(c)) for c in f.max_cones)
     if not cones:
@@ -197,32 +202,55 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
 
-    duals = []
-    for c in cones:
+    # Every wall (a cone minus one ray) with its cones and the ray each omits.
+    walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ci, c in enumerate(cones):
+        for k, omit in enumerate(c):
+            walls.setdefault(c[:k] + c[k + 1:], []).append((ci, omit))
+
+    # Smoothness: a Hermite reduction for each cone no wall crossing from a
+    # smooth cone has reached (module docstring), in cone order.
+    duals: list = [None] * len(cones)
+    for start, c in enumerate(cones):
+        if duals[start] is not None:
+            continue
         try:
-            duals.append(dual_basis([rays[i] for i in c]))
+            duals[start] = dual_basis([rays[i] for i in c])
         except NotSmoothCone as e:
             violations.append(("NotSmooth", f"cone {c} has |det| = {e.det}"))
+            continue
+        stack = [start]
+        while stack:
+            ci = stack.pop()
+            c, ms = cones[ci], duals[ci]
+            for k in range(n):
+                members = walls[c[:k] + c[k + 1:]]
+                if len(members) != 2:
+                    continue
+                cj, new = members[members[0][0] == ci]  # the other cone, its new ray
+                if duals[cj] is not None:
+                    continue
+                qs = [dot(m, rays[new]) for m in ms]
+                if qs[k] in (1, -1):
+                    mk = tuple(qs[k] * x for x in ms[k])
+                    crossed = {i: tuple(x - q * y for x, y in zip(m, mk)) if q else m
+                               for i, m, q in zip(c, ms, qs)}
+                    crossed[new] = mk
+                    duals[cj] = tuple(crossed[i] for i in cones[cj])
+                    stack.append(cj)
     if violations:
         raise InvalidFan(violations)
     v = generic_vector(n, duals)
 
     if n == 1:
-        if set(rays) != {(1,), (-1,)} or {c for c in cones} != {(0,), (1,)}:
-            violations.append(
-                ("NotComplete", "a complete fan on a line consists of the rays (1) and (-1)")
+        if set(rays) != {(1,), (-1,)} or set(cones) != {(0,), (1,)}:
+            raise InvalidFan(
+                [("NotComplete", "a complete fan on a line consists of the rays (1) and (-1)")]
             )
-        if violations:
-            raise InvalidFan(violations)
         return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
     # Wall pairing and orientation.  The dual of the omitted ray is a
     # normal of the wall that pairs to 1 with that ray.
-    walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ci, c in enumerate(cones):
-        for omit in c:
-            wall = tuple(i for i in c if i != omit)
-            walls.setdefault(wall, []).append((ci, omit))
     adjacency: dict[int, set[int]] = {ci: set() for ci in range(len(cones))}
     for wall, members in sorted(walls.items()):
         if len(members) != 2:

@@ -4,13 +4,14 @@ Everything in this package reduces to a handful of lattice computations:
 primitive generators, Hermite-canonical bases of saturated sublattices,
 dual bases of unimodular cones and span membership, all in integer
 arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
-bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases;
-the fraction-free ``eliminate`` decides spans and grows the ray-matroid
-flats (``proper_flats``) that ``Fan.flats`` keeps.  Facet volumes need
-nothing more: the vertex formula in ``polytope`` reads them off the dual
-bases, at the ``generic_vector`` of the moment curve that ``validate_fan``
-counts covering cones with and keeps on the fan.  The brute-force
-``lattice_volume`` of an arbitrary point set stays here as the slow,
+bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases
+(one per wall-connected component of a fan; ``fan`` crosses walls to the
+other cones); the fraction-free ``eliminate`` decides spans and grows the
+ray-matroid flats (``proper_flats``) that ``Fan.flats`` keeps.  Facet
+volumes need nothing more: the vertex formula in ``polytope`` reads them
+off the dual bases, at the ``generic_vector`` of the moment curve that
+``validate_fan`` counts covering cones with and keeps on the fan.  The
+brute-force ``lattice_volume`` of an arbitrary point set is the slow,
 assumption-free check of that formula; no computation path calls it.
 
 No floats anywhere; ``Fraction`` elimination is left to the brute-force
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import (
     DimMismatch,
@@ -41,7 +43,7 @@ QVector = tuple[Fraction, ...]
 def dot(u, v) -> Fraction | int:
     if len(u) != len(v):
         raise DimMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):
@@ -49,20 +51,18 @@ def vsub(u, v):
 
 
 def primitive_vector(v) -> Vector:
-    """Primitive integer vector on the same ray as ``v`` (ints or rationals).
-
-    Raises ZeroVector when ``v`` is zero or empty.
+    """Primitive integer vector on the same ray as ``v``: ints over their gcd,
+    rationals scaled by their common denominator first.  Raises ZeroVector
+    when ``v`` is zero or empty.
     """
-    vals = [Fraction(x) for x in v]
-    if not vals or all(x == 0 for x in vals):
+    ints = list(v)
+    if not all(isinstance(x, int) for x in ints):
+        vals = [Fraction(x) for x in ints]
+        mult = lcm(*(x.denominator for x in vals))
+        ints = [int(x * mult) for x in vals]
+    g = gcd(*ints)
+    if not g:
         raise ZeroVector(f"no primitive vector along {tuple(v)!r}")
-    mult = 1
-    for x in vals:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
     return tuple(x // g for x in ints)
 
 

@@ -1,14 +1,16 @@
 """Fan validation and the standard constructors."""
 
 import random
+from itertools import product
 
 import pytest
 
-from toricstab import fan
+from toricstab import fan, lattice
 from toricstab.errors import BadDimension, BadIndex, BadTwist, InvalidFan
 from toricstab.fan import (
     Fan,
     catalog_fano4,
+    cone_rays,
     construct_hirzebruch,
     construct_p1_bundle,
     construct_proj_split,
@@ -68,6 +70,19 @@ INVALID_FANS = {
     "half_line": make_fan(1, [(1,)], [(0,)]),
     "winding": winding_fan(),
     "winding_suspension": suspension(winding_fan()),
+    # The walk from smooth cone 0 meets non-smooth cones 1 and 3 (|p| = 2)
+    # and crosses into cone 2 (p = -1).
+    "walk_meets_non_smooth": make_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -2)],
+        [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)],
+    ),
+    # Cone 0 is not smooth; the walk starts at cone 1 and crosses into cone 2.
+    "first_cone_non_smooth": make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 2), (0, 1), (1, 2)]),
+    # Cones 0, 2 and cones 1, 3 share a wall each, and nothing else.
+    "two_components": make_fan(
+        2, [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
+        [(0, 2), (3, 5), (1, 2), (4, 5)],
+    ),
 }
 
 
@@ -498,3 +513,101 @@ class TestPreparedFan:
         f = INVALID_FANS[name]
         with pytest.raises(InvalidFan):
             polytope_from_divisor(divisor(f, [1] * len(f.rays)))
+
+
+def not_complete(wall):
+    return ("NotComplete", f"wall {wall} lies in 1 maximal cone(s)")
+
+
+# The violations of every INVALID_FANS fixture except the two winding fans,
+# whose violations TestCoveringCount pins.
+VIOLATIONS = {
+    "nonprimitive_ray": (("NonPrimitiveRay", "ray 0 = (2, 0)"),),
+    "duplicate_ray": (("DuplicateRay", "rays 0 and 2 are both (1, 0)"),),
+    "missing_cone": (not_complete((0,)), not_complete((2,))),
+    "not_smooth": (("NotSmooth", "cone (0, 2) has |det| = 2"),),
+    "overlapping_cones": (
+        ("NotComplete", "cones (0, 1) and (0, 2) lie on one side of wall (0,)"),
+        not_complete((1,)),
+        not_complete((2,)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+        bad_intersection((0, 1), (0, 2), (0,)),
+    ),
+    "one_side_of_a_wall": (
+        not_complete((0,)),
+        ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
+        not_complete((2,)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+        bad_intersection((0, 1), (1, 2), (1,)),
+    ),
+    "one_side_of_a_wall_3d": (
+        ("NotComplete", "cones (0, 1, 2) and (0, 1, 3) lie on one side of wall (0, 1)"),
+        not_complete((0, 2)),
+        not_complete((0, 3)),
+        not_complete((1, 2)),
+        not_complete((1, 3)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+        bad_intersection((0, 1, 2), (0, 1, 3), (0, 1)),
+    ),
+    "unused_ray": (("UnusedRay", "ray 3 = (1, 1) is in no maximal cone"),),
+    "bad_cone_index": (("BadIndex", "cone 0 = (0, 5)"),),
+    "duplicate_cone": (("DuplicateCone", "cones 0 and 1 are both (0, 1)"),),
+    "half_line": (
+        ("NotComplete", "a complete fan on a line consists of the rays (1) and (-1)"),
+    ),
+    "walk_meets_non_smooth": (
+        ("NotSmooth", "cone (0, 1, 3) has |det| = 2"),
+        ("NotSmooth", "cone (0, 2, 3) has |det| = 2"),
+    ),
+    "first_cone_non_smooth": (("NotSmooth", "cone (0, 2) has |det| = 2"),),
+    "two_components": (
+        not_complete((0,)),
+        not_complete((1,)),
+        not_complete((3,)),
+        not_complete((4,)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+    ),
+}
+
+
+class TestWallCrossing:
+    def test_duals_equal_per_cone_hermite_duals(self):
+        rng = random.Random(5)
+        skews = [
+            validate_fan(transform_fan(f, random_unimodular(4, rng)))
+            for _ in range(20)
+            for _, f in catalog_fano4()
+        ]
+        assert len(skews) == 200
+        for f in [*_validated_fans(), *skews]:
+            assert f.duals == tuple(dual_basis(cone_rays(f, c)) for c in f.max_cones), f
+
+    def test_p1_to_the_twelve_duals_on_sampled_cones(self):
+        rays = [tuple(s if j == i else 0 for j in range(12)) for i in range(12) for s in (1, -1)]
+        cones = [tuple(2 * i + b for i, b in enumerate(bits)) for bits in product((0, 1), repeat=12)]
+        f = validate_fan(make_fan(12, rays, cones))
+        for ci in random.Random(12).sample(range(4096), 64):
+            assert f.duals[ci] == dual_basis(cone_rays(f, f.max_cones[ci])), ci
+
+    def test_invalid_fixtures_keep_their_violations(self):
+        assert set(VIOLATIONS) == set(INVALID_FANS) - {"winding", "winding_suspension"}
+        for name, expected in VIOLATIONS.items():
+            with pytest.raises(InvalidFan) as ei:
+                validate_fan(INVALID_FANS[name])
+            assert ei.value.violations == expected, name
+
+    @pytest.mark.parametrize("name, starts, non_smooth", [
+        ("walk_meets_non_smooth", 1, 2),
+        ("first_cone_non_smooth", 1, 1),
+        ("two_components", 2, 0),
+        ("not_smooth", 1, 1),
+    ])
+    def test_one_hermite_reduction_per_start_and_non_smooth_cone(
+        self, count_calls, name, starts, non_smooth
+    ):
+        duals = count_calls(lattice, "dual_basis")
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(INVALID_FANS[name])
+        assert ei.value.violations == VIOLATIONS[name]
+        assert sum(code == "NotSmooth" for code, _ in ei.value.violations) == non_smooth
+        assert len(duals) == starts + non_smooth

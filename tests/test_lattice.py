@@ -24,6 +24,7 @@ from toricstab.errors import (
 from toricstab.lattice import (
     Subspace,
     _inverse,
+    dot,
     dual_basis,
     facet_lattice_basis,
     hermite_canonical,
@@ -50,6 +51,47 @@ class TestPrimitiveVector:
     def test_zero_raises(self):
         with pytest.raises(ZeroVector):
             primitive_vector((0, 0, 0))
+
+    def test_empty_raises(self):
+        with pytest.raises(ZeroVector):
+            primitive_vector(())
+
+    def test_integer_path_matches_rational_path(self):
+        rng = random.Random(2024)
+        zeros = 0
+        for _ in range(20000):
+            v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 7)))
+            as_fractions = tuple(Fraction(x) for x in v)
+            if not any(v):
+                zeros += 1
+                for w in (v, as_fractions):
+                    with pytest.raises(ZeroVector):
+                        primitive_vector(w)
+                continue
+            p = primitive_vector(v)
+            assert p == primitive_vector(as_fractions), v
+            assert all(type(x) is int for x in p)
+        assert zeros > 0
+
+
+class TestDot:
+    def test_unequal_lengths_raise(self):
+        for u, v in (((1, 2), (1, 2, 3)), ((), (0,)), ((Fraction(1, 2),), ())):
+            with pytest.raises(DimMismatch):
+                dot(u, v)
+
+    def test_ints_and_fractions_match_a_plain_loop(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(0, 6)
+            ints = [rng.randint(-20, 20) for _ in range(n)]
+            fracs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
+            for u, v in ((ints, ints), (ints, fracs), (fracs, ints), (fracs, fracs)):
+                expected = 0
+                for a, b in zip(u, v):
+                    expected += a * b
+                assert dot(u, v) == expected
+                assert type(dot(u, v)) is type(expected)
 
 
 class TestRowHermite:

@@ -148,11 +148,12 @@ def skewed_b5(seed):
 
 
 class TestPreparedFan:
-    def test_unvalidated_fan_computes_each_dual_once(self, count_calls):
+    def test_unvalidated_fan_computes_one_dual_basis(self, count_calls):
+        # The other 7 cones' duals follow by wall crossing.
         raw = make_fan(B5.dim, B5.rays, B5.max_cones)
         duals = count_calls(lattice, "dual_basis")
         assert decide(raw, anticanonical(raw)).mu_tx == 128
-        assert len(duals) == len(B5.max_cones) == 8
+        assert len(duals) == 1 and len(B5.max_cones) == 8
 
     def test_second_decide_grows_no_flats(self, count_calls):
         f = validate_fan(skewed_b5(1))
