@@ -43,7 +43,7 @@ from .fan import (
 )
 from .lattice import integer_echelon
 from .polytope import anticanonical, divisor
-from .stability import Stability, certificate, decide
+from .stability import MAX_RAYS, certificate, decide
 
 
 def _frac_str(x) -> str:
@@ -103,11 +103,11 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def report_for(f: Fan, a, max_rays: int = 24) -> dict:
+def report_for(f: Fan, a, max_rays: int = MAX_RAYS) -> dict:
     """Stability report for an already-validated fan and a divisor; raises
     NonAmple when the divisor is not ample."""
     v = decide(f, a, max_rays=max_rays)
-    cert = certificate(v) if v.status is not Stability.STABLE else None
+    cert = certificate(v)
     cert_dict = None
     if cert is not None:
         cert_dict = {
@@ -179,7 +179,7 @@ def catalog_rows() -> list[dict]:
     rows = []
     for name, f in catalog_fano4():
         v = decide(f, anticanonical(f))
-        cert = certificate(v) if v.status is not Stability.STABLE else None
+        cert = certificate(v)
         rank = cert.rank if cert else None
         rows.append({"name": name, "verdict": v.status.value, "rank": rank})
     return rows
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--anticanonical", action="store_true", help="use the anticanonical divisor")
     g.add_argument("--divisor", help="comma-separated coefficients, one per ray")
-    p.add_argument("--max-rays", type=int, default=24, help="ray-count guardrail")
+    p.add_argument("--max-rays", type=int, default=MAX_RAYS, help="ray-count guardrail")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 

@@ -36,14 +36,6 @@ class NotSmoothCone(ToricStabError):
         super().__init__(f"|det| = {det} != 1 for rays {rays}")
 
 
-class NotOnFacetHyperplane(ToricStabError):
-    """Vertices passed as a facet do not lie on a common level set of the ray."""
-
-
-class EmptyFacet(ToricStabError):
-    """A facet volume was requested for an empty vertex list."""
-
-
 class InvalidFan(ToricStabError):
     """Fan data violates a structural invariant.
 

@@ -42,7 +42,8 @@ wall hyperplane and a cone contains it iff every dual pairs positively.
    rays of sigma_a and sigma_b: the pairwise condition holds.
 
 Conversely, a count d >= 2 means two cones overlap, and then the pairwise
-test names them.  The count costs O(cones * n^2); the pairwise test stays
+test names them.  The count costs O(cones * n^2), and ``generic_vector``
+takes it from the same pairings that accept ``v``; the pairwise test stays
 as the fallback that reports violations, and as a test oracle.
 
 Cone duals come by wall crossing (Oda, *Convex Bodies and Algebraic
@@ -240,7 +241,7 @@ def validate_fan(f: Fan) -> Fan:
                     stack.append(cj)
     if violations:
         raise InvalidFan(violations)
-    v = generic_vector(n, duals)
+    v, covering = generic_vector(n, duals)
 
     if n == 1:
         if set(rays) != {(1,), (-1,)} or set(cones) != {(0,), (1,)}:
@@ -278,7 +279,7 @@ def validate_fan(f: Fan) -> Fan:
     if len(reached) != len(cones):
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    if not violations and _covering_count(v, duals) == 1:
+    if not violations and covering == 1:
         return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
     for a in range(len(cones)):
@@ -290,12 +291,6 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
     return Fan(n, rays, cones, duals=tuple(duals), generic=v)
-
-
-def _covering_count(v: Vector, duals) -> int:
-    """Number of maximal cones containing the generic vector ``v``: those
-    whose duals all pair positively with it (see the module docstring)."""
-    return sum(all(dot(m, v) > 0 for m in ms) for ms in duals)
 
 
 def _pair_face_violation(rays, ca, cb, duals_a, duals_b):

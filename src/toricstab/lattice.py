@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything in this package reduces to a handful of lattice computations:
 primitive generators, Hermite-canonical bases of saturated sublattices,
@@ -10,60 +10,40 @@ other cones); the fraction-free ``eliminate`` decides spans and grows the
 ray-matroid flats (``proper_flats``) that ``Fan.flats`` keeps.  Facet
 volumes need nothing more: the vertex formula in ``polytope`` reads them
 off the dual bases, at the ``generic_vector`` of the moment curve that
-``validate_fan`` counts covering cones with and keeps on the fan.  The
-brute-force ``lattice_volume`` of an arbitrary point set is the slow,
-assumption-free check of that formula; no computation path calls it.
+``validate_fan`` counts covering cones with and keeps on the fan.
 
-No floats anywhere; ``Fraction`` elimination is left to the brute-force
-volume and test oracles.  Outputs are canonical, so equal subspaces
-compare equal as values.
+Every input and output is an integer vector; no floats and no rationals.
+The brute-force hull volume, the rational inverse and the other test
+oracles live in ``tests/oracles.py``.  Outputs are canonical, so equal
+subspaces compare equal as values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
-from .errors import (
-    DimMismatch,
-    EmptyFacet,
-    NotOnFacetHyperplane,
-    NotSmoothCone,
-    ZeroSpan,
-    ZeroVector,
-)
+from .errors import DimMismatch, NotSmoothCone, ZeroSpan, ZeroVector
 
 Vector = tuple[int, ...]
-QVector = tuple[Fraction, ...]
 
 
-def dot(u, v) -> Fraction | int:
+def dot(u, v) -> int:
     if len(u) != len(v):
         raise DimMismatch(f"dot of lengths {len(u)} and {len(v)}")
     return sum(map(mul, u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def primitive_vector(v) -> Vector:
-    """Primitive integer vector on the same ray as ``v``: ints over their gcd,
-    rationals scaled by their common denominator first.  Raises ZeroVector
-    when ``v`` is zero or empty.
+    """Primitive integer vector on the same ray as the integer vector ``v``:
+    its entries over their gcd.  Raises ZeroVector when ``v`` is zero or
+    empty.
     """
-    ints = list(v)
-    if not all(isinstance(x, int) for x in ints):
-        vals = [Fraction(x) for x in ints]
-        mult = lcm(*(x.denominator for x in vals))
-        ints = [int(x * mult) for x in vals]
-    g = gcd(*ints)
+    g = gcd(*v)
     if not g:
         raise ZeroVector(f"no primitive vector along {tuple(v)!r}")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -254,37 +234,6 @@ def hermite_canonical(vectors) -> Subspace:
     return Subspace(n, integer_kernel(perp))
 
 
-def subspace_contains(s: Subspace, v) -> bool:
-    """Whether ``v`` (ints or rationals) lies in the rational span of ``s``."""
-    if len(v) != s.ambient_dim:
-        raise DimMismatch(f"vector of length {len(v)} in Q^{s.ambient_dim}")
-    if not any(v):
-        return True
-    return len(integer_echelon([*s.basis, primitive_vector(v)])) == s.dim
-
-
-# ---------------------------------------------------------------------------
-# Rational elimination, for the brute-force volume and test oracles
-
-
-def _inverse(rows) -> list[list[Fraction]]:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    n = len(mat)
-    aug = [mat[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ZeroSpan("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [a / inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 # ---------------------------------------------------------------------------
 # Dual bases of unimodular cones
 
@@ -309,9 +258,11 @@ def dual_basis(rays) -> tuple[Vector, ...]:
     return tuple(zip(*(row[n:] for row in h)))
 
 
-def generic_vector(n: int, bases) -> Vector:
+def generic_vector(n: int, bases) -> tuple[Vector, int]:
     """First ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
-    every vector of every basis in ``bases``.
+    every vector of every basis in ``bases``, and the number of bases that
+    pair positively with it throughout (for cone duals, the cones that
+    contain it).
 
     Each vector is nonzero and integral, so it vanishes on the moment curve
     at no more than n-1 values of t and the search stops.
@@ -319,86 +270,12 @@ def generic_vector(n: int, bases) -> Vector:
     t = 2
     while True:
         v = tuple(t**j for j in range(n))
-        if all(dot(v, m) for basis in bases for m in basis):
-            return v
+        covering = 0
+        for basis in bases:
+            pairings = [dot(v, m) for m in basis]
+            if not all(pairings):
+                break
+            covering += all(x > 0 for x in pairings)
+        else:
+            return v, covering
         t += 1
-
-
-def facet_lattice_basis(alpha) -> tuple[Vector, ...]:
-    """Canonical basis of the sublattice ``alpha-perp ∩ Z^n``.
-
-    Scaling ``alpha`` does not change the answer, so primitivity is not
-    required, only nonzero.  For n = 1 the basis is empty.
-    """
-    a = tuple(map(int, alpha))
-    if not a or all(x == 0 for x in a):
-        raise ZeroVector("facet normal must be nonzero")
-    return integer_kernel([a])
-
-
-# ---------------------------------------------------------------------------
-# Normalized volume of the hull of a point set
-
-
-def lattice_volume(vertices, alpha) -> Fraction:
-    """Lattice-normalized (n-1)-volume of the convex hull of ``vertices``.
-
-    The vertices (rational) must lie on a common level set of ``alpha``;
-    the hull is measured against the lattice ``alpha-perp ∩ Z^n``, i.e. the
-    unit (n-1)-simplex in that lattice has volume 1/(n-1)!.  For n = 1 a
-    single point counts as volume 1; hulls of deficient affine dimension
-    have volume 0.  Unlike ``polytope.facet_volumes`` it assumes nothing
-    about the points, at a cost exponential in the dimension.
-    """
-    verts = [tuple(Fraction(x) for x in v) for v in vertices]
-    if not verts:
-        raise EmptyFacet("no vertices")
-    a = tuple(map(int, alpha))
-    if all(x == 0 for x in a):
-        raise ZeroVector("facet normal must be nonzero")
-    n = len(a)
-    if any(len(v) != n for v in verts):
-        raise DimMismatch("vertex length does not match normal length")
-    levels = {dot(v, a) for v in verts}
-    if len(levels) != 1:
-        raise NotOnFacetHyperplane(f"pairings with {a} take values {sorted(levels)}")
-    if n == 1:
-        return Fraction(1)
-    # Coordinates against the rows of [basis; alpha]: the basis part is a
-    # lattice coordinate system on the hyperplane, the alpha part constant.
-    cols = list(zip(*_inverse(list(facet_lattice_basis(a)) + [a])))[:-1]
-    points = sorted({tuple(dot(v, c) for c in cols) for v in verts})
-    return _hull_volume(points, n - 1)
-
-
-def _hull_volume(points, d) -> Fraction:
-    """Volume of the hull of sorted, distinct points of Q^d (0 unless full-dimensional).
-
-    Sums the pyramids from ``points[0]`` over the hull facets, found by
-    brute force over d-subsets: an affinely independent subset spans a
-    candidate hyperplane, a facet hyperplane when every point lies on one
-    side.  With a primitive outer normal the pyramid's volume is its lattice
-    height times the base's ``lattice_volume``, over d.
-    """
-    if d == 1:
-        return points[-1][0] - points[0][0]
-    apex = points[0]
-    if len(integer_echelon(primitive_vector(vsub(p, apex)) for p in points[1:])) < d:
-        return Fraction(0)
-    total = Fraction(0)
-    seen = set()
-    for comb in combinations(points, d):
-        kernel = integer_kernel([primitive_vector(vsub(p, comb[0])) for p in comb[1:]])
-        if len(kernel) != 1:
-            continue
-        nu = kernel[0]
-        level = dot(nu, comb[0])
-        vals = [dot(nu, p) for p in points]
-        if max(vals) != level:
-            nu, level, vals = tuple(-x for x in nu), -level, [-v for v in vals]
-        if max(vals) != level or (nu, level) in seen:
-            continue
-        seen.add((nu, level))
-        face = [p for p, v in zip(points, vals) if v == level]
-        total += (level - dot(nu, apex)) * lattice_volume(face, nu) / d
-    return total

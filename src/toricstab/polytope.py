@@ -34,7 +34,9 @@ from operator import mul
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, validate_fan
-from .lattice import QVector, Vector, dot
+from .lattice import Vector, dot
+
+QVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)

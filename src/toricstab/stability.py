@@ -40,6 +40,8 @@ GENERIC_NOTE = (
     "generic subspaces containing no ray have degree 0 < mu(TX) and never "
     "attain the maximum"
 )
+# Default cap on the ray count of a fan whose flats are enumerated.
+MAX_RAYS = 24
 
 
 class Stability(Enum):
@@ -83,7 +85,7 @@ class Certificate:
     mu_tx: Fraction
 
 
-def enumerate_candidates(f: Fan, max_rays: int = 24) -> list[SubsheafCandidate]:
+def enumerate_candidates(f: Fan, max_rays: int = MAX_RAYS) -> list[SubsheafCandidate]:
     """All distinct proper subspaces spanned by nonempty sets of rays.
 
     These are the flats of rank 1 to n-1 of the ray matroid (``Fan.flats``,
@@ -126,7 +128,7 @@ def _status_against(best, mu: Fraction) -> Stability:
     return Stability.UNSTABLE
 
 
-def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
+def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdict:
     """Stability of the tangent sheaf with respect to the ample divisor `a`."""
     if not f.validated:
         f = validate_fan(f)
@@ -153,13 +155,15 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = 24) -> StabilityVerdict:
 
 
 def certificate(v: StabilityVerdict) -> Certificate | None:
-    """Render the maximizing candidate, or None when no candidate exists.
+    """Render the maximizing candidate of a non-stable verdict; None for a
+    stable one, which no candidate destabilizes (and the only kind whose
+    ``best`` can be None).
 
     The basis spans the candidate's rays.  The lambda-matrix has one
     column per ray and ``rank`` rows: row 0 puts level -1 on each ray in
     the candidate and 0 elsewhere, and the other rows are 0.
     """
-    if v.best is None:
+    if v.status is Stability.STABLE:
         return None
     c = v.best
     rays = v.fan.rays

@@ -32,7 +32,6 @@ from .sheafdata import validate_lambda_matrix, validate_lambda_vector
 from .stability import (
     GENERIC_NOTE,
     SCOPE_NOTE,
-    Stability,
     StabilityVerdict,
     SubsheafCandidate,
     _pick_best,
@@ -134,7 +133,7 @@ def compare_golden(case: GoldenCase) -> list[str]:
         check("volumes", tuple(Fraction(s) for s in case.volumes), v.volumes.values)
     check("mu_tx", Fraction(case.mu_tx), v.mu_tx)
     check("verdict", case.verdict, v.status.value)
-    cert = certificate(v) if v.status is not Stability.STABLE else None
+    cert = certificate(v)
     if case.certificate_rank is None:
         check("certificate", None, cert)
     else:
@@ -270,16 +269,6 @@ def random_polarized(seed: int):
 def random_fan(seed: int) -> Fan:
     """A pseudo-random valid complete smooth fan in a skewed lattice basis."""
     return random_polarized(seed)[0]
-
-
-def random_ample(f: Fan, seed: int):
-    """A pseudo-random ample divisor on the fan produced by the same seed."""
-    fan, d = random_polarized(seed)
-    if fan != f:
-        d = divisor(f, d.coeffs)
-        if not is_ample(polytope_from_divisor(d)):
-            raise ValueError("no ample divisor found for this fan/seed pair")
-    return d
 
 
 def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:

@@ -1,0 +1,191 @@
+"""Brute-force and independent oracles that the tests check the program against.
+
+None of this runs in the program.  ``lattice_volume`` measures the hull of
+an arbitrary point set by brute force, with a rational inverse
+(``_inverse``) for its coordinates; ``subspace_contains`` decides span
+membership for rational vectors; ``chow_volumes`` reads facet volumes off
+intersection numbers in the Chow ring, sharing only the cone duals with the
+vertex formula of ``toricstab.polytope``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import factorial, lcm
+
+from toricstab import lattice
+from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
+from toricstab.lattice import Subspace, Vector, dot, integer_echelon, integer_kernel
+
+
+class NotOnFacetHyperplane(ToricStabError):
+    """Vertices passed as a facet do not lie on a common level set of the ray."""
+
+
+class EmptyFacet(ToricStabError):
+    """A facet volume was requested for an empty vertex list."""
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def primitive_vector(v) -> Vector:
+    """Primitive integer vector on the same ray as the rational vector ``v``:
+    scaled by the common denominator, then divided by the gcd.  Raises
+    ZeroVector when ``v`` is zero or empty.
+    """
+    vals = [Fraction(x) for x in v]
+    mult = lcm(*(x.denominator for x in vals))
+    return lattice.primitive_vector(tuple(int(x * mult) for x in vals))
+
+
+def subspace_contains(s: Subspace, v) -> bool:
+    """Whether ``v`` (ints or rationals) lies in the rational span of ``s``."""
+    if len(v) != s.ambient_dim:
+        raise DimMismatch(f"vector of length {len(v)} in Q^{s.ambient_dim}")
+    if not any(v):
+        return True
+    return len(integer_echelon([*s.basis, primitive_vector(v)])) == s.dim
+
+
+# ---------------------------------------------------------------------------
+# Rational elimination, for the brute-force volume and test oracles
+
+
+def _inverse(rows) -> list[list[Fraction]]:
+    mat = [[Fraction(x) for x in r] for r in rows]
+    n = len(mat)
+    aug = [mat[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            raise ZeroSpan("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col]
+        aug[col] = [a / inv for a in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def facet_lattice_basis(alpha) -> tuple[Vector, ...]:
+    """Canonical basis of the sublattice ``alpha-perp ∩ Z^n``.
+
+    Scaling ``alpha`` does not change the answer, so primitivity is not
+    required, only nonzero.  For n = 1 the basis is empty.
+    """
+    a = tuple(map(int, alpha))
+    if not a or all(x == 0 for x in a):
+        raise ZeroVector("facet normal must be nonzero")
+    return integer_kernel([a])
+
+
+# ---------------------------------------------------------------------------
+# Normalized volume of the hull of a point set
+
+
+def lattice_volume(vertices, alpha) -> Fraction:
+    """Lattice-normalized (n-1)-volume of the convex hull of ``vertices``.
+
+    The vertices (rational) must lie on a common level set of ``alpha``;
+    the hull is measured against the lattice ``alpha-perp ∩ Z^n``, i.e. the
+    unit (n-1)-simplex in that lattice has volume 1/(n-1)!.  For n = 1 a
+    single point counts as volume 1; hulls of deficient affine dimension
+    have volume 0.  Unlike ``polytope.facet_volumes`` it assumes nothing
+    about the points, at a cost exponential in the dimension.
+    """
+    verts = [tuple(Fraction(x) for x in v) for v in vertices]
+    if not verts:
+        raise EmptyFacet("no vertices")
+    a = tuple(map(int, alpha))
+    if all(x == 0 for x in a):
+        raise ZeroVector("facet normal must be nonzero")
+    n = len(a)
+    if any(len(v) != n for v in verts):
+        raise DimMismatch("vertex length does not match normal length")
+    levels = {dot(v, a) for v in verts}
+    if len(levels) != 1:
+        raise NotOnFacetHyperplane(f"pairings with {a} take values {sorted(levels)}")
+    if n == 1:
+        return Fraction(1)
+    # Coordinates against the rows of [basis; alpha]: the basis part is a
+    # lattice coordinate system on the hyperplane, the alpha part constant.
+    cols = list(zip(*_inverse(list(facet_lattice_basis(a)) + [a])))[:-1]
+    points = sorted({tuple(dot(v, c) for c in cols) for v in verts})
+    return _hull_volume(points, n - 1)
+
+
+def _hull_volume(points, d) -> Fraction:
+    """Volume of the hull of sorted, distinct points of Q^d (0 unless full-dimensional).
+
+    Sums the pyramids from ``points[0]`` over the hull facets, found by
+    brute force over d-subsets: an affinely independent subset spans a
+    candidate hyperplane, a facet hyperplane when every point lies on one
+    side.  With a primitive outer normal the pyramid's volume is its lattice
+    height times the base's ``lattice_volume``, over d.
+    """
+    if d == 1:
+        return points[-1][0] - points[0][0]
+    apex = points[0]
+    if len(integer_echelon(primitive_vector(vsub(p, apex)) for p in points[1:])) < d:
+        return Fraction(0)
+    total = Fraction(0)
+    seen = set()
+    for comb in combinations(points, d):
+        kernel = integer_kernel([primitive_vector(vsub(p, comb[0])) for p in comb[1:]])
+        if len(kernel) != 1:
+            continue
+        nu = kernel[0]
+        level = dot(nu, comb[0])
+        vals = [dot(nu, p) for p in points]
+        if max(vals) != level:
+            nu, level, vals = tuple(-x for x in nu), -level, [-v for v in vals]
+        if max(vals) != level or (nu, level) in seen:
+            continue
+        seen.add((nu, level))
+        face = [p for p, v in zip(points, vals) if v == level]
+        total += (level - dot(nu, apex)) * lattice_volume(face, nu) / d
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Facet volumes from intersection numbers
+
+
+def chow_volumes(f, coeffs) -> tuple[Fraction, ...]:
+    """Facet volumes of ``D = sum(coeffs[i] * D_i)`` on the validated smooth
+    complete fan ``f``, as ``vol_i = D^(n-1) . D_i / (n-1)!`` in the Chow
+    ring (Fulton, *Introduction to Toric Varieties*, 1993, §5.2).
+
+    ``F(S) = D^(n-|S|) . D_S`` over the cones S of the fan is 1 on maximal
+    cones.  Below them, with m_k the duals of a maximal cone containing S,
+    the character ``u = -sum_{k in S} a_k m_k`` moves D to a linearly
+    equivalent divisor without the D_k of S, and D_j . D_S vanishes unless
+    S + j is a cone, so ``F(S) = sum_j (a_j + <u, rho_j>) F(S + j)`` over
+    the rays j outside S that extend it to a cone.  Only the cone duals are
+    shared with the vertex formula; ``f.generic`` is not used.
+    """
+    n = f.dim
+    a = [Fraction(c) for c in coeffs]
+    cones = [frozenset(c) for c in f.max_cones]
+
+    @cache
+    def intersection(s: frozenset) -> Fraction:
+        if len(s) == n:
+            return Fraction(1)
+        containing = [ci for ci, c in enumerate(cones) if s <= c]
+        ci = containing[0]
+        duals = dict(zip(f.max_cones[ci], f.duals[ci]))
+        u = [-sum(a[k] * duals[k][x] for k in s) for x in range(n)]
+        extensions = set().union(*(cones[c] for c in containing)) - s
+        return sum(
+            ((a[j] + dot(u, f.rays[j])) * intersection(s | {j}) for j in sorted(extensions)),
+            Fraction(0),
+        )
+
+    return tuple(intersection(frozenset({i})) / factorial(n - 1) for i in range(len(f.rays)))

@@ -371,7 +371,7 @@ def _covering_and_pairwise(f: Fan):
             f.rays, cones[a], cones[b], duals[a], duals[b]
         )) is not None
     ]
-    return fan._covering_count(generic_vector(f.dim, duals), duals), pairwise
+    return generic_vector(f.dim, duals)[1], pairwise
 
 
 def _power(factor: Fan, k: int) -> Fan:
@@ -451,6 +451,15 @@ class TestCoveringCount:
             assert reported == _covering_and_pairwise(f)[1], name
         assert _covering_and_pairwise(INVALID_FANS["overlapping_cones"])[0] == 1
 
+    def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
+        # B5 has 8 cones and 16 walls: 8 * 4 duals paired once with v, one
+        # pairing per wall for its orientation and 4 per crossing into the
+        # 7 cones after the first.
+        b5 = construct_proj_split(1, (1, 0, 0))
+        dots = count_calls(lattice, "dot")
+        validate_fan(make_fan(b5.dim, b5.rays, b5.max_cones))
+        assert len(dots) == 8 * 4 + 16 + 7 * 4
+
     def test_pairwise_check_only_runs_as_fallback(self, count_calls):
         calls = count_calls(fan, "_pair_face_violation")
         catalog_fano4()
@@ -496,7 +505,7 @@ def _validated_fans():
 class TestPreparedFan:
     def test_generic_vector_is_kept(self):
         for f in _validated_fans():
-            assert f.generic == generic_vector(f.dim, f.duals), f
+            assert generic_vector(f.dim, f.duals) == (f.generic, 1), f
             assert all(dot(f.generic, m) for ms in f.duals for m in ms), f
             assert make_fan(f.dim, f.rays, f.max_cones).generic is None
 

@@ -1,6 +1,13 @@
-"""The package's public names."""
+"""The package's public names, and that everything under ``src/`` is used."""
+
+import ast
+from pathlib import Path
 
 import toricstab
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "toricstab"
+PERFBENCH = TESTS.parent / "perfbench"
 
 REMOVED = (
     "slope_of",
@@ -22,3 +29,64 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in toricstab.__all__
         assert not hasattr(toricstab, name)
+
+
+def _identifiers(tree):
+    """Every name, attribute name and imported name referenced in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_top_level_definition_is_reachable():
+    # Top-level definitions and relative imports of every module of the package.
+    defs, imports = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs[mod, name.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[mod, alias.asname or alias.name] = (node.module, alias.name)
+
+    def resolve(mod, name):
+        while (mod, name) in imports:
+            mod, name = imports[mod, name]
+        return (mod, name) if (mod, name) in defs else None
+
+    # Roots: the public API, the CLI, and the testkit names the tests and the
+    # benchmark use.  A name reaches the definition it resolves to in its
+    # module; an attribute reaches every top-level definition of that name.
+    outside = set()
+    for path in [*TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        outside.update(_identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    todo = [resolve("__init__", name) for name in toricstab.__all__]
+    todo += [("cli", "main")] + [("testkit", n) for n in outside if ("testkit", n) in defs]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name):
+                todo.append(resolve(key[0], node.id))
+            elif isinstance(node, ast.Attribute):
+                todo += [k for k in defs if k[1] == node.attr]
+    unreached = sorted(
+        f"{mod}.{name}"
+        for (mod, name), node in defs.items()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (mod, name) not in reached
+    )
+    assert unreached == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chow_volumes, lattice_volume
 from toricstab.errors import DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
@@ -16,7 +17,7 @@ from toricstab.fan import (
     construct_proj_split,
     construct_projective_space,
 )
-from toricstab.lattice import dot, dual_basis, lattice_volume
+from toricstab.lattice import dot, dual_basis
 from toricstab.polytope import (
     anticanonical,
     divisor,
@@ -299,6 +300,21 @@ class TestVertexFormulaProperties:
                 lattice_volume([verts[ci] for ci in cones], ray)
                 for cones, ray in zip(facets(f), f.rays)
             )
+
+    @pytest.mark.parametrize("f, d", POLARIZED)
+    def test_matches_chow_ring_volumes(self, f, d):
+        # independent of the vertex formula and of the generic vector: the
+        # intersection numbers D^(n-1).D_i share only the cone duals with
+        # it, and unlike the hull check they reach the sixfolds
+        for k in (1, Fraction(1, 2), Fraction(2, 3)):
+            coeffs = [k * c for c in d.coeffs]
+            assert _volumes(f, coeffs) == chow_volumes(f, coeffs)
+
+    def test_matches_chow_ring_volumes_on_seeds_and_catalog(self):
+        cases = [random_polarized(seed) for seed in range(200)]
+        cases += [(f, anticanonical(f)) for _, f in catalog_fano4()]
+        for f, d in cases:
+            assert _volumes(f, d.coeffs) == chow_volumes(f, d.coeffs), f
 
 
 class TestGenericFunctional:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import subspace_contains
 from toricstab import lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
@@ -24,7 +25,7 @@ from toricstab.fan import (
     make_fan,
     validate_fan,
 )
-from toricstab.lattice import Subspace, hermite_canonical, subspace_contains
+from toricstab.lattice import Subspace, hermite_canonical
 from toricstab.polytope import anticanonical, divisor, facet_volumes, polytope_from_divisor
 from toricstab.sheafdata import (
     degree_of,
@@ -127,6 +128,12 @@ class TestEnumeration:
         cert = certificate(v)
         assert len(hermite) == 1
         assert cert.subspace_basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+    def test_stable_verdict_has_no_certificate(self):
+        p4 = construct_projective_space(4)
+        v = decide(p4, anticanonical(p4))
+        assert v.status is Stability.STABLE and v.best is not None
+        assert certificate(v) is None
 
     def test_ray_cap(self):
         with pytest.raises(ValueError):

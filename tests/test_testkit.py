@@ -6,8 +6,8 @@ from itertools import islice
 
 import pytest
 
+from oracles import _inverse
 from toricstab.fan import construct_hirzebruch, is_cone, validate_fan
-from toricstab.lattice import _inverse
 from toricstab.polytope import is_ample, polytope_from_divisor
 from toricstab.sheafdata import validate_lambda_matrix, validate_lambda_vector
 from toricstab.testkit import (
