@@ -9,7 +9,11 @@ Subcommands:
 
 All exact numbers are printed as reduced fractions "p/q" so output is
 byte-identical across runs and platforms.  Exit codes: 0 success, 2 invalid
-fan, 3 non-ample divisor, 4 parse/usage error, 5 invalid lambda data.
+fan, 3 non-ample divisor, 4 parse/usage error (including an unwritable
+``--out``), 5 invalid lambda data.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .charts import rank_one_exists
 from .errors import (
@@ -65,6 +70,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {text!r}: {e}") from None
 
 
+def _fan_int(x, what: str) -> int:
+    """A fan-file number: exactly a JSON integer, never a bool, float or string."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def load_fan_file(path: str) -> Fan:
     """Read and validate a fan file: {"dim": n, "rays": [...], "max_cones": [...]}."""
     try:
@@ -78,9 +90,9 @@ def load_fan_file(path: str) -> Fan:
         raise ParseError('fan file needs keys "dim", "rays", "max_cones"')
     try:
         f = make_fan(
-            raw["dim"],
-            tuple(tuple(r) for r in raw["rays"]),
-            tuple(tuple(c) for c in raw["max_cones"]),
+            _fan_int(raw["dim"], "dim"),
+            tuple(tuple(_fan_int(x, "ray entry") for x in r) for r in raw["rays"]),
+            tuple(tuple(_fan_int(i, "cone index") for i in c) for c in raw["max_cones"]),
         )
     except (TypeError, ValueError, BadIndex, DimMismatch) as e:
         raise ParseError(f"malformed fan file: {e}") from None
@@ -99,8 +111,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write output: {e}") from None
 
 
 def report_for(f: Fan, a, max_rays: int = MAX_RAYS) -> dict:
@@ -253,7 +268,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on first use and shared by every ``main``
+    call: ``parse_args`` never changes it and returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="toricstab",
         description="Exact stability analysis of toric tangent bundles.",

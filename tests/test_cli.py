@@ -1,8 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +178,27 @@ class TestAnalyze:
         bad = tmp_path / "garbage.json"
         bad.write_text("not json at all")
         assert main(["analyze", str(bad), "--anticanonical"]) == 4
+
+    # Each is P2 with one number that int() would quietly turn into a valid
+    # entry, so the file would be analyzed as some other fan.
+    @pytest.mark.parametrize("field, value", [
+        ("rays", [[1.5, 0], [0, 1], [-1, -1]]),
+        ("rays", [[True, 0], [0, 1], [-1, -1]]),
+        ("rays", [["1", 0], [0, 1], [-1, -1]]),
+        ("dim", 2.9),
+        ("dim", "2"),
+        ("max_cones", [[0.2, 1], [1, 2], [0, 2]]),
+    ], ids=["ray-float", "ray-bool", "ray-string", "dim-float", "dim-string", "index-float"])
+    def test_non_integer_fan_entries_exit_4(self, tmp_path, capsys, field, value):
+        raw = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+               "max_cones": [[0, 1], [1, 2], [0, 2]]}
+        raw[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["analyze", str(bad), "--anticanonical"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed fan file" in captured.err
 
 
 class TestConstruct:
@@ -384,6 +411,82 @@ class TestTopLevel:
 
     def test_no_arguments_exits_4(self, capsys):
         assert main([]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{fan}", "--divisor", "1,1,3,1"],
+        ["construct", "pn", "2"],
+        ["catalog"],
+        ["scan", "--m", "0", "--a1", "1", "--a2", "1", "--a3", "1", "--a4", "1"],
+        ["oracle", "{fan}", "--lam", "0,-1,0,-1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target", ["missing_dir/out.txt", "."],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_4(self, tmp_path, f2_path, capsys, argv, target):
+        argv = [a.format(fan=f2_path) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / target)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output" in captured.err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, f2_path, monkeypatch, capsys):
+        init = argparse.ArgumentParser.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        per_call = []
+        for _ in range(3):
+            built.clear()
+            assert main(["analyze", f2_path, "--divisor", "1,1,3,1"]) == 0
+            per_call.append(len(built))
+        assert per_call[0] <= 6
+        assert per_call[1:] == [0, 0]
+
+    def test_results_do_not_depend_on_earlier_calls(self, f2_path, capsys):
+        runs = [
+            ["analyze", f2_path, "--divisor", "1,1,3,1"],
+            ["analyze", f2_path, "--anticanonical"],
+            ["analyze", f2_path],
+            ["--help"],
+            ["analyze", "--help"],
+            ["oracle", f2_path, "--lam", "0,-1,0,-1"],
+            ["construct", "hirzebruch", "2"],
+            ["frobnicate"],
+            ["scan", "--m", "1", "--a1", "1:2", "--a2", "0", "--a3", "0", "--a4", "1:3"],
+        ]
+
+        def results(order):
+            got = {}
+            for i in order:
+                code = main(list(runs[i]))
+                out, err = capsys.readouterr()
+                got[i] = (code, out, err)
+            return got
+
+        expected = results(range(len(runs)))
+        assert [expected[i][0] for i in range(len(runs))] == [0, 3, 4, 0, 0, 0, 0, 4, 0]
+        for seed in range(12):
+            order = list(range(len(runs)))
+            random.Random(seed).shuffle(order)
+            assert results(order) == expected, order
+
+
+class TestEntryPoint:
+    def test_python_dash_m_exit_codes(self, f2_path, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        assert main(["analyze", f2_path, "--divisor", "1,1,3,1"]) == 0
+        in_process = capsys.readouterr().out
+        for args, code in ((["--divisor", "1,1,3,1"], 0), (["--anticanonical"], 3),
+                           (["--divisor", "1,x,3,1"], 4)):
+            proc = subprocess.run([sys.executable, "-m", "toricstab", "analyze", f2_path, *args],
+                                  env=env, capture_output=True, timeout=60)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stdout == (in_process.encode() if code == 0 else b"")
 
 
 def _pinned_runs(tmp_path):
