@@ -7,7 +7,11 @@ arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
 bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases
 (one per wall-connected component of a fan; ``fan`` crosses walls to the
 other cones); the fraction-free ``eliminate`` decides spans and grows the
-ray-matroid flats (``proper_flats``) that ``Fan.flats`` keeps.  Facet
+ray-matroid flats (``proper_flats``) that ``Fan.flats`` keeps.  Each flat
+is grown once, from its canonical parent: the closure of all but the last
+ray of its greedy basis by ray index.  An extension of any other flat
+that reaches it is cut off at the first smaller ray it closes over, so
+no flat is built twice and no set of seen flats is kept.  Facet
 volumes need nothing more: the vertex formula in ``polytope`` reads them
 off the dual bases, at the ``generic_vector`` of the moment curve that
 ``validate_fan`` counts covering cones with and keeps on the fan.
@@ -150,49 +154,52 @@ def integer_echelon(rows) -> list[tuple[int, Vector]]:
     return echelon
 
 
-def _covering_flats(flat, residues):
-    """Yield each flat covering ``flat`` with the residues modulo its span.
-
-    ``residues`` maps each ray outside ``flat`` to its residue modulo the
-    span of ``flat``.  Adding ray i makes its residue one more echelon row,
-    so one elimination per residue gives the closure of ``flat`` plus i and
-    the residues modulo it.  Rays in a closure already taken are skipped.
-    """
-    taken = set()
-    for i, row in residues.items():
-        if i in taken:
-            continue
-        pivot = pivot_of(row)
-        closure, rest = list(flat), {}
-        for j, res in residues.items():
-            res = eliminate(res, pivot, row)
-            if any(res):
-                rest[j] = res
-            else:
-                closure.append(j)
-                taken.add(j)
-        yield tuple(sorted(closure)), rest
-
-
 def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``(rank, indices)`` of every flat of rank 1 to n-1 of the matroid of
     the nonzero integer ``vectors`` (the rays) in Z^n, sorted.
 
-    The flats are grown one rank at a time from the empty flat and
-    deduplicated by their closed index sets; flats of rank n-1 are not
-    extended, since every extension has full rank.
+    Each flat is grown exactly once, from its canonical parent, in the
+    manner of reverse search (Avis and Fukuda, 1996).  A flat C of rank r
+    has a greedy basis b_1 < ... < b_r, each b_k the first ray outside the
+    closure of the earlier ones; its parent is the closure F of b_1 ..
+    b_(r-1), and b_r is the least ray of C outside F.  So a flat F created
+    by ray g (-1 for the empty flat) is extended only by rays i > g, and
+    the closure C of F + i is kept only when no ray j < i lies in C
+    outside F; otherwise C belongs to another parent.  Rays already in a
+    kept closure of F give that closure again and are skipped.  No set of
+    seen flats is needed, and no flat is built twice.
+
+    Each level entry carries the residues of the rays outside its flat
+    modulo its span.  Adding ray i makes its residue one more echelon row,
+    so one elimination per residue gives the closure and the residues
+    modulo it.  Flats of rank n-1 are not extended, since every extension
+    has full rank.
     """
-    ranks: dict[tuple[int, ...], int] = {}
-    level = [((), dict(enumerate(vectors)))]
+    flats = []
+    level = [((), -1, dict(enumerate(vectors)))]
     for rank in range(1, n):
         grown = []
-        for flat, residues in level:
-            for closure, rest in _covering_flats(flat, residues):
-                if closure not in ranks:
-                    ranks[closure] = rank
-                    grown.append((closure, rest))
+        for flat, g, residues in level:
+            taken = set()
+            for i, row in residues.items():
+                if i <= g or i in taken:
+                    continue
+                pivot = pivot_of(row)
+                added, rest = [], {}
+                for j, res in residues.items():
+                    res = eliminate(res, pivot, row)
+                    if any(res):
+                        rest[j] = res
+                    elif j < i:
+                        break
+                    else:
+                        added.append(j)
+                else:
+                    taken.update(added)
+                    grown.append((tuple(sorted(flat + tuple(added))), i, rest))
+        flats += ((rank, flat) for flat, _, _ in grown)
         level = grown
-    return tuple(sorted((rank, flat) for flat, rank in ranks.items()))
+    return tuple(sorted(flats))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,17 @@ rays.  Subspaces containing no ray have degree zero and never compete.
 All arithmetic is exact.
 
 The ray-spanned subspaces are the proper nonempty flats (closed ray
-sets) of the ray matroid, grown by fraction-free integer elimination.  A
+sets) of the ray matroid, grown by fraction-free integer elimination,
+each exactly once from its canonical parent (``lattice.proper_flats``).  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The
 flats depend on the fan alone, so the fan keeps them (``Fan.flats``) and
 every further polarization of that fan only sums integer volume weights
-over them.
+over them.  The maximizer is picked on those integer sums: walking the
+flats in their sorted ``(rank, rays_in)`` order, a flat replaces the best
+one only when ``total * best_rank > best_total * rank``, so the first
+flat of highest slope wins, which is the smallest rank and then the
+lexicographically first ``rays_in``.
 """
 
 from __future__ import annotations
@@ -111,15 +116,6 @@ def _slope_weights(vols, n: int) -> tuple[list[int], int]:
     return weights, den
 
 
-def _slope(weights: list[int], den: int, rays_in, rank: int) -> Fraction:
-    """(n-1)! times the volume summed over ``rays_in``, divided by ``rank``."""
-    return Fraction(sum(weights[i] for i in rays_in), den * rank)
-
-
-def _pick_best(cands):
-    return min(cands, key=lambda c: (-c.slope, c.rank, c.rays_in)) if cands else None
-
-
 def _status_against(best, mu: Fraction) -> Stability:
     if best is None or best.slope < mu:
         return Stability.STABLE
@@ -137,17 +133,22 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
     n = f.dim
     weights, den = _slope_weights(vols, n)
-    mu = _slope(weights, den, range(len(weights)), n)
-    cands = tuple(
-        SubsheafCandidate(c.rank, c.rays_in, _slope(weights, den, c.rays_in, c.rank))
-        for c in enumerate_candidates(f, max_rays=max_rays)
-    )
-    best = _pick_best(cands)
+    mu = Fraction(sum(weights), den * n)
+    # Weights are positive, so every candidate beats the 0/1 start.  The
+    # flats come sorted by (rank, rays_in) and only a strictly larger slope
+    # replaces the best, so ties go to the smallest rank, then rays_in.
+    cands, best, best_total, best_rank = [], None, 0, 1
+    for c in enumerate_candidates(f, max_rays=max_rays):
+        total = sum(weights[i] for i in c.rays_in)
+        cand = SubsheafCandidate(c.rank, c.rays_in, Fraction(total, den * c.rank))
+        cands.append(cand)
+        if total * best_rank > best_total * c.rank:
+            best, best_total, best_rank = cand, total, c.rank
     return StabilityVerdict(
         status=_status_against(best, mu),
         mu_tx=mu,
         best=best,
-        candidates=cands,
+        candidates=tuple(cands),
         notes=(SCOPE_NOTE, GENERIC_NOTE),
         volumes=vols,
         fan=f,

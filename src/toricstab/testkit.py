@@ -34,7 +34,6 @@ from .stability import (
     SCOPE_NOTE,
     StabilityVerdict,
     SubsheafCandidate,
-    _pick_best,
     _status_against,
     certificate,
     decide,
@@ -294,7 +293,7 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
         cands = (line((0, 2), 2 * b), line((1, 3), 2 * a))
     else:
         cands = (line((0,), b), line((1, 3), 2 * a + m * b), line((2,), b))
-    best = _pick_best(cands)
+    best = min(cands, key=lambda c: (-c.slope, c.rank, c.rays_in))
     return StabilityVerdict(
         status=_status_against(best, mu),
         mu_tx=mu,

@@ -5,7 +5,10 @@ an arbitrary point set by brute force, with a rational inverse
 (``_inverse``) for its coordinates; ``subspace_contains`` decides span
 membership for rational vectors; ``chow_volumes`` reads facet volumes off
 intersection numbers in the Chow ring, sharing only the cone duals with the
-vertex formula of ``toricstab.polytope``.
+vertex formula of ``toricstab.polytope``.  ``closure_flats`` grows the
+flats of the ray matroid from the definition, with its own rank test
+(``rank``); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
+Fano manifold (Wang and Zhu, 2004).
 """
 
 from __future__ import annotations
@@ -189,3 +192,88 @@ def chow_volumes(f, coeffs) -> tuple[Fraction, ...]:
         )
 
     return tuple(intersection(frozenset({i})) / factorial(n - 1) for i in range(len(f.rays)))
+
+
+# ---------------------------------------------------------------------------
+# Flats of the ray matroid from the definition
+
+
+def rank(vectors) -> int:
+    """Rank over Q of integer vectors, by Bareiss fraction-free elimination.
+
+    After each pivot every entry left is a minor of the input, so the
+    division by the previous pivot is exact; nothing is shared with
+    ``toricstab.lattice``.
+    """
+    rows = [list(v) for v in vectors]
+    r, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r]
+        for i in range(r + 1, len(rows)):
+            q = rows[i]
+            rows[i] = [(p[col] * x - q[col] * y) // prev for x, y in zip(q, p)]
+        prev = p[col]
+        r += 1
+    return r
+
+
+def closure_flats(rays, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(rank, rays_in)`` of every flat of rank 1 to n-1 of the matroid of
+    the integer ``rays`` in Z^n, sorted.
+
+    Each flat of rank r is the closure of a flat F of rank r-1 plus one ray
+    i outside it: F, i and the rays j with ``rank(F + i + j) == r``, each
+    tested from scratch.
+    """
+    level = {()}
+    flats = set()
+    for r in range(1, n):
+        level = {
+            tuple(j for j in range(len(rays)) if j in flat or j == i
+                  or rank([*(rays[k] for k in flat), rays[i], rays[j]]) == r)
+            for flat in level
+            for i in range(len(rays))
+            if i not in flat
+        }
+        flats |= {(r, flat) for flat in level}
+    return tuple(sorted(flats))
+
+
+# ---------------------------------------------------------------------------
+# Kähler–Einstein test
+
+
+def barycenter_is_origin(f) -> bool:
+    """Whether the anticanonical polytope of the validated smooth complete
+    fan ``f`` has its barycenter at the origin; for a toric Fano manifold
+    that holds exactly when it is Kähler–Einstein (Wang and Zhu, 2004).
+
+    The cone of rays ``s`` has the vertex ``u_s = -sum(m_k)`` over its duals
+    m_k, and Brion's formula expands to ``∫<xi, x> dx = sum_s <xi, u_s>^(n+1)
+    / ((n+1)! * prod_k -<xi, m_k>)`` for any xi pairing nonzero with every
+    dual.  That integral vanishes for n independent moment-curve vectors
+    ``xi = (1, t, ..., t^(n-1))`` exactly when the barycenter is 0.
+    """
+    n = f.dim
+    duals = [m for ms in f.duals for m in ms]
+    checks, t = [], 2
+    while len(checks) < n:
+        xi = tuple(t**j for j in range(n))
+        if all(dot(xi, m) for m in duals):
+            checks.append(xi)
+        t += 1
+    for xi in checks:
+        total = Fraction(0)
+        for ms in f.duals:
+            vertex = -sum(dot(xi, m) for m in ms)
+            den = 1
+            for m in ms:
+                den *= -dot(xi, m)
+            total += Fraction(vertex ** (n + 1), factorial(n + 1) * den)
+        if total:
+            return False
+    return True

@@ -5,14 +5,14 @@ import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import subspace_contains
+from oracles import barycenter_is_origin, subspace_contains
 from toricstab import lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
@@ -25,8 +25,14 @@ from toricstab.fan import (
     make_fan,
     validate_fan,
 )
-from toricstab.lattice import Subspace, hermite_canonical
-from toricstab.polytope import anticanonical, divisor, facet_volumes, polytope_from_divisor
+from toricstab.lattice import Subspace, dot, hermite_canonical, integer_kernel
+from toricstab.polytope import (
+    anticanonical,
+    divisor,
+    facet_volumes,
+    is_ample,
+    polytope_from_divisor,
+)
 from toricstab.sheafdata import (
     degree_of,
     rank_of,
@@ -45,6 +51,7 @@ from toricstab.testkit import (
     build_case_fan,
     golden_suite,
     hirzebruch_closed_form,
+    random_polarized,
     random_unimodular,
     transform_fan,
 )
@@ -164,14 +171,14 @@ class TestPreparedFan:
 
     def test_second_decide_grows_no_flats(self, count_calls):
         f = validate_fan(skewed_b5(1))
-        covers = count_calls(lattice, "_covering_flats")
+        grown = count_calls(lattice, "proper_flats")
         first = decide(f, anticanonical(f))
-        assert covers
-        covers.clear()
+        assert len(grown) == 1
+        grown.clear()
         generic = count_calls(lattice, "generic_vector")
         duals = count_calls(lattice, "dual_basis")
         second = decide(f, divisor(f, (1, 1, 1, 1, 3, 1)))
-        assert covers == [] and generic == [] and duals == []
+        assert grown == [] and generic == [] and duals == []
         assert [c.rays_in for c in second.candidates] == [
             c.rays_in for c in first.candidates
         ]
@@ -407,6 +414,81 @@ class TestCatalog:
             f = construct_product(f1, f2)
             v = decide(f, anticanonical(f))
             assert v.status is not Stability.UNSTABLE, (n1, n2)
+
+
+def box_divisors(f, top=4):
+    """One ample divisor per class among those with every coefficient in
+    0..top; the class is read off the pairings with the ray relations."""
+    relations = integer_kernel(list(zip(*f.rays)))
+    classes = {}
+    for coeffs in product(range(top + 1), repeat=len(f.rays)):
+        classes.setdefault(tuple(dot(r, coeffs) for r in relations), coeffs)
+    for coeffs in classes.values():
+        d = divisor(f, coeffs)
+        if is_ample(polytope_from_divisor(d)):
+            yield d
+
+
+class TestBestPick:
+    """``decide`` picks its maximizer on integer sums in flat order; this is
+    the ranking rule it must agree with."""
+
+    @staticmethod
+    def check(v):
+        expected = min(v.candidates, key=lambda c: (-c.slope, c.rank, c.rays_in), default=None)
+        assert v.best == expected
+        if expected is None:
+            return False
+        return sum(c.slope == expected.slope for c in v.candidates) > 1
+
+    def test_goldens_and_random_polarizations(self):
+        for case in golden_suite():
+            f = build_case_fan(case)
+            d = anticanonical(f) if case.divisor == "anticanonical" else divisor(f, case.divisor)
+            self.check(decide(f, d))
+        for seed in range(200):
+            self.check(decide(*random_polarized(seed)))
+
+    def test_catalog_ties(self):
+        ties = {}
+        for name, f in catalog_fano4():
+            for k in (1, 2):
+                ties[name, k] = self.check(decide(f, divisor(f, (k,) * len(f.rays))))
+        # the products tie at mu under both multiples of -K
+        assert all(ties[name, k] for name in ("B4", "C4") for k in (1, 2))
+
+    def test_catalog_box_divisors(self):
+        checked = ties = 0
+        for _, f in catalog_fano4():
+            for d in box_divisors(f):
+                ties += self.check(decide(f, d))
+                checked += 1
+        assert checked > 100 and ties > 0
+
+
+class TestKahlerEinstein:
+    """A toric Fano manifold is Kähler–Einstein exactly when its
+    anticanonical polytope has barycenter 0 (Wang–Zhu); its tangent bundle
+    is then polystable, so never unstable."""
+
+    def test_einstein_fans_are_never_unstable(self):
+        catalog = dict(catalog_fano4())
+        p1, p2 = construct_projective_space(1), construct_projective_space(2)
+        for f in (p2, construct_product(p1, p1), catalog["P4"], catalog["B4"], catalog["C4"]):
+            f = validate_fan(f)
+            assert barycenter_is_origin(f), f
+            for k in (1, 2):
+                v = decide(f, divisor(f, (k,) * len(f.rays)))
+                assert v.status is not Stability.UNSTABLE, f
+
+    def test_unstable_catalog_rows_are_not_einstein(self):
+        unstable = [
+            name for name, f in catalog_fano4()
+            if decide(f, anticanonical(f)).status is Stability.UNSTABLE
+        ]
+        assert unstable == ["B1", "B2", "B3", "C1", "C2", "C3"]
+        catalog = dict(catalog_fano4())
+        assert not any(barycenter_is_origin(validate_fan(catalog[name])) for name in unstable)
 
 
 class TestScaleInvariance:
