@@ -46,7 +46,7 @@ from .fan import (
     make_fan,
     validate_fan,
 )
-from .lattice import integer_echelon
+from .lattice import row_hermite
 from .polytope import anticanonical, divisor
 from .stability import MAX_RAYS, certificate, decide
 
@@ -257,7 +257,7 @@ def cmd_oracle(args) -> int:
         raise ParseError(f"bad lambda list {args.lam!r}: {e}") from None
     witness = rank_one_exists(f, lam)
     poles = [f.rays[i] for i, x in enumerate(lam) if x == -1]
-    span_dim = len(integer_echelon(poles))
+    span_dim = len(row_hermite(poles))
     expected = span_dim <= 1
     lines = [
         f"witness: {witness if witness is not None else 'non-existent'}",

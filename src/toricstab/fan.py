@@ -7,16 +7,16 @@ checks the full package of invariants exactly:
 * rays primitive, distinct, each used by some maximal cone;
 * every maximal cone a unimodular basis (smoothness);
 * completeness: every wall (codimension-one face) lies in exactly two
-  maximal cones which sit on opposite sides of it, the wall-adjacency
-  graph is connected, and exactly one maximal cone contains the generic
-  vector ``v`` (the covering count).  Only when a check fails or the count
-  is not one does the pairwise test run, that any two maximal cones
-  intersect exactly in the cone spanned by their common rays; it names
-  the offending pairs in the violations.
+  maximal cones which sit on opposite sides of it, the cones are
+  connected through such walls, and exactly one maximal cone contains the
+  generic vector ``v`` (the covering count).  Only when a check fails or
+  the count is not one does the pairwise test run, that any two maximal
+  cones intersect exactly in the cone spanned by their common rays; it
+  names the offending pairs in the violations.
 
 Why the covering count suffices (Ewald, *Combinatorial Convexity and
 Algebraic Geometry*, 1996, ch. III).  Let the walls pair up with their
-cones on opposite sides, the adjacency graph be connected, and ``v`` be
+cones on opposite sides, the cones be connected through them, and ``v`` be
 the first ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
 every cone dual; each dual is the normal of a wall, so ``v`` lies on no
 wall hyperplane and a cone contains it iff every dual pairs positively.
@@ -51,10 +51,14 @@ Geometry*, 1988).  Let sigma' = sigma - rho_k + rho' share a wall with
 sigma, whose duals are m_1..m_n.  As rho' = sum_l <m_l, rho'> rho_l,
 |det sigma'| = |p| for p = <m_k, rho'>: sigma' is unimodular iff p = +-1,
 and then its duals are p*m_k (for rho') and m_l - <m_l, rho'> p*m_k, which
-pair to delta with its rays (a dual basis is unique).  Only cones that no
-crossing reaches get a Hermite reduction (``dual_basis``): one per
-wall-connected component of a smooth fan, and the non-smooth ones.  Every
-other cone costs O(n^2) integer operations.
+pair to delta with its rays (a dual basis is unique).  p < 0 says that
+rho_k and rho' lie on opposite sides of the wall, and for two unimodular
+cones p has the same sign from either side.  So one walk does three jobs:
+it records p as the side of each wall it first reaches, crosses only the
+walls with p = -1, and needs one Hermite reduction (``dual_basis``) per
+component of the cones connected through opposite-side walls, plus one per
+non-smooth cone.  A smooth fan is connected exactly when one start
+suffices.  Every other cone costs O(n^2) integer operations.
 
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
@@ -68,7 +72,9 @@ from functools import cached_property
 from math import gcd
 
 from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
-from .lattice import Vector, dot, dual_basis, generic_vector, primitive_vector, proper_flats
+from .lattice import (
+    Vector, dot, dual_basis, generic_vector, identity_rows, primitive_vector, proper_flats,
+)
 
 
 @dataclass(frozen=True)
@@ -209,9 +215,13 @@ def validate_fan(f: Fan) -> Fan:
         for k, omit in enumerate(c):
             walls.setdefault(c[:k] + c[k + 1:], []).append((ci, omit))
 
-    # Smoothness: a Hermite reduction for each cone no wall crossing from a
-    # smooth cone has reached (module docstring), in cone order.
+    # Smoothness, wall sides and connectivity in one walk: a Hermite
+    # reduction for each cone no crossing from a smooth cone has reached
+    # (module docstring), in cone order.  The first visit to a two-cone wall
+    # records p = <m_k, new ray>; only p = -1 (opposite sides) is crossed.
     duals: list = [None] * len(cones)
+    side: dict[tuple[int, ...], int] = {}
+    starts = 0
     for start, c in enumerate(cones):
         if duals[start] is not None:
             continue
@@ -220,25 +230,26 @@ def validate_fan(f: Fan) -> Fan:
         except NotSmoothCone as e:
             violations.append(("NotSmooth", f"cone {c} has |det| = {e.det}"))
             continue
+        starts += 1
         stack = [start]
         while stack:
             ci = stack.pop()
             c, ms = cones[ci], duals[ci]
             for k in range(n):
-                members = walls[c[:k] + c[k + 1:]]
-                if len(members) != 2:
+                wall = c[:k] + c[k + 1:]
+                members = walls[wall]
+                if len(members) != 2 or wall in side:
                     continue
                 cj, new = members[members[0][0] == ci]  # the other cone, its new ray
-                if duals[cj] is not None:
+                side[wall] = dot(ms[k], rays[new])
+                if side[wall] != -1 or duals[cj] is not None:
                     continue
-                qs = [dot(m, rays[new]) for m in ms]
-                if qs[k] in (1, -1):
-                    mk = tuple(qs[k] * x for x in ms[k])
-                    crossed = {i: tuple(x - q * y for x, y in zip(m, mk)) if q else m
-                               for i, m, q in zip(c, ms, qs)}
-                    crossed[new] = mk
-                    duals[cj] = tuple(crossed[i] for i in cones[cj])
-                    stack.append(cj)
+                crossed = {new: tuple(-x for x in ms[k])}
+                for i, m in zip(wall, ms[:k] + ms[k + 1:]):
+                    q = dot(m, rays[new])
+                    crossed[i] = tuple(x + q * y for x, y in zip(m, ms[k])) if q else m
+                duals[cj] = tuple(crossed[i] for i in cones[cj])
+                stack.append(cj)
     if violations:
         raise InvalidFan(violations)
     v, covering = generic_vector(n, duals)
@@ -250,33 +261,21 @@ def validate_fan(f: Fan) -> Fan:
             )
         return Fan(n, rays, cones, duals=tuple(duals), generic=v)
 
-    # Wall pairing and orientation.  The dual of the omitted ray is a
-    # normal of the wall that pairs to 1 with that ray.
-    adjacency: dict[int, set[int]] = {ci: set() for ci in range(len(cones))}
+    # Wall pairing and orientation, read off the sides the walk recorded.
+    # With every cone smooth |p| = 1, and p has one sign from either side.
     for wall, members in sorted(walls.items()):
         if len(members) != 2:
             violations.append(
                 ("NotComplete", f"wall {wall} lies in {len(members)} maximal cone(s)")
             )
-            continue
-        (c1, o1), (c2, o2) = members
-        normal = duals[c1][cones[c1].index(o1)]
-        if dot(normal, rays[o2]) >= 0:
+        elif side[wall] >= 0:
+            (c1, _), (c2, _) = members
             violations.append(
                 ("NotComplete", f"cones {cones[c1]} and {cones[c2]} lie on one side of wall {wall}")
             )
-        else:
-            adjacency[c1].add(c2)
-            adjacency[c2].add(c1)
-
-    reached = {0}
-    stack = [0]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    if len(reached) != len(cones):
+    # The walk crosses exactly the opposite-side walls, so one start reached
+    # every cone exactly when they are connected through them.
+    if starts != 1:
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
     if not violations and covering == 1:
@@ -341,8 +340,7 @@ def construct_projective_space(n: int) -> Fan:
     """Fan of projective n-space: rays e_1..e_n and -(e_1+...+e_n)."""
     if not isinstance(n, int) or n < 1:
         raise BadDimension(f"projective space needs n >= 1, got {n!r}")
-    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
+    rays = [*identity_rows(n), (-1,) * n]
     cones = [tuple(i for i in range(n + 1) if i != omit) for omit in range(n + 1)]
     return validate_fan(make_fan(n, rays, cones))
 
@@ -377,13 +375,9 @@ def construct_proj_split(base_dim: int, twists) -> Fan:
     k = len(ts)
     d = base_dim
     n = d + k
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(n))
-
-    fiber = [unit(i) for i in range(k)]
-    fiber.append(tuple(-1 if j < k else 0 for j in range(n)))
-    base = [unit(k + j) for j in range(d)]
+    units = identity_rows(n)
+    fiber = [*units[:k], (-1,) * k + (0,) * d]
+    base = list(units[k:])
     last = [ts[j] if j < k else 0 for j in range(n)]
     for j in range(k, n):
         last[j] -= 1
@@ -411,13 +405,7 @@ def construct_p1_bundle(dim: int, twist: int) -> Fan:
     if not isinstance(twist, int) or twist < 0:
         raise BadTwist(f"twist must be an integer >= 0, got {twist!r}")
     n = dim
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(n))
-
-    rays = [unit(i) for i in range(n)]
-    rays.append(tuple(0 if j < n - 1 else -1 for j in range(n)))
-    rays.append(tuple(-1 if j < n - 1 else twist for j in range(n)))
+    rays = [*identity_rows(n), (0,) * (n - 1) + (-1,), (-1,) * (n - 1) + (twist,)]
     base_idx = list(range(n - 1)) + [n + 1]
     cones = []
     for fiber in (n - 1, n):

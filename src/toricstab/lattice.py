@@ -4,10 +4,11 @@ Everything in this package reduces to a handful of lattice computations:
 primitive generators, Hermite-canonical bases of saturated sublattices,
 dual bases of unimodular cones and span membership, all in integer
 arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
-bases, kernels (read off the Hermite form of ``[A | I]``) and dual bases
-(one per wall-connected component of a fan; ``fan`` crosses walls to the
-other cones); the fraction-free ``eliminate`` decides spans and grows the
-ray-matroid flats (``proper_flats``) that ``Fan.flats`` keeps.  Each flat
+bases, ranks (the length of the form), kernels (read off the Hermite form
+of ``[A | I]``) and dual bases (one per wall-connected component of a fan;
+``fan`` crosses walls to the other cones).  The fraction-free
+``eliminate`` serves one purpose: it grows the ray-matroid flats
+(``proper_flats``) that ``Fan.flats`` keeps.  Each flat
 is grown once, from its canonical parent: the closure of all but the last
 ray of its greedy basis by ray index.  An extension of any other flat
 that reaches it is cut off at the first smaller ray it closes over, so
@@ -135,23 +136,6 @@ def eliminate(v: Vector, pivot: int, row: Vector) -> Vector:
     w = [a * x - c * y for x, y in zip(v, row)]
     g = gcd(*w)
     return tuple(x // g for x in w) if g > 1 else tuple(w)
-
-
-def integer_echelon(rows) -> list[tuple[int, Vector]]:
-    """Fraction-free echelon of integer rows as ``(pivot, row)`` pairs.
-
-    Each row is reduced against the earlier ones, so it vanishes at their
-    pivots; rows in the span of the earlier ones reduce to zero and are
-    dropped, so the length is the rank.
-    """
-    echelon: list[tuple[int, Vector]] = []
-    for v in rows:
-        v = tuple(map(int, v))
-        for pivot, row in echelon:
-            v = eliminate(v, pivot, row)
-        if any(v):
-            echelon.append((pivot_of(v), v))
-    return echelon
 
 
 def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -11,17 +11,19 @@ the rays; each facet volume is measured in the lattice of its own
 hyperplane (unit simplex = 1/(dim-1)!).
 
 All of this is done in integers.  With q the common denominator of the
-coefficients, the polytope of ``q * D`` has integer cone points (integer
-combinations of the cone's dual basis), so ``Polytope`` keeps those and q,
-and the inequalities are compared as ``<q*u, ray> + q*coeff > 0``.
+coefficients, the polytope of ``q * D`` has integer coefficients and integer
+cone points (integer combinations of the cone's dual basis), so
+``Polytope`` keeps q, the integers ``q*coeff`` and those points, and the
+inequalities are compared as ``<q*u, ray> + q*coeff > 0``.
 
 Facet volumes come from the vertex formula for simple lattice polytopes
 (Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988):
 every vertex of a facet contributes one term built from its height and its
 edge directions under a generic linear functional, so the cost is
 O(cones * n^2) integer operations and no hull is ever triangulated.  The
-terms are summed over one common integer denominator, and each facet
-volume is a single ``Fraction`` built at the end.
+terms are summed over one common integer denominator, and ``VolumeTable``
+keeps those integer numerators and the denominator; a facet volume becomes
+a ``Fraction`` only when it is read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import DimMismatch, NonAmple
@@ -62,7 +64,8 @@ def anticanonical(f: Fan) -> ToricDivisor:
 class Polytope:
     """Integer vertex data of a divisor's polytope.
 
-    ``scale`` is the common denominator q of the divisor's coefficients and
+    ``scale`` is the common denominator q of the divisor's coefficients,
+    ``scaled_coeffs[i]`` is the integer q times the coefficient of ray i, and
     ``points[ci]`` is q times the point attached to maximal cone ``ci``, an
     integer vector; ``vertices`` gives the points themselves as fractions.
     The divisor's fan is validated, and its ``duals[ci]`` are the edge
@@ -73,6 +76,7 @@ class Polytope:
 
     divisor: ToricDivisor
     scale: int
+    scaled_coeffs: tuple[int, ...]
     points: tuple[Vector, ...]
 
     @property
@@ -82,10 +86,21 @@ class Polytope:
 
 @dataclass(frozen=True)
 class VolumeTable:
-    """Per-ray normalized facet volumes of an ample polytope."""
+    """Per-ray normalized facet volumes of an ample polytope, in integers.
+
+    ``weights[i] / den`` is ``(dim-1)!`` times the volume of the facet of
+    ray i, and ``gcd(den, *weights) == 1``, so equal tables mean equal
+    volumes.  ``values`` gives the volumes themselves as fractions.
+    """
 
     dim: int
-    values: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    den: int
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        den = self.den * factorial(self.dim - 1)
+        return tuple(Fraction(w, den) for w in self.weights)
 
     def __getitem__(self, i) -> Fraction:
         return self.values[i]
@@ -101,11 +116,6 @@ class VolumeTable:
         return sum(self.values, Fraction(0))
 
 
-def _scaled_coeffs(d: ToricDivisor, q: int) -> list[int]:
-    """``q * coeff`` for every coefficient, where q is a common denominator."""
-    return [c.numerator * (q // c.denominator) for c in d.coeffs]
-
-
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:
     """Solve each maximal cone's equality system for its polytope point.
 
@@ -118,18 +128,18 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
         d = ToricDivisor(validate_fan(d.fan), d.coeffs)
     f = d.fan
     q = lcm(*(c.denominator for c in d.coeffs))
-    cs = _scaled_coeffs(d, q)
+    cs = tuple(c.numerator * (q // c.denominator) for c in d.coeffs)
     points = []
     for cone, duals in zip(f.max_cones, f.duals):
         weights = [cs[r] for r in cone]
         points.append(tuple(-sum(map(mul, weights, column)) for column in zip(*duals)))
-    return Polytope(d, q, tuple(points))
+    return Polytope(d, q, cs, tuple(points))
 
 
 def is_ample(p: Polytope) -> bool:
     """Strict convexity: each cone's vertex strictly satisfies all other inequalities."""
     f = p.divisor.fan
-    cs = _scaled_coeffs(p.divisor, p.scale)
+    cs = p.scaled_coeffs
     for cone, point in zip(f.max_cones, p.points):
         for r, ray in enumerate(f.rays):
             if r not in cone and sum(map(mul, point, ray)) + cs[r] <= 0:
@@ -150,6 +160,8 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     With ``g_k = -<xi, m_k>``, ``P_s = prod_k g_k``, L the lcm of the
     ``|P_s|`` and ``q*u`` the integer point, that term is the integer
     ``<xi, q*u>^(n-1) * g_i * (L // P_s)`` over ``L * q^(n-1) * (n-1)!``.
+    The table keeps the sums of those integers as its weights over
+    ``L * q^(n-1)``, both divided by their gcd.
 
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
@@ -169,13 +181,20 @@ def facet_volumes(p: Polytope) -> VolumeTable:
         height *= common // all_slopes
         for r, slope in zip(cone, slopes):
             nums[r] += height * slope
-    den = common * p.scale ** (n - 1) * factorial(n - 1)
-    return VolumeTable(n, tuple(Fraction(x, den) for x in nums))
+    den = common * p.scale ** (n - 1)
+    g = gcd(den, *nums)
+    return VolumeTable(n, tuple(x // g for x in nums), den // g)
 
 
 def is_reflexive(p: Polytope) -> bool:
-    """Whether the polytope is reflexive: integral, with the origin as its
+    """Whether the cone points are integral and the origin is the polytope's
     only interior lattice point.
+
+    For an ample divisor in dimension 2 that is reflexivity.  In dimension
+    >= 3 it is weaker: reflexive also asks every facet to lie at lattice
+    distance 1 from the origin, and ``construct_p1_bundle(3, 1)`` with
+    coefficients ``(1, 1, 2, 1, 1)`` is ample and passes with one facet at
+    distance 2.
 
     The polytope is contained in the convex hull of the cone points (for
     any direction c, pick a maximal cone containing -c; its point bounds
@@ -185,10 +204,9 @@ def is_reflexive(p: Polytope) -> bool:
     cone points may not all be true vertices.
     """
     f = p.divisor.fan
-    q = p.scale
+    q, cs = p.scale, p.scaled_coeffs
     if any(x % q for pt in p.points for x in pt):
         return False
-    cs = _scaled_coeffs(p.divisor, q)
     verts = [tuple(x // q for x in pt) for pt in p.points]
     lo = [min(v[j] for v in verts) for j in range(f.dim)]
     hi = [max(v[j] for v in verts) for j in range(f.dim)]

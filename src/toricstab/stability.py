@@ -14,12 +14,13 @@ each exactly once from its canonical parent (``lattice.proper_flats``).  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The
 flats depend on the fan alone, so the fan keeps them (``Fan.flats``) and
-every further polarization of that fan only sums integer volume weights
-over them.  The maximizer is picked on those integer sums: walking the
-flats in their sorted ``(rank, rays_in)`` order, a flat replaces the best
-one only when ``total * best_rank > best_total * rank``, so the first
-flat of highest slope wins, which is the smallest rank and then the
-lexicographically first ``rays_in``.
+every further polarization of that fan only sums the integer weights of
+its volume table (``VolumeTable.weights``, over one ``den``) over them.
+The maximizer is picked on those integer sums: walking the flats in their
+sorted ``(rank, rays_in)`` order, a flat replaces the best one only when
+``total * best_rank > best_total * rank``, so the first flat of highest
+slope wins, which is the smallest rank and then the lexicographically
+first ``rays_in``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, lcm
+from math import factorial
 
 from .errors import BadRank, DimMismatch, NonAmple
-from .fan import Fan, is_cone, validate_fan
+from .fan import Fan, validate_fan
 from .lattice import hermite_canonical
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import _volume_values
@@ -105,17 +105,6 @@ def enumerate_candidates(f: Fan, max_rays: int = MAX_RAYS) -> list[SubsheafCandi
     return [SubsheafCandidate(r, s) for r, s in f.flats]
 
 
-def _slope_weights(vols, n: int) -> tuple[list[int], int]:
-    """``(n-1)! * vol_i * D`` for every ray, as ints, and D, the common
-    denominator of the volumes; raises NonAmple unless all are positive."""
-    vals = _volume_values(vols, n)
-    den = lcm(*(v.denominator for v in vals))
-    weights = [factorial(n - 1) * v.numerator * (den // v.denominator) for v in vals]
-    if any(w <= 0 for w in weights):
-        raise NonAmple("candidate slopes require positive facet volumes")
-    return weights, den
-
-
 def _status_against(best, mu: Fraction) -> Stability:
     if best is None or best.slope < mu:
         return Stability.STABLE
@@ -131,12 +120,12 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
     vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
-    n = f.dim
-    weights, den = _slope_weights(vols, n)
-    mu = Fraction(sum(weights), den * n)
-    # Weights are positive, so every candidate beats the 0/1 start.  The
-    # flats come sorted by (rank, rays_in) and only a strictly larger slope
-    # replaces the best, so ties go to the smallest rank, then rays_in.
+    weights, den = vols.weights, vols.den
+    mu = Fraction(sum(weights), den * f.dim)
+    # Weights are positive (facet_volumes raises NonAmple otherwise), so
+    # every candidate beats the 0/1 start.  The flats come sorted by
+    # (rank, rays_in) and only a strictly larger slope replaces the best, so
+    # ties go to the smallest rank, then rays_in.
     cands, best, best_total, best_rank = [], None, 0, 1
     for c in enumerate_candidates(f, max_rays=max_rays):
         total = sum(weights[i] for i in c.rays_in)
@@ -183,10 +172,12 @@ def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
     """Largest slope any admissible rank-r data with -1s in one row allows.
 
     Maximizes (n-1)!*sum(Vol over S)/r over ray sets S in which no
-    (r+1)-subset spans a cone.  This bounds every rank-r candidate (its
-    rays lie in an r-dimensional space, so r+1 of them are never the
-    linearly independent generators of a cone) but is not always
-    attained by a realizable subsheaf.
+    (r+1)-subset spans a cone.  A ray set spans a cone exactly when a
+    maximal cone contains it, so a ray joins S only when no maximal cone
+    holds it and r rays of S already.  This bounds every rank-r candidate
+    (its rays lie in an r-dimensional space, so r+1 of them are never the
+    linearly independent generators of a cone) but is not always attained
+    by a realizable subsheaf.
     """
     n = f.dim
     if not 1 <= r < n:
@@ -209,10 +200,7 @@ def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
             if total + suffix[i] <= best:
                 return
             ray = order[i]
-            if len(chosen) >= r and any(
-                is_cone(f, tuple(sorted(sub + (ray,))))
-                for sub in combinations(chosen, r)
-            ):
+            if any(ray in c and sum(j in c for j in chosen) >= r for c in f.max_cones):
                 continue
             chosen.append(ray)
             grow(i + 1, total + vals[ray])

@@ -165,6 +165,14 @@ def fuzz_lambda(f: Fan, seed: int):
         yield tuple(lam)
 
 
+def _below_two_fifths(rng: random.Random) -> bool:
+    """``rng.random() < 0.4`` in integers, drawing what ``random()`` draws:
+    the top 27 and 26 bits of two 32-bit words make its 53-bit numerator,
+    and 0.4 is 3602879701896397 / 2^53."""
+    k = (rng.getrandbits(32) >> 5 << 26) | (rng.getrandbits(32) >> 6)
+    return k < 3602879701896397
+
+
 def fuzz_lambda_matrix(f: Fan, rank: int, seed: int):
     """Deterministic infinite stream of valid rank x p lambda-matrices."""
     rng = random.Random(seed)
@@ -179,7 +187,7 @@ def fuzz_lambda_matrix(f: Fan, rank: int, seed: int):
         columns = []
         for _ in range(p):
             col = sorted(rng.choice((0, 0, 1, 2, 3)) for _ in range(rank))
-            if rng.random() < 0.4:
+            if _below_two_fifths(rng):
                 col[0] = -1
             columns.append(col)
         for subset in forbidden:
@@ -283,7 +291,7 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
     b = a2 + a4
     if a <= 0 or b <= 0:
         raise NonAmple(f"divisor is not ample: a = {a}, b = {b} must both be positive")
-    vols = VolumeTable(2, (Fraction(b), Fraction(a), Fraction(b), Fraction(a + m * b)))
+    vols = VolumeTable(2, (b, a, b, a + m * b), 1)
     mu = Fraction(2 * a + (m + 2) * b, 2)
 
     def line(rays_in, slope):

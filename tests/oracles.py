@@ -6,8 +6,9 @@ an arbitrary point set by brute force, with a rational inverse
 membership for rational vectors; ``chow_volumes`` reads facet volumes off
 intersection numbers in the Chow ring, sharing only the cone duals with the
 vertex formula of ``toricstab.polytope``.  ``closure_flats`` grows the
-flats of the ray matroid from the definition, with its own rank test
-(``rank``); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
+flats of the ray matroid from the definition, with the oracles' own rank
+test (``rank``, which the span and hull tests use too);
+``barycenter_is_origin`` is the Kähler–Einstein test of a toric
 Fano manifold (Wang and Zhu, 2004).
 """
 
@@ -20,7 +21,7 @@ from math import factorial, lcm
 
 from toricstab import lattice
 from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
-from toricstab.lattice import Subspace, Vector, dot, integer_echelon, integer_kernel
+from toricstab.lattice import Subspace, Vector, dot, integer_kernel
 
 
 class NotOnFacetHyperplane(ToricStabError):
@@ -51,7 +52,7 @@ def subspace_contains(s: Subspace, v) -> bool:
         raise DimMismatch(f"vector of length {len(v)} in Q^{s.ambient_dim}")
     if not any(v):
         return True
-    return len(integer_echelon([*s.basis, primitive_vector(v)])) == s.dim
+    return rank([*s.basis, primitive_vector(v)]) == s.dim
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def _hull_volume(points, d) -> Fraction:
     if d == 1:
         return points[-1][0] - points[0][0]
     apex = points[0]
-    if len(integer_echelon(primitive_vector(vsub(p, apex)) for p in points[1:])) < d:
+    if rank(primitive_vector(vsub(p, apex)) for p in points[1:]) < d:
         return Fraction(0)
     total = Fraction(0)
     seen = set()

@@ -453,12 +453,13 @@ class TestCoveringCount:
 
     def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
         # B5 has 8 cones and 16 walls: 8 * 4 duals paired once with v, one
-        # pairing per wall for its orientation and 4 per crossing into the
-        # 7 cones after the first.
+        # pairing per wall for its side, on the walk's first visit, and 3 more
+        # per crossing into the 7 cones after the first (the omitted ray's
+        # dual was paired for the side).
         b5 = construct_proj_split(1, (1, 0, 0))
         dots = count_calls(lattice, "dot")
         validate_fan(make_fan(b5.dim, b5.rays, b5.max_cones))
-        assert len(dots) == 8 * 4 + 16 + 7 * 4
+        assert len(dots) == 8 * 4 + 16 + 7 * 3
 
     def test_pairwise_check_only_runs_as_fallback(self, count_calls):
         calls = count_calls(fan, "_pair_face_violation")
@@ -610,6 +611,9 @@ class TestWallCrossing:
         ("first_cone_non_smooth", 1, 1),
         ("two_components", 2, 0),
         ("not_smooth", 1, 1),
+        # No walk crosses a wall with both cones on one side.
+        ("one_side_of_a_wall", 2, 0),
+        ("one_side_of_a_wall_3d", 2, 0),
     ])
     def test_one_hermite_reduction_per_start_and_non_smooth_cone(
         self, count_calls, name, starts, non_smooth

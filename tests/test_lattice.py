@@ -38,7 +38,6 @@ from toricstab.lattice import (
     dot,
     dual_basis,
     hermite_canonical,
-    integer_echelon,
     integer_kernel,
     primitive_vector,
     proper_flats,
@@ -196,7 +195,7 @@ class TestIntegerKernel:
             k = integer_kernel(rows)
             assert row_hermite(k) == k, seed
             assert all(sum(a * b for a, b in zip(v, r)) == 0 for v in k for r in rows), seed
-            assert len(k) == n - len(integer_echelon(rows)), seed
+            assert len(k) == n - rank(rows), seed
             if k:
                 minors = [
                     int(det([[v[c] for c in cols] for v in k]))
@@ -251,17 +250,20 @@ class TestHermiteCanonical:
             assert subspace_contains(s, b)
 
 
-class TestIntegerEchelon:
-    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1, max_size=5))
+class TestRowHermiteRank:
+    """Ranks come from ``row_hermite``: the length of the form."""
+
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=0, max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_rank_pivots_and_span_members(self, rows):
-        echelon = integer_echelon(rows)
-        assert len(echelon) == len(row_hermite(rows))
-        for k, (pivot, row) in enumerate(echelon):
-            assert row[pivot] != 0
-            assert all(row[p] == 0 for p, _ in echelon[:k])
+        h = row_hermite(rows)
+        assert len(h) == rank(rows)
+        pivots = [lattice.pivot_of(row) for row in h]
+        assert pivots == sorted(set(pivots))
+        assert all(row[p] > 0 for row, p in zip(h, pivots))
         for r in rows:
-            assert len(integer_echelon([*rows, r])) == len(echelon)
+            assert len(row_hermite([*rows, r])) == len(h)
+            assert len(row_hermite([*rows, [2 * x - y for x, y in zip(r, rows[0])]])) == len(h)
 
 
 def power(f, k):

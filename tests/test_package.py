@@ -9,6 +9,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "toricstab"
 PERFBENCH = TESTS.parent / "perfbench"
 
+# The integer functions of ``math``; everything else there is floating point.
+INTEGER_MATH = {"gcd", "lcm", "prod", "factorial", "comb"}
+
 REMOVED = (
     "slope_of",
     "slope_upper_bound",
@@ -90,3 +93,33 @@ def test_every_top_level_definition_is_reachable():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (mod, name) not in reached
     )
     assert unreached == []
+
+
+def _float_uses(source):
+    """Float literals, uses of the name ``float`` and imports from ``math``
+    beyond its integer functions, as ``(line, what)`` pairs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import math") for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names
+                      if a.name not in INTEGER_MATH]
+    return sorted(found)
+
+
+def test_no_floats_in_the_package():
+    snippet = "x = 1.5\ny = float(2) + 3j\nimport math\nfrom math import gcd, sqrt\n"
+    assert _float_uses(snippet) == [
+        (1, "literal 1.5"), (2, "float"), (2, "literal 3j"), (3, "import math"), (4, "math.sqrt"),
+    ]
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := _float_uses(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from toricstab.polytope import (
     is_reflexive,
     polytope_from_divisor,
 )
+from toricstab.stability import decide
 from toricstab.testkit import (
     build_case_fan,
     golden_suite,
@@ -101,6 +102,8 @@ class TestVertices:
             coeffs = [k * Fraction(c) for c in base]
             p = polytope_from_divisor(divisor(f, coeffs))
             assert p.scale == lcm(*(c.denominator for c in coeffs))
+            assert all(type(x) is int for x in p.scaled_coeffs)
+            assert p.scaled_coeffs == tuple(p.scale * c for c in coeffs), case.name
             assert all(type(x) is int for pt in p.points for x in pt)
             assert p.points == tuple(
                 tuple(p.scale * x for x in u) for u in fraction_vertices(f, coeffs)
@@ -315,6 +318,21 @@ class TestVertexFormulaProperties:
         cases += [(f, anticanonical(f)) for _, f in catalog_fano4()]
         for f, d in cases:
             assert _volumes(f, d.coeffs) == chow_volumes(f, d.coeffs), f
+
+
+class TestVolumeTable:
+    @pytest.mark.parametrize("k", [1, Fraction(1, 2), Fraction(2, 3)])
+    def test_reduced_integer_weights_over_one_denominator(self, k):
+        for case in golden_suite():
+            f = build_case_fan(case)
+            base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
+            coeffs = [k * Fraction(c) for c in base]
+            v = decide(f, divisor(f, coeffs))
+            t = v.volumes
+            assert all(type(w) is int for w in t.weights) and type(t.den) is int, case.name
+            assert t.den > 0 and gcd(t.den, *t.weights) == 1, case.name
+            assert t.values == chow_volumes(f, coeffs), case.name
+            assert v.mu_tx == Fraction(sum(t.weights), t.den * f.dim), case.name
 
 
 class TestGenericFunctional:

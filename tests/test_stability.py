@@ -533,6 +533,27 @@ class TestAdmissibleBound:
                 )
                 assert reference_slope(c, vols, f.dim) <= b
 
+    def test_equals_brute_force_over_ray_sets(self):
+        # The maximum over every ray set S with no r+1 rays in one maximal
+        # cone, without the search's order or pruning.
+        polarized = []
+        for _, f in catalog_fano4():
+            polarized += [(f, [1] * len(f.rays)), (f, [2] * len(f.rays))]
+        for m in range(4):
+            f = construct_hirzebruch(m)
+            polarized += [(f, (1, 1, m + 1, 1)), (f, (2, 2, 2 * m + 2, 2))]
+        for f, coeffs in polarized:
+            vols = volumes_of(f, coeffs)
+            cones = [set(c) for c in f.max_cones]
+            for r in range(1, f.dim):
+                best = max(
+                    sum((vols.values[i] for i in s), Fraction(0))
+                    for size in range(len(f.rays) + 1)
+                    for s in combinations(range(len(f.rays)), size)
+                    if not any(set(t) <= c for t in combinations(s, r + 1) for c in cones)
+                )
+                assert admissible_slope_bound(f, r, vols) == factorial(f.dim - 1) * best / r
+
     def test_bad_rank(self):
         vols = volumes_of(F1)
         for r in (0, 2, 7):
