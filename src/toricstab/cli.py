@@ -23,6 +23,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from .charts import rank_one_exists
 from .errors import (
@@ -231,20 +232,15 @@ def cmd_scan(args) -> int:
     f = construct_hirzebruch(args.m)
     ranges = [_parse_range(getattr(args, k)) for k in ("a1", "a2", "a3", "a4")]
     lines = ["a1,a2,a3,a4,a,b,ample,verdict"]
-    for a1 in ranges[0]:
-        for a2 in ranges[1]:
-            for a3 in ranges[2]:
-                for a4 in ranges[3]:
-                    a = a1 + a3 - args.m * a2
-                    b = a2 + a4
-                    d = divisor(f, (a1, a2, a3, a4))
-                    try:
-                        ample, verdict = True, decide(f, d).status.value
-                    except NonAmple:
-                        ample, verdict = False, ""
-                    lines.append(
-                        f"{a1},{a2},{a3},{a4},{a},{b},{str(ample).lower()},{verdict}"
-                    )
+    for a1, a2, a3, a4 in product(*ranges):
+        a = a1 + a3 - args.m * a2
+        b = a2 + a4
+        d = divisor(f, (a1, a2, a3, a4))
+        try:
+            ample, verdict = True, decide(f, d).status.value
+        except NonAmple:
+            ample, verdict = False, ""
+        lines.append(f"{a1},{a2},{a3},{a4},{a},{b},{str(ample).lower()},{verdict}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

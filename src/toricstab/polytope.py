@@ -90,7 +90,8 @@ class VolumeTable:
 
     ``weights[i] / den`` is ``(dim-1)!`` times the volume of the facet of
     ray i, and ``gcd(den, *weights) == 1``, so equal tables mean equal
-    volumes.  ``values`` gives the volumes themselves as fractions.
+    volumes.  ``values`` is the one view of the volumes themselves as
+    fractions; the table is not a sequence.
     """
 
     dim: int
@@ -101,19 +102,6 @@ class VolumeTable:
     def values(self) -> tuple[Fraction, ...]:
         den = self.den * factorial(self.dim - 1)
         return tuple(Fraction(w, den) for w in self.weights)
-
-    def __getitem__(self, i) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
 
 
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:

@@ -7,7 +7,9 @@ level the weight filtration jumps, and by how much.  Everything needed for
 degrees lives here:
 
 * rank = common per-ray multiplicity sum,
-* degree = -(n-1)! * sum over rays and pairs of level*multiplicity*volume,
+* degree = -sum over rays and pairs of level*multiplicity*w_i, over den,
+  where ``w_i / den`` is ``(n-1)!`` times the facet volume of ray i (the
+  integer ``weights`` and ``den`` of the polarization's ``VolumeTable``),
 * the tangent bundle contributes ``(-1, 1)`` and ``(0, n-1)`` on every ray.
 
 Rank-one data is a plain integer vector (one level per ray); general data
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 from .errors import (
     DimMismatch,
@@ -83,28 +84,26 @@ def rank_of(j: JumpData) -> int:
     return sums[0]
 
 
-def _volume_values(vols, n: int) -> tuple[Fraction, ...]:
-    if isinstance(vols, VolumeTable):
-        if vols.dim != n:
-            raise DimMismatch(f"volume table for dimension {vols.dim}, expected {n}")
-        return vols.values
-    return tuple(Fraction(v) for v in vols)
+def check_volume_table(vols: VolumeTable, n: int, rays: int) -> None:
+    """Raise DimMismatch unless ``vols`` is a table for dimension ``n``
+    with one weight for each of ``rays`` rays."""
+    if vols.dim != n:
+        raise DimMismatch(f"volume table for dimension {vols.dim}, expected {n}")
+    if len(vols.weights) != rays:
+        raise DimMismatch(f"{len(vols.weights)} volumes for {rays} rays")
 
 
-def degree_of(j: JumpData, vols, n: int) -> Fraction:
-    """Exact degree -(n-1)! * sum(level * multiplicity * facet volume).
+def degree_of(j: JumpData, vols: VolumeTable, n: int) -> Fraction:
+    """Exact degree ``-sum(level * multiplicity * w_i) / den`` over the
+    integer weights ``w_i`` and denominator ``den`` of ``vols``, where
+    ``w_i / den`` is ``(n-1)!`` times the facet volume of ray i.
 
     ``vols`` must come from an ample divisor (facet_volumes enforces that
     upstream); n is the variety's dimension.
     """
-    vals = _volume_values(vols, n)
-    if len(vals) != len(j.per_ray):
-        raise DimMismatch(f"{len(vals)} volumes for {len(j.per_ray)} rays")
-    total = Fraction(0)
-    for pairs, vol in zip(j.per_ray, vals):
-        for lam, e in pairs:
-            total += lam * e * vol
-    return -factorial(n - 1) * total
+    check_volume_table(vols, n, len(j.per_ray))
+    total = sum(lam * e * w for pairs, w in zip(j.per_ray, vols.weights) for lam, e in pairs)
+    return Fraction(-total, vols.den)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
     return (not problems, tuple(problems))
 
 
-def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols, n: int) -> bool:
+def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: int) -> bool:
     """For same-rank data with j1's levels pointwise >= j2's (per ray,
     after expanding multiplicities in ascending order), degree can only
     drop: returns degree_of(j1) <= degree_of(j2).

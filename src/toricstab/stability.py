@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
 
 from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, validate_fan
 from .lattice import hermite_canonical
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
-from .sheafdata import _volume_values
+from .sheafdata import check_volume_table
 
 SCOPE_NOTE = (
     "scope: the verdict maximizes slope over saturated equivariant subsheaves "
@@ -168,10 +167,12 @@ def certificate(v: StabilityVerdict) -> Certificate | None:
     )
 
 
-def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
+def admissible_slope_bound(f: Fan, r: int, vols: VolumeTable) -> Fraction:
     """Largest slope any admissible rank-r data with -1s in one row allows.
 
-    Maximizes (n-1)!*sum(Vol over S)/r over ray sets S in which no
+    Maximizes ``sum(w_i for i in S) / (den * r)`` over the integer weights
+    ``w_i`` and denominator ``den`` of ``vols`` (``w_i / den`` is (n-1)!
+    times the facet volume of ray i) and over ray sets S in which no
     (r+1)-subset spans a cone.  A ray set spans a cone exactly when a
     maximal cone contains it, so a ray joins S only when no maximal cone
     holds it and r rays of S already.  This bounds every rank-r candidate
@@ -182,17 +183,18 @@ def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
     n = f.dim
     if not 1 <= r < n:
         raise BadRank(f"rank must lie strictly between 0 and {n}, got {r}")
-    vals = _volume_values(vols, n)
-    if any(v <= 0 for v in vals):
+    check_volume_table(vols, n, len(f.rays))
+    weights = vols.weights
+    if any(w <= 0 for w in weights):
         raise NonAmple("the bound requires positive facet volumes")
-    order = sorted(range(len(f.rays)), key=lambda i: (-vals[i], i))
-    suffix = [Fraction(0)] * (len(order) + 1)
+    order = sorted(range(len(f.rays)), key=lambda i: (-weights[i], i))
+    suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[order[i]]
-    best = Fraction(0)
+        suffix[i] = suffix[i + 1] + weights[order[i]]
+    best = 0
     chosen: list[int] = []
 
-    def grow(pos: int, total: Fraction) -> None:
+    def grow(pos: int, total: int) -> None:
         nonlocal best
         if total > best:
             best = total
@@ -203,8 +205,8 @@ def admissible_slope_bound(f: Fan, r: int, vols) -> Fraction:
             if any(ray in c and sum(j in c for j in chosen) >= r for c in f.max_cones):
                 continue
             chosen.append(ray)
-            grow(i + 1, total + vals[ray])
+            grow(i + 1, total + weights[ray])
             chosen.pop()
 
-    grow(0, Fraction(0))
-    return Fraction(factorial(n - 1)) * best / r
+    grow(0, 0)
+    return Fraction(best, vols.den * r)

@@ -223,7 +223,7 @@ def test_criterion_5_family_published_closed_form():
             )
             assert v.mu_tx == Fraction(chow, n), (n, m, v.mu_tx)
 
-            vols = v.volumes
+            vols = v.volumes.values
             fact = factorial(n - 1)
             exact_side = Fraction((n + m) ** (n - 1) - (n - m) ** (n - 1), m * fact)
             prism_side = Fraction(
@@ -328,7 +328,7 @@ def test_criterion_8_degree_bookkeeping():
         n = f.dim
         tangent = tangent_jump_data(f)
         assert rank_of(tangent) == n
-        assert degree_of(tangent, vols, n) == factorial(n - 1) * vols.total
+        assert degree_of(tangent, vols, n) == factorial(n - 1) * sum(vols.values)
 
     # Rank consistency on constructed and fuzzed jump data.
     f2 = construct_hirzebruch(2)

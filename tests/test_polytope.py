@@ -173,8 +173,7 @@ class TestFacetVolumes:
         p = polytope_from_divisor(anticanonical(construct_projective_space(2)))
         t = facet_volumes(p)
         assert t.values == (3, 3, 3)
-        assert t.total == 9
-        assert t.dim == 2 and len(t) == 3 and t[0] == 3
+        assert t.dim == 2 and t.weights == (3, 3, 3) and t.den == 1
 
     def test_quadric_square(self):
         p = hirzebruch_polytope(0, (1, 1, 1, 1))
@@ -189,7 +188,7 @@ class TestFacetVolumes:
         t = facet_volumes(polytope_from_divisor(anticanonical(f)))
         third = Fraction(56, 3)
         assert t.values == (8, third, third, third, Fraction(32, 3), Fraction(32, 3))
-        assert t.total == Fraction(256, 3)
+        assert sum(t.values) == Fraction(256, 3)
 
     def test_segment_endpoints(self):
         f = construct_projective_space(1)
@@ -288,7 +287,7 @@ class TestVertexFormulaProperties:
         p = polytope_from_divisor(d)
         vols = facet_volumes(p)
         assert f.dim * _polytope_volume(p) == sum(
-            a * v for a, v in zip(d.coeffs, vols)
+            a * v for a, v in zip(d.coeffs, vols.values)
         )
 
 

@@ -1,11 +1,14 @@
 """Jump data, degrees, and the admissibility validators."""
 
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chow_volumes
 from toricstab.errors import (
     DimMismatch,
     InconsistentRank,
@@ -13,11 +16,19 @@ from toricstab.errors import (
     RankMismatch,
 )
 from toricstab.fan import (
+    catalog_fano4,
     construct_hirzebruch,
     construct_proj_split,
     construct_projective_space,
+    validate_fan,
 )
-from toricstab.polytope import anticanonical, divisor, facet_volumes, polytope_from_divisor
+from toricstab.polytope import (
+    VolumeTable,
+    anticanonical,
+    divisor,
+    facet_volumes,
+    polytope_from_divisor,
+)
 from toricstab.sheafdata import (
     degree_monotonicity_check,
     degree_of,
@@ -29,6 +40,7 @@ from toricstab.sheafdata import (
     validate_lambda_matrix,
     validate_lambda_vector,
 )
+from toricstab.testkit import build_case_fan, fuzz_lambda_matrix, golden_suite, random_polarized
 
 
 def volumes_of(f, coeffs=None):
@@ -108,22 +120,24 @@ class TestDegreeAndSlope:
 
     def test_degree_against_volume_total(self):
         # tangent degree always equals (n-1)! * sum of facet volumes
-        from math import factorial
-
         for f in (F1, F2, B5, construct_projective_space(3)):
             coeffs = None if f is not F2 else (1, 1, 3, 1)
             vols = volumes_of(f, coeffs)
             j = tangent_jump_data(f)
-            assert degree_of(j, vols, f.dim) == factorial(f.dim - 1) * vols.total
+            assert degree_of(j, vols, f.dim) == factorial(f.dim - 1) * sum(vols.values)
 
-    def test_plain_sequence_volumes_accepted(self):
+    def test_hand_built_volume_table(self):
         j = lambda_vector_to_jump((0, -1))
-        assert degree_of(j, (Fraction(1), Fraction(1)), 1) == 1
+        assert degree_of(j, VolumeTable(1, (1, 1), 1), 1) == 1
 
     def test_volume_table_dim_mismatch(self):
         vols = volumes_of(F1)
         with pytest.raises(DimMismatch):
             degree_of(tangent_jump_data(F1), vols, 3)
+
+    def test_volume_table_ray_count_mismatch(self):
+        with pytest.raises(DimMismatch):
+            degree_of(tangent_jump_data(F1), VolumeTable(2, (1, 1, 1), 1), 2)
 
     @given(st.integers(-1, 4), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -135,7 +149,43 @@ class TestDegreeAndSlope:
         bumped[ray] = level + 1
         d0 = degree_of(lambda_vector_to_jump(base), vols, 2)
         d1 = degree_of(lambda_vector_to_jump(bumped), vols, 2)
-        assert d1 - d0 == -vols[ray]
+        assert d1 - d0 == -vols.values[ray]
+
+
+def polarized_cases():
+    """Goldens, the catalog under -K and 2*(-K), and random_polarized seeds
+    0-199, as (validated fan, coefficients)."""
+    for case in golden_suite():
+        f = validate_fan(build_case_fan(case))
+        base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
+        yield f, [Fraction(c) for c in base]
+    for _, f in catalog_fano4():
+        f = validate_fan(f)
+        yield f, [1] * len(f.rays)
+        yield f, [2] * len(f.rays)
+    for seed in range(200):
+        f, d = random_polarized(seed)
+        yield f, d.coeffs
+
+
+class TestIntegerDegree:
+    def test_matches_chow_ring_volumes(self):
+        # -(n-1)! * sum(level * multiplicity * vol_i) with vol_i from the
+        # Chow ring, so the reference shares nothing with the volume table
+        for idx, (f, coeffs) in enumerate(polarized_cases()):
+            n = f.dim
+            vols = volumes_of(f, coeffs)
+            chow = chow_volumes(f, coeffs)
+            data = [tangent_jump_data(f)]
+            for r in range(1, n):
+                mats = islice(fuzz_lambda_matrix(f, r, idx), 3)
+                data += [lambda_matrix_to_jump(mat) for mat in mats]
+            for j in data:
+                expected = -factorial(n - 1) * sum(
+                    (lam * e * vol for pairs, vol in zip(j.per_ray, chow) for lam, e in pairs),
+                    Fraction(0),
+                )
+                assert degree_of(j, vols, n) == expected, (idx, j)
 
 
 class TestLambdaVectorValidation:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import barycenter_is_origin, subspace_contains
+from oracles import barycenter_is_origin, chow_volumes, subspace_contains
 from toricstab import lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
@@ -27,6 +27,7 @@ from toricstab.fan import (
 )
 from toricstab.lattice import Subspace, dot, hermite_canonical, integer_kernel
 from toricstab.polytope import (
+    VolumeTable,
     anticanonical,
     divisor,
     facet_volumes,
@@ -535,7 +536,8 @@ class TestAdmissibleBound:
 
     def test_equals_brute_force_over_ray_sets(self):
         # The maximum over every ray set S with no r+1 rays in one maximal
-        # cone, without the search's order or pruning.
+        # cone, without the search's order or pruning, over volumes from the
+        # Chow ring rather than the table.
         polarized = []
         for _, f in catalog_fano4():
             polarized += [(f, [1] * len(f.rays)), (f, [2] * len(f.rays))]
@@ -543,11 +545,13 @@ class TestAdmissibleBound:
             f = construct_hirzebruch(m)
             polarized += [(f, (1, 1, m + 1, 1)), (f, (2, 2, 2 * m + 2, 2))]
         for f, coeffs in polarized:
+            f = validate_fan(f)
             vols = volumes_of(f, coeffs)
+            chow = chow_volumes(f, coeffs)
             cones = [set(c) for c in f.max_cones]
             for r in range(1, f.dim):
                 best = max(
-                    sum((vols.values[i] for i in s), Fraction(0))
+                    sum((chow[i] for i in s), Fraction(0))
                     for size in range(len(f.rays) + 1)
                     for s in combinations(range(len(f.rays)), size)
                     if not any(set(t) <= c for t in combinations(s, r + 1) for c in cones)
@@ -559,6 +563,18 @@ class TestAdmissibleBound:
         for r in (0, 2, 7):
             with pytest.raises(BadRank):
                 admissible_slope_bound(F1, r, vols)
+
+    def test_non_positive_weight(self):
+        with pytest.raises(NonAmple):
+            admissible_slope_bound(F1, 1, VolumeTable(2, (1, 0, 1, 1), 1))
+
+    def test_table_of_another_dimension(self):
+        with pytest.raises(DimMismatch):
+            admissible_slope_bound(F1, 1, VolumeTable(3, (1, 1, 1, 1), 1))
+
+    def test_table_of_another_ray_count(self):
+        with pytest.raises(DimMismatch):
+            admissible_slope_bound(F1, 1, VolumeTable(2, (1, 1, 1), 1))
 
 
 class TestClosedForm:
