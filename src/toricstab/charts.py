@@ -118,7 +118,7 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
         generic = _line_of((1,) * f.dim)
         if generic not in lines:
             lines.append(generic)
-    charts = [chart_of(f, sigma) for sigma in f.max_cones]
+    charts = [Chart(f, c, cone_rays(f, c), cone_dual(f, ci)) for ci, c in enumerate(f.max_cones)]
     for v in lines:
         if all(
             is_regular(MonomialDerivation(_pinned_weight(c, lam), v), c)

@@ -41,10 +41,14 @@ wall hyperplane and a cone contains it iff every dual pairs positively.
    a face of sigma_b as well, and p lies in the cone spanned by the common
    rays of sigma_a and sigma_b: the pairwise condition holds.
 
+For n = 1 the sphere is two points and none of this is needed: the one
+wall, the origin, lies in every cone, so the wall pairing alone leaves the
+two cones on opposite sides, the rays (1) and (-1).
+
 Conversely, a count d >= 2 means two cones overlap, and then the pairwise
-test names them.  The count costs O(cones * n^2), and ``generic_vector``
-takes it from the same pairings that accept ``v``; the pairwise test stays
-as the fallback that reports violations, and as a test oracle.
+test names them.  The count costs O(cones * n^2), read off the pairings
+that accept ``v``, which the fan keeps; the pairwise test stays as the
+fallback that reports violations, and as a test oracle.
 
 Cone duals come by wall crossing (Oda, *Convex Bodies and Algebraic
 Geometry*, 1988).  Let sigma' = sigma - rho_k + rho' share a wall with
@@ -81,18 +85,20 @@ from .lattice import (
 class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
-    ``max_cones`` holds sorted tuples of ray indices.  ``duals`` (the dual
-    basis of each maximal cone, in cone order) and ``generic`` (the
-    moment-curve vector the covering count used, pairing nonzero with every
-    dual) are set by ``validate_fan`` alone and never participate in
-    equality; a fan is validated exactly when it carries them.
+    ``max_cones`` holds sorted tuples of ray indices.  The rest is set by
+    ``validate_fan`` alone, never participates in equality, and marks the
+    fan validated: ``duals[s]``, the dual basis of maximal cone s;
+    ``pairings[s][k]``, its k-th dual paired with the covering count's
+    moment-curve vector, never 0; ``walls``, each wall once as ``(s, k, t)``:
+    the face of cone s without its k-th ray, with cone t across it.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
-    generic: Vector | None = field(default=None, compare=False, repr=False)
+    pairings: tuple[Vector, ...] | None = field(default=None, compare=False, repr=False)
+    walls: tuple[tuple[int, int, int], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def validated(self) -> bool:
@@ -218,9 +224,11 @@ def validate_fan(f: Fan) -> Fan:
     # Smoothness, wall sides and connectivity in one walk: a Hermite
     # reduction for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
-    # records p = <m_k, new ray>; only p = -1 (opposite sides) is crossed.
+    # records p = <m_k, new ray> and the wall as (cone, k, other cone); only
+    # p = -1 (opposite sides) is crossed.
     duals: list = [None] * len(cones)
     side: dict[tuple[int, ...], int] = {}
+    adjacent: list[tuple[int, int, int]] = []
     starts = 0
     for start, c in enumerate(cones):
         if duals[start] is not None:
@@ -242,6 +250,7 @@ def validate_fan(f: Fan) -> Fan:
                     continue
                 cj, new = members[members[0][0] == ci]  # the other cone, its new ray
                 side[wall] = dot(ms[k], rays[new])
+                adjacent.append((ci, k, cj))
                 if side[wall] != -1 or duals[cj] is not None:
                     continue
                 crossed = {new: tuple(-x for x in ms[k])}
@@ -252,14 +261,7 @@ def validate_fan(f: Fan) -> Fan:
                 stack.append(cj)
     if violations:
         raise InvalidFan(violations)
-    v, covering = generic_vector(n, duals)
-
-    if n == 1:
-        if set(rays) != {(1,), (-1,)} or set(cones) != {(0,), (1,)}:
-            raise InvalidFan(
-                [("NotComplete", "a complete fan on a line consists of the rays (1) and (-1)")]
-            )
-        return Fan(n, rays, cones, duals=tuple(duals), generic=v)
+    pairings = generic_vector(n, duals)[1]
 
     # Wall pairing and orientation, read off the sides the walk recorded.
     # With every cone smooth |p| = 1, and p has one sign from either side.
@@ -278,18 +280,15 @@ def validate_fan(f: Fan) -> Fan:
     if starts != 1:
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    if not violations and covering == 1:
-        return Fan(n, rays, cones, duals=tuple(duals), generic=v)
-
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])
-            if detail is not None:
-                violations.append(("BadIntersection", detail))
-
-    if violations:
-        raise InvalidFan(violations)
-    return Fan(n, rays, cones, duals=tuple(duals), generic=v)
+    if violations or sum(all(x > 0 for x in row) for row in pairings) != 1:
+        for a in range(len(cones)):
+            for b in range(a + 1, len(cones)):
+                detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])
+                if detail is not None:
+                    violations.append(("BadIntersection", detail))
+        if violations:
+            raise InvalidFan(violations)
+    return Fan(n, rays, cones, tuple(duals), pairings, tuple(adjacent))
 
 
 def _pair_face_violation(rays, ca, cb, duals_a, duals_b):

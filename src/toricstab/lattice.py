@@ -14,8 +14,9 @@ ray of its greedy basis by ray index.  An extension of any other flat
 that reaches it is cut off at the first smaller ray it closes over, so
 no flat is built twice and no set of seen flats is kept.  Facet
 volumes need nothing more: the vertex formula in ``polytope`` reads them
-off the dual bases, at the ``generic_vector`` of the moment curve that
-``validate_fan`` counts covering cones with and keeps on the fan.
+off the pairings of the dual bases with the ``generic_vector`` of the
+moment curve; ``validate_fan`` counts covering cones from those pairings
+and keeps them on the fan.
 
 Every input and output is an integer vector; no floats and no rationals.
 The brute-force hull volume, the rational inverse and the other test
@@ -249,11 +250,11 @@ def dual_basis(rays) -> tuple[Vector, ...]:
     return tuple(zip(*(row[n:] for row in h)))
 
 
-def generic_vector(n: int, bases) -> tuple[Vector, int]:
+def generic_vector(n: int, bases) -> tuple[Vector, tuple[Vector, ...]]:
     """First ``(1, t, ..., t^(n-1))``, t = 2, 3, ..., pairing nonzero with
-    every vector of every basis in ``bases``, and the number of bases that
-    pair positively with it throughout (for cone duals, the cones that
-    contain it).
+    every vector of every basis in ``bases``, and ``rows``: ``rows[i][k]``
+    is its pairing with ``bases[i][k]``.  For cone duals, a cone contains
+    the vector iff its row is all positive.
 
     Each vector is nonzero and integral, so it vanishes on the moment curve
     at no more than n-1 values of t and the search stops.
@@ -261,12 +262,12 @@ def generic_vector(n: int, bases) -> tuple[Vector, int]:
     t = 2
     while True:
         v = tuple(t**j for j in range(n))
-        covering = 0
+        rows = []
         for basis in bases:
-            pairings = [dot(v, m) for m in basis]
-            if not all(pairings):
+            row = tuple(dot(v, m) for m in basis)
+            if not all(row):
                 break
-            covering += all(x > 0 for x in pairings)
+            rows.append(row)
         else:
-            return v, covering
+            return v, tuple(rows)
         t += 1

@@ -1,38 +1,38 @@
 """Polarizations: invariant divisors, their polytopes, and facet volumes.
 
-A divisor assigns a rational coefficient to every ray.  Its polytope is cut
-out by the inequalities ``<x, ray> >= -coeff``; on a smooth complete fan it
-is always bounded and carries one distinguished point per maximal cone --
-the simultaneous solution of that cone's equalities.  Ampleness is exactly
-strict convexity of the support function: every cone's point must satisfy
-every inequality it does not saturate strictly.  For an ample divisor these
-points are precisely the vertices and the polytope's facets correspond to
-the rays; each facet volume is measured in the lattice of its own
+A divisor D = sum a_i D_i cuts out the polytope ``<x, ray_i> >= -a_i``.  On
+a smooth complete fan each maximal cone s carries the point
+``u_s = -sum_{l in s} a_l m_{s,l}`` (m the cone's duals) that solves its
+equalities; for an ample D these are the vertices, the facets correspond
+to the rays, and each facet volume is measured in the lattice of its own
 hyperplane (unit simplex = 1/(dim-1)!).
 
-All of this is done in integers.  With q the common denominator of the
-coefficients, the polytope of ``q * D`` has integer coefficients and integer
-cone points (integer combinations of the cone's dual basis), so
-``Polytope`` keeps q, the integers ``q*coeff`` and those points, and the
-inequalities are compared as ``<q*u, ray> + q*coeff > 0``.
+A polarization needs one integer height per cone: with q the common
+denominator of the a_i and xi the fan's generic vector,
+``h_s = <xi, q*u_s> = -sum_{l in s} q*a_l <xi, m_{s,l}>``, n products with
+the pairings the validated fan keeps.  Ampleness is decided wall by wall
+(the toric Kleiman criterion; Cox, Little and Schenck, *Toric Varieties*,
+2011, ch. 6): D is ample iff ``D.V(tau) > 0`` on every wall tau.  With tau
+the face of cone s without its k-th ray and t the cone across it,
+``u_t - u_s = (D.V(tau)) m_{s,k}``, so ``h_t - h_s`` is
+``q (D.V(tau)) <xi, m_{s,k}>`` and one sign test per wall decides.
 
 Facet volumes come from the vertex formula for simple lattice polytopes
 (Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988):
-every vertex of a facet contributes one term built from its height and its
-edge directions under a generic linear functional, so the cost is
-O(cones * n^2) integer operations and no hull is ever triangulated.  The
-terms are summed over one common integer denominator, and ``VolumeTable``
-keeps those integer numerators and the denominator; a facet volume becomes
-a ``Fraction`` only when it is read.
+each vertex of a facet contributes a term in its height and the slopes of
+its edges under xi, which are the kept pairings, so no hull is ever
+triangulated.  The terms are summed over one common integer denominator,
+and ``VolumeTable`` keeps those integer numerators and the denominator; a
+facet volume becomes a ``Fraction`` only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from math import factorial, gcd, lcm, prod
-from operator import mul
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, validate_fan
@@ -62,22 +62,29 @@ def anticanonical(f: Fan) -> ToricDivisor:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Integer vertex data of a divisor's polytope.
+    """A divisor's polytope as one integer height per maximal cone.
 
     ``scale`` is the common denominator q of the divisor's coefficients,
-    ``scaled_coeffs[i]`` is the integer q times the coefficient of ray i, and
-    ``points[ci]`` is q times the point attached to maximal cone ``ci``, an
-    integer vector; ``vertices`` gives the points themselves as fractions.
-    The divisor's fan is validated, and its ``duals[ci]`` are the edge
-    directions at ``vertices[ci]``: moving along the k-th dual keeps every
-    equality of the cone but the one of its k-th ray, so for an ample
-    divisor these are the primitive edge directions at that vertex.
+    ``scaled_coeffs[i]`` is the integer q times the coefficient of ray i,
+    and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring).  ``points[s]``
+    is the integer vector ``q*u_s``, solved on first read; ``vertices``
+    gives the u_s as fractions.  The fan is validated, and moving along
+    the k-th of its ``duals[s]`` keeps every equality of cone s but that of
+    its k-th ray: for an ample divisor these are the edges at u_s.
     """
 
     divisor: ToricDivisor
     scale: int
     scaled_coeffs: tuple[int, ...]
-    points: tuple[Vector, ...]
+    heights: tuple[int, ...]
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        f, cs = self.divisor.fan, self.scaled_coeffs
+        return tuple(
+            tuple(-sum(cs[r] * x for r, x in zip(cone, column)) for column in zip(*duals))
+            for cone, duals in zip(f.max_cones, f.duals)
+        )
 
     @property
     def vertices(self) -> tuple[QVector, ...]:
@@ -105,51 +112,45 @@ class VolumeTable:
 
 
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:
-    """Solve each maximal cone's equality system for its polytope point.
+    """Each maximal cone s's height ``-sum_k q*a_{s[k]} * pairings[s][k]``.
 
-    In the dual basis m_1..m_n of a smooth cone the solution of
-    ``<v, ray_i> = -coeff_i`` is ``v = sum_i (-coeff_i) m_i``; it is kept
-    as the integer vector ``q * v``.  A fan that is not yet validated is
-    validated here (InvalidFan when it is not smooth and complete).
+    A fan that is not yet validated is validated here (InvalidFan when it
+    is not smooth and complete).
     """
     if not d.fan.validated:
         d = ToricDivisor(validate_fan(d.fan), d.coeffs)
     f = d.fan
     q = lcm(*(c.denominator for c in d.coeffs))
     cs = tuple(c.numerator * (q // c.denominator) for c in d.coeffs)
-    points = []
-    for cone, duals in zip(f.max_cones, f.duals):
-        weights = [cs[r] for r in cone]
-        points.append(tuple(-sum(map(mul, weights, column)) for column in zip(*duals)))
-    return Polytope(d, q, cs, tuple(points))
+    heights = tuple(
+        -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
+    )
+    return Polytope(d, q, cs, heights)
 
 
 def is_ample(p: Polytope) -> bool:
-    """Strict convexity: each cone's vertex strictly satisfies all other inequalities."""
-    f = p.divisor.fan
-    cs = p.scaled_coeffs
-    for cone, point in zip(f.max_cones, p.points):
-        for r, ray in enumerate(f.rays):
-            if r not in cone and sum(map(mul, point, ray)) + cs[r] <= 0:
-                return False
-    return True
+    """Whether ``D.V(tau) > 0`` on every wall tau: the sign of
+    ``(h_t - h_s) * pairings[s][k]`` for each wall ``(s, k, t)`` of the fan
+    (module docstring)."""
+    f, h = p.divisor.fan, p.heights
+    return all((h[t] - h[s]) * f.pairings[s][k] > 0 for s, k, t in f.walls)
 
 
 def facet_volumes(p: Polytope) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
 
-    With xi the fan's ``generic`` vector (it pairs nonzero with every edge
-    direction, the cone duals), vertex ``u`` of cone s and its edges
-    ``m_k``, the facet of ray i has volume
+    With xi the generic vector of the fan's covering count (it pairs
+    nonzero with every edge direction, the cone duals), vertex ``u`` of
+    cone s and its edges ``m_k``, the facet of ray i has volume
     ``sum over cones s containing i of <xi, u>^(n-1)
     / ((n-1)! * prod_{k in s, k != i} -<xi, m_k>)``:
     the edges at ``u`` other than ``m_i`` span the facet and form a basis
     of its lattice, because the polytope is simple and the fan smooth.
-    With ``g_k = -<xi, m_k>``, ``P_s = prod_k g_k``, L the lcm of the
-    ``|P_s|`` and ``q*u`` the integer point, that term is the integer
-    ``<xi, q*u>^(n-1) * g_i * (L // P_s)`` over ``L * q^(n-1) * (n-1)!``.
-    The table keeps the sums of those integers as its weights over
-    ``L * q^(n-1)``, both divided by their gcd.
+    With ``g_k = -<xi, m_k> = -pairings[s][k]``, ``P_s = prod_k g_k``, L the
+    lcm of the ``|P_s|`` and ``h_s = <xi, q*u>`` the cone's height, that
+    term is the integer ``h_s^(n-1) * g_i * (L // P_s)`` over
+    ``L * q^(n-1) * (n-1)!``; the table keeps the sums of those integers as
+    its weights over ``L * q^(n-1)``, both divided by their gcd.
 
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
@@ -158,11 +159,10 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
-    xi = f.generic
     terms = []
-    for cone, point, edges in zip(f.max_cones, p.points, f.duals):
-        slopes = [-sum(map(mul, xi, m)) for m in edges]
-        terms.append((cone, sum(map(mul, xi, point)) ** (n - 1), slopes, prod(slopes)))
+    for cone, height, row in zip(f.max_cones, p.heights, f.pairings):
+        slopes = [-x for x in row]
+        terms.append((cone, height ** (n - 1), slopes, prod(slopes)))
     common = lcm(*(abs(all_slopes) for *_, all_slopes in terms))
     nums = [0] * len(f.rays)
     for cone, height, slopes, all_slopes in terms:

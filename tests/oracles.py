@@ -5,7 +5,9 @@ an arbitrary point set by brute force, with a rational inverse
 (``_inverse``) for its coordinates; ``subspace_contains`` decides span
 membership for rational vectors; ``chow_volumes`` reads facet volumes off
 intersection numbers in the Chow ring, sharing only the cone duals with the
-vertex formula of ``toricstab.polytope``.  ``closure_flats`` grows the
+vertex formula of ``toricstab.polytope``; ``ample_by_fractions`` decides
+ampleness by the global scan over every cone and every ray, on the points
+``fraction_vertices`` solves in fractions.  ``closure_flats`` grows the
 flats of the ray matroid from the definition, with the oracles' own rank
 test (``rank``, which the span and hull tests use too);
 ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
@@ -172,7 +174,7 @@ def chow_volumes(f, coeffs) -> tuple[Fraction, ...]:
     equivalent divisor without the D_k of S, and D_j . D_S vanishes unless
     S + j is a cone, so ``F(S) = sum_j (a_j + <u, rho_j>) F(S + j)`` over
     the rays j outside S that extend it to a cone.  Only the cone duals are
-    shared with the vertex formula; ``f.generic`` is not used.
+    shared with the vertex formula; ``f.pairings`` is not used.
     """
     n = f.dim
     a = [Fraction(c) for c in coeffs]
@@ -193,6 +195,34 @@ def chow_volumes(f, coeffs) -> tuple[Fraction, ...]:
         )
 
     return tuple(intersection(frozenset({i})) / factorial(n - 1) for i in range(len(f.rays)))
+
+
+# ---------------------------------------------------------------------------
+# Polytope points and ampleness by the global scan
+
+
+def fraction_vertices(f, coeffs):
+    """Each cone's point ``-sum coeff_i * m_i`` computed in fractions, from
+    dual bases solved afresh."""
+    out = []
+    for cone in f.max_cones:
+        duals = lattice.dual_basis([f.rays[r] for r in cone])
+        out.append(tuple(
+            -sum((Fraction(coeffs[r]) * m[j] for r, m in zip(cone, duals)), Fraction(0))
+            for j in range(f.dim)
+        ))
+    return out
+
+
+def ample_by_fractions(f, coeffs):
+    """Strict convexity checked globally on fraction vertices: each cone's
+    point strictly satisfies the inequality of every ray outside the cone."""
+    return all(
+        dot(u, ray) > -Fraction(coeffs[r])
+        for cone, u in zip(f.max_cones, fraction_vertices(f, coeffs))
+        for r, ray in enumerate(f.rays)
+        if r not in cone
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fan validation and the standard constructors."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,7 +23,14 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, dual_basis, generic_vector
 from toricstab.polytope import divisor, facet_volumes, polytope_from_divisor
-from toricstab.testkit import random_fan, random_polarized, random_unimodular, transform_fan
+from toricstab.testkit import (
+    build_case_fan,
+    golden_suite,
+    random_fan,
+    random_polarized,
+    random_unimodular,
+    transform_fan,
+)
 
 
 def codes_of(excinfo) -> set:
@@ -371,7 +379,8 @@ def _covering_and_pairwise(f: Fan):
             f.rays, cones[a], cones[b], duals[a], duals[b]
         )) is not None
     ]
-    return generic_vector(f.dim, duals)[1], pairwise
+    covering = sum(all(x > 0 for x in row) for row in generic_vector(f.dim, duals)[1])
+    return covering, pairwise
 
 
 def _power(factor: Fan, k: int) -> Fan:
@@ -504,11 +513,33 @@ def _validated_fans():
 
 
 class TestPreparedFan:
-    def test_generic_vector_is_kept(self):
+    def test_pairings_are_kept(self):
         for f in _validated_fans():
-            assert generic_vector(f.dim, f.duals) == (f.generic, 1), f
-            assert all(dot(f.generic, m) for ms in f.duals for m in ms), f
-            assert make_fan(f.dim, f.rays, f.max_cones).generic is None
+            assert f.pairings == generic_vector(f.dim, f.duals)[1], f
+            assert all(x for row in f.pairings for x in row), f
+            assert sum(all(x > 0 for x in row) for row in f.pairings) == 1, f
+            assert make_fan(f.dim, f.rays, f.max_cones).pairings is None
+
+    def test_each_wall_is_listed_once_with_its_two_cones(self):
+        for f in _validated_fans():
+            cones = f.max_cones
+            assert len(f.walls) == len(cones) * f.dim // 2, f
+            faces = set()
+            for s, k, t in f.walls:
+                face = set(cones[s]) - {cones[s][k]}
+                assert set(cones[s]) & set(cones[t]) == face, (f, s, k, t)
+                faces.add(frozenset(face))
+            assert len(faces) == len(f.walls), f
+            assert make_fan(f.dim, f.rays, cones).walls is None
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_heights_pair_the_points_with_the_generic_vector(self, q):
+        for case in golden_suite():
+            f = build_case_fan(case)
+            base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
+            p = polytope_from_divisor(divisor(f, [Fraction(c) / q for c in base]))
+            xi = generic_vector(f.dim, f.duals)[0]
+            assert p.heights == tuple(dot(xi, pt) for pt in p.points), case.name
 
     def test_polytope_of_a_raw_fan_validates_it(self):
         f = construct_hirzebruch(1)
@@ -562,9 +593,7 @@ VIOLATIONS = {
     "unused_ray": (("UnusedRay", "ray 3 = (1, 1) is in no maximal cone"),),
     "bad_cone_index": (("BadIndex", "cone 0 = (0, 5)"),),
     "duplicate_cone": (("DuplicateCone", "cones 0 and 1 are both (0, 1)"),),
-    "half_line": (
-        ("NotComplete", "a complete fan on a line consists of the rays (1) and (-1)"),
-    ),
+    "half_line": (not_complete(()),),
     "walk_meets_non_smooth": (
         ("NotSmooth", "cone (0, 1, 3) has |det| = 2"),
         ("NotSmooth", "cone (0, 2, 3) has |det| = 2"),

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chow_volumes, lattice_volume
+from oracles import ample_by_fractions, chow_volumes, fraction_vertices, lattice_volume
 from toricstab.errors import DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
     construct_proj_split,
+    construct_product,
     construct_projective_space,
 )
-from toricstab.lattice import dot, dual_basis
+from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
     anticanonical,
     divisor,
@@ -46,28 +47,6 @@ def facets(f):
     return tuple(
         tuple(ci for ci, cone in enumerate(f.max_cones) if r in cone)
         for r in range(len(f.rays))
-    )
-
-
-def fraction_vertices(f, coeffs):
-    """Each cone's point ``-sum coeff_i * m_i`` computed in fractions."""
-    out = []
-    for cone in f.max_cones:
-        duals = dual_basis([f.rays[r] for r in cone])
-        out.append(tuple(
-            -sum((Fraction(coeffs[r]) * m[j] for r, m in zip(cone, duals)), Fraction(0))
-            for j in range(f.dim)
-        ))
-    return out
-
-
-def ample_by_fractions(f, coeffs):
-    """Strict convexity checked on fraction vertices."""
-    return all(
-        dot(u, ray) > -Fraction(coeffs[r])
-        for cone, u in zip(f.max_cones, fraction_vertices(f, coeffs))
-        for r, ray in enumerate(f.rays)
-        if r not in cone
     )
 
 
@@ -154,6 +133,45 @@ class TestAmpleness:
             expected = a1 + a3 - m * a2 > 0 and a2 + a4 > 0
             assert is_ample(p) == expected == ample_by_fractions(p.divisor.fan, coeffs)
 
+    @pytest.mark.parametrize("block", range(5))
+    def test_wall_signs_match_the_global_scan(self, block):
+        # Block 0 is the catalog, F0-F4 and F1 x P2; blocks 1-4 are the fans
+        # of random_polarized seeds 0-199, fifty each.
+        if block:
+            fans = [random_polarized(seed)[0] for seed in range(50 * block - 50, 50 * block)]
+        else:
+            fans = [f for _, f in catalog_fano4()]
+            fans += [construct_hirzebruch(m) for m in range(5)]
+            fans.append(construct_product(construct_hirzebruch(1), construct_projective_space(2)))
+        rng = random.Random(block)
+        seen = []
+        for f in fans:
+            for _ in range(12):
+                whole = [rng.randint(-2, 4) for _ in f.rays]
+                halved = [Fraction(rng.randint(-4, 8), 2) for _ in f.rays]
+                for coeffs in (whole, halved):
+                    got = is_ample(polytope_from_divisor(divisor(f, coeffs)))
+                    assert got == ample_by_fractions(f, coeffs), (f, coeffs)
+                    seen.append(got)
+        assert True in seen and False in seen
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_nef_boundary_is_not_ample(self, m):
+        # a1 + a3 - m*a2 = 0 and a2 + a4 = 1: nef, with a wall of degree 0
+        f = construct_hirzebruch(m)
+        coeffs = (0, 1, m, 0)
+        u = fraction_vertices(f, coeffs)
+        gaps = [
+            dot(u[ci], ray) + coeffs[r]
+            for ci, cone in enumerate(f.max_cones)
+            for r, ray in enumerate(f.rays)
+            if r not in cone
+        ]
+        assert min(gaps) == 0
+        assert not is_ample(polytope_from_divisor(divisor(f, coeffs)))
+        assert not ample_by_fractions(f, coeffs)
+        assert is_ample(polytope_from_divisor(divisor(f, (1, 1, m, 0))))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_rational_divisors_match_fraction_check(self, seed):
         rng = random.Random(seed)
@@ -193,7 +211,7 @@ class TestFacetVolumes:
     def test_segment_endpoints(self):
         f = construct_projective_space(1)
         p = polytope_from_divisor(divisor(f, (2, 3)))
-        assert p.divisor.fan.generic == (1,)
+        assert generic_vector(1, f.duals)[0] == (1,)
         t = facet_volumes(p)
         assert t.values == (1, 1)
         assert t.dim == 1
@@ -250,7 +268,7 @@ def _volumes(f, coeffs):
 def _polytope_volume(p):
     """Normalized n-volume of the polytope from the degree-n vertex sum."""
     f = p.divisor.fan
-    n, xi = f.dim, f.generic
+    n, xi = f.dim, generic_vector(f.dim, f.duals)[0]
     return sum(
         (
             dot(xi, u) ** n / (factorial(n) * prod(-dot(xi, m) for m in edges))
@@ -351,7 +369,8 @@ class TestGenericFunctional:
     def test_search_steps_past_an_orthogonal_edge(self, f, coeffs):
         g = transform_fan(f, self.SKEW)
         p = polytope_from_divisor(divisor(g, coeffs))
-        duals, xi = p.divisor.fan.duals, p.divisor.fan.generic
+        duals = p.divisor.fan.duals
+        xi = generic_vector(g.dim, duals)[0]
         assert (2, -1) in duals[g.max_cones.index((0, 1))]
         assert xi[1] > 2
         assert all(dot(xi, m) for cone in duals for m in cone)
