@@ -73,11 +73,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
 from .lattice import (
-    Vector, dot, dual_basis, generic_vector, identity_rows, primitive_vector, proper_flats,
+    Vector, dot, dual_basis, generic_vector, hermite_canonical, identity_rows, primitive_vector,
+    proper_flats,
 )
 
 
@@ -91,6 +92,12 @@ class Fan:
     ``pairings[s][k]``, its k-th dual paired with the covering count's
     moment-curve vector, never 0; ``walls``, each wall once as ``(s, k, t)``:
     the face of cone s without its k-th ray, with cone t across it.
+
+    Whatever depends on the fan alone and is needed again at every
+    polarization is derived on first use and kept in the instance dict,
+    never as a dataclass field, so it dies with the fan and takes no part
+    in equality, hashing or repr: ``flats``, ``cone_factors`` and the
+    bases ``flat_basis`` returns.
     """
 
     dim: int
@@ -109,6 +116,24 @@ class Fan:
         """``(rank, rays_in)`` of every proper nonempty flat of the ray
         matroid, sorted; grown on first use and kept with the fan."""
         return proper_flats(self.rays, self.dim)
+
+    @cached_property
+    def cone_factors(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, factors)`` for the vertex formula of ``facet_volumes``: with
+        ``P_s = prod(-x for x in pairings[s])``, L is the lcm of the ``|P_s|``
+        and ``factors[s] = L // P_s``.  Needs a validated fan."""
+        products = [prod(-x for x in row) for row in self.pairings]
+        common = lcm(*products)
+        return common, tuple(common // p for p in products)
+
+    def flat_basis(self, rays_in) -> tuple[Vector, ...]:
+        """Hermite-canonical basis of the saturated span of the rays
+        ``rays_in``, derived once per ray set and kept with the fan."""
+        bases = self.__dict__.setdefault("_flat_bases", {})
+        key = tuple(rays_in)
+        if key not in bases:
+            bases[key] = hermite_canonical([self.rays[i] for i in key]).basis
+        return bases[key]
 
 
 def make_fan(dim, rays, max_cones) -> Fan:

@@ -21,8 +21,9 @@ Facet volumes come from the vertex formula for simple lattice polytopes
 (Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988):
 each vertex of a facet contributes a term in its height and the slopes of
 its edges under xi, which are the kept pairings, so no hull is ever
-triangulated.  The terms are summed over one common integer denominator,
-and ``VolumeTable`` keeps those integer numerators and the denominator; a
+triangulated.  The terms are summed over one common integer denominator
+whose per-cone factors the fan computes once (``Fan.cone_factors``), and
+``VolumeTable`` keeps those integer numerators and the denominator; a
 facet volume becomes a ``Fraction`` only when it is read.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, validate_fan
@@ -150,7 +151,9 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     lcm of the ``|P_s|`` and ``h_s = <xi, q*u>`` the cone's height, that
     term is the integer ``h_s^(n-1) * g_i * (L // P_s)`` over
     ``L * q^(n-1) * (n-1)!``; the table keeps the sums of those integers as
-    its weights over ``L * q^(n-1)``, both divided by their gcd.
+    its weights over ``L * q^(n-1)``, both divided by their gcd.  L and the
+    ``L // P_s`` depend on the fan alone, which keeps them
+    (``Fan.cone_factors``), so a polarization only forms the heights' powers.
 
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
@@ -159,16 +162,12 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
     n = f.dim
-    terms = []
-    for cone, height, row in zip(f.max_cones, p.heights, f.pairings):
-        slopes = [-x for x in row]
-        terms.append((cone, height ** (n - 1), slopes, prod(slopes)))
-    common = lcm(*(abs(all_slopes) for *_, all_slopes in terms))
+    common, factors = f.cone_factors
     nums = [0] * len(f.rays)
-    for cone, height, slopes, all_slopes in terms:
-        height *= common // all_slopes
-        for r, slope in zip(cone, slopes):
-            nums[r] += height * slope
+    for cone, height, row, factor in zip(f.max_cones, p.heights, f.pairings, factors):
+        height = height ** (n - 1) * factor
+        for r, x in zip(cone, row):
+            nums[r] -= height * x
     den = common * p.scale ** (n - 1)
     g = gcd(den, *nums)
     return VolumeTable(n, tuple(x // g for x in nums), den // g)

@@ -185,13 +185,17 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
             problems.append(f"column {jdx} is not sorted ascending")
         if col.count(-1) > 1:
             problems.append(f"column {jdx} carries -1 more than once")
+    # A ray set spans a cone iff some maximal cone holds it, so only the
+    # (r+1)-subsets inside one maximal cone are candidates.
     for i in range(r):
-        carriers = [jdx for jdx in range(p) if rows[i][jdx] == -1]
-        for sub in combinations(carriers, r + 1):
-            if is_cone(f, sub):
-                problems.append(
-                    f"rays {sub} span a cone but all carry -1 in row {i}"
-                )
+        carriers = {jdx for jdx in range(p) if rows[i][jdx] == -1}
+        spanning = set()
+        for cone in f.max_cones:
+            held = sorted(carriers.intersection(cone))
+            if len(held) > r:
+                spanning.update(combinations(held, r + 1))
+        for sub in sorted(spanning):
+            problems.append(f"rays {sub} span a cone but all carry -1 in row {i}")
     return (not problems, tuple(problems))
 
 

@@ -13,11 +13,12 @@ sets) of the ray matroid, grown by fraction-free integer elimination,
 each exactly once from its canonical parent (``lattice.proper_flats``).  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The
-flats depend on the fan alone, so the fan keeps them (``Fan.flats``) and
-every further polarization of that fan only sums the integer weights of
-its volume table (``VolumeTable.weights``, over one ``den``) over them.
-The maximizer is picked on those integer sums: walking the flats in their
-sorted ``(rank, rays_in)`` order, a flat replaces the best one only when
+flats and each maximizer's basis depend on the fan alone, so the fan keeps
+them (``Fan.flats``, ``Fan.flat_basis``) and every further polarization
+of that fan only sums the integer weights of its volume table
+(``VolumeTable.weights``, over one ``den``) over them.  The maximizer is
+picked on those integer sums: walking the flats in their sorted
+``(rank, rays_in)`` order, a flat replaces the best one only when
 ``total * best_rank > best_total * rank``, so the first flat of highest
 slope wins, which is the smallest rank and then the lexicographically
 first ``rays_in``.
@@ -31,7 +32,6 @@ from fractions import Fraction
 
 from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, validate_fan
-from .lattice import hermite_canonical
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import check_volume_table
 
@@ -148,9 +148,10 @@ def certificate(v: StabilityVerdict) -> Certificate | None:
     stable one, which no candidate destabilizes (and the only kind whose
     ``best`` can be None).
 
-    The basis spans the candidate's rays.  The lambda-matrix has one
-    column per ray and ``rank`` rows: row 0 puts level -1 on each ray in
-    the candidate and 0 elsewhere, and the other rows are 0.
+    The basis is ``Fan.flat_basis`` of the candidate's rays, derived once
+    per flat and fan.  The lambda-matrix has one column per ray and
+    ``rank`` rows: row 0 puts level -1 on each ray in the candidate and 0
+    elsewhere, and the other rows are 0.
     """
     if v.status is Stability.STABLE:
         return None
@@ -161,7 +162,7 @@ def certificate(v: StabilityVerdict) -> Certificate | None:
     return Certificate(
         rank=c.rank,
         lambda_matrix=(top,) + ((0,) * len(rays),) * (c.rank - 1),
-        subspace_basis=hermite_canonical([rays[i] for i in c.rays_in]).basis,
+        subspace_basis=v.fan.flat_basis(c.rays_in),
         slope=c.slope,
         mu_tx=v.mu_tx,
     )

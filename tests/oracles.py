@@ -11,7 +11,9 @@ ampleness by the global scan over every cone and every ray, on the points
 flats of the ray matroid from the definition, with the oracles' own rank
 test (``rank``, which the span and hull tests use too);
 ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
-Fano manifold (Wang and Zhu, 2004).
+Fano manifold (Wang and Zhu, 2004).  ``cone_carrier_problems`` is the
+scan of every (r+1)-subset of a row's -1 rays that
+``sheafdata.validate_lambda_matrix`` once ran.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from math import factorial, lcm
 
 from toricstab import lattice
 from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
+from toricstab.fan import is_cone
 from toricstab.lattice import Subspace, Vector, dot, integer_kernel
 
 
@@ -272,6 +275,24 @@ def closure_flats(rays, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         }
         flats |= {(r, flat) for flat in level}
     return tuple(sorted(flats))
+
+
+# ---------------------------------------------------------------------------
+# Admissibility of lambda-matrices by brute force
+
+
+def cone_carrier_problems(f, mat) -> list[str]:
+    """The problems of the rule that no r+1 rays carrying -1 in one row of
+    the rank-r matrix ``mat`` span a cone of ``f``: every (r+1)-subset of
+    each row's -1 rays, in order, tested with ``is_cone``."""
+    r = len(mat)
+    problems = []
+    for i, row in enumerate(mat):
+        carriers = [j for j, v in enumerate(row) if v == -1]
+        for sub in combinations(carriers, r + 1):
+            if is_cone(f, sub):
+                problems.append(f"rays {sub} span a cone but all carry -1 in row {i}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

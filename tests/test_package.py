@@ -123,3 +123,50 @@ def test_no_floats_in_the_package():
         if (uses := _float_uses(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _process_caches(source):
+    """``cache`` or ``lru_cache`` (bare, called or as a ``functools``
+    attribute) on a function that takes parameters, and imports of
+    ``weakref``, as ``(line, what)`` pairs.  Such a cache keeps every fan it
+    was handed for the life of the process; data derived from a fan is kept
+    on that fan object instead (``Fan.flats``, ``Fan.flat_basis``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("cache", "lru_cache"):
+                    found.append((node.lineno, f"{name} on {node.name}"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import weakref") for alias in node.names
+                      if alias.name == "weakref"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "weakref":
+            found.append((node.lineno, "from weakref"))
+    return sorted(found)
+
+
+def test_no_process_lifetime_caches_in_the_package():
+    snippet = (
+        "import functools, weakref\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\ndef parser():\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef flats(fan):\n    pass\n"
+        "@functools.cache\ndef basis(*, rays):\n    pass\n"
+        "class Fan:\n    @functools.lru_cache\n    def bases(self):\n        pass\n"
+        "from weakref import WeakKeyDictionary\n"
+    )
+    assert _process_caches(snippet) == [
+        (1, "import weakref"), (7, "lru_cache on flats"), (10, "cache on basis"),
+        (14, "lru_cache on bases"), (16, "from weakref"),
+    ]
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := _process_caches(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -1,6 +1,7 @@
 """Jump data, degrees, and the admissibility validators."""
 
 from fractions import Fraction
+import random
 from itertools import islice
 from math import factorial
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chow_volumes
+from oracles import chow_volumes, cone_carrier_problems
 from toricstab.errors import (
     DimMismatch,
     InconsistentRank,
@@ -18,6 +19,7 @@ from toricstab.errors import (
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
+    construct_product,
     construct_proj_split,
     construct_projective_space,
     validate_fan,
@@ -266,6 +268,48 @@ class TestLambdaMatrixValidation:
     def test_shape_mismatch(self):
         ok, probs = validate_lambda_matrix(F1, ((0, 0),))
         assert not ok
+
+    def test_cone_rule_matches_the_subset_scan(self):
+        # Fuzzed admissible matrices, then corrupted copies: -1 put on top of
+        # random columns (columns stay sorted), a lower row turned all -1
+        # (unsorted columns, two -1s), and random entries set to -1.
+        fans = [f for _, f in catalog_fano4()] + [random_polarized(s)[0] for s in range(50)]
+        flagged = 0
+        for seed, f in enumerate(fans):
+            rng = random.Random(seed)
+            p = len(f.rays)
+            for rank in range(1, f.dim):
+                for mat in islice(fuzz_lambda_matrix(f, rank, seed), 2):
+                    rows = [list(row) for row in mat]
+                    top = [list(rows[0])]
+                    for j in range(p):
+                        if rng.random() < 0.6:
+                            top[0][j] = -1
+                    lower = [list(row) for row in rows]
+                    lower[-1] = [-1] * p
+                    scattered = [[-1 if rng.random() < 0.4 else x for x in row] for row in rows]
+                    for m in (rows, top + rows[1:], lower, scattered):
+                        ok, probs = validate_lambda_matrix(f, m)
+                        expected = cone_carrier_problems(f, m)
+                        assert [x for x in probs if "span a cone" in x] == expected
+                        flagged += bool(expected)
+                        if m is rows:
+                            assert ok and expected == []
+        assert flagged > 100
+
+    def test_all_minus_one_row_on_a_product_of_nine_lines(self):
+        # Every one of the 512 maximal cones holds 9 = r + 1 carriers; the
+        # subset scan would test all C(18, 9) = 48620 subsets.
+        p1 = construct_projective_space(1)
+        f = p1
+        for _ in range(8):
+            f = construct_product(f, p1)
+        mat = ((-1,) * 18,) + ((0,) * 18,) * 7
+        ok, probs = validate_lambda_matrix(f, mat)
+        assert not ok and len(probs) == 512 == len(f.max_cones)
+        assert probs[0] == (
+            "rays (0, 2, 4, 6, 8, 10, 12, 14, 16) span a cone but all carry -1 in row 0"
+        )
 
 
 class TestConversions:

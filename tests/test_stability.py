@@ -6,14 +6,14 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import barycenter_is_origin, chow_volumes, subspace_contains
-from toricstab import lattice, sheafdata
+from toricstab import fan, lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
@@ -131,11 +131,15 @@ class TestEnumeration:
         assert hermite == [] and jumps == []
 
     def test_certificate_derives_one_basis(self, count_calls):
-        v = decide(B5, anticanonical(B5))
+        # A fresh fan, so no earlier test has left the basis on it.
+        f = validate_fan(skewed_b5(6))
+        v = decide(f, anticanonical(f))
         hermite = count_calls(lattice, "hermite_canonical")
         cert = certificate(v)
         assert len(hermite) == 1
-        assert cert.subspace_basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        assert certificate(v) == cert and len(hermite) == 1
+        assert v.best.rays_in == (0, 1, 2, 3)
+        assert cert.subspace_basis == hermite_canonical([f.rays[i] for i in v.best.rays_in]).basis
 
     def test_stable_verdict_has_no_certificate(self):
         p4 = construct_projective_space(4)
@@ -203,6 +207,42 @@ class TestPreparedFan:
         assert "flats" in vars(f)
         with pytest.raises(ValueError):
             enumerate_candidates(f, max_rays=3)
+
+    def test_one_basis_per_maximizer_flat(self, count_calls):
+        # Every ample box polarization of one fan object: the fan derives
+        # the basis of each distinct maximizer once; an equal fresh fan
+        # derives its own.
+        f = dict(catalog_fano4())["C1"]
+        hermite = count_calls(lattice, "hermite_canonical")
+        maximizers, certified = set(), 0
+        for d in box_divisors(f):
+            v = decide(f, d)
+            if certificate(v) is not None:
+                maximizers.add(v.best.rays_in)
+                certified += 1
+        assert len(hermite) == len(maximizers) and certified > 2 * len(maximizers) > 0
+        fresh = validate_fan(make_fan(f.dim, f.rays, f.max_cones))
+        flat = min(maximizers)
+        assert fresh.flat_basis(flat) == f.flat_basis(flat)
+        assert len(hermite) == len(maximizers) + 1
+
+    def test_cone_factors_are_computed_once_per_fan(self, monkeypatch):
+        f = validate_fan(skewed_b5(7))
+        assert "cone_factors" not in vars(f)  # validation computes no volume
+        calls = []
+
+        def counting_lcm(*args):
+            calls.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(fan, "lcm", counting_lcm)
+        for coeffs in ((1,) * 6, (1, 1, 1, 1, 3, 1), (2,) * 6):
+            decide(f, divisor(f, coeffs))
+            assert len(calls) == 1
+        kept = vars(f)["cone_factors"]
+        fresh = validate_fan(skewed_b5(7))
+        facet_volumes(polytope_from_divisor(anticanonical(fresh)))
+        assert len(calls) == 2 and vars(fresh)["cone_factors"] == kept
 
     def test_entry_dies_with_its_fan(self):
         f = validate_fan(skewed_b5(5))
@@ -465,6 +505,45 @@ class TestBestPick:
                 ties += self.check(decide(f, d))
                 checked += 1
         assert checked > 100 and ties > 0
+
+
+class TestKeptFanData:
+    """What a fan keeps (flats, cone factors, flat bases) stays right over
+    many polarizations of one fan object, and the fan still equals, hashes
+    and prints like a fresh copy."""
+
+    @staticmethod
+    def check(f, divisors):
+        certified = 0
+        for d in divisors:
+            v = decide(f, d)
+            assert v.volumes.values == chow_volumes(f, d.coeffs)
+            cert = certificate(v)
+            if cert is not None:
+                rays = [f.rays[i] for i in v.best.rays_in]
+                assert cert.subspace_basis == hermite_canonical(rays).basis
+                certified += 1
+        assert {"flats", "cone_factors"} <= set(vars(f))
+        fresh = make_fan(f.dim, f.rays, f.max_cones)
+        assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)
+        return certified
+
+    def test_box_polarizations(self):
+        fans = [f for _, f in catalog_fano4()] + [construct_hirzebruch(m) for m in range(5)]
+        assert sum(self.check(f, list(box_divisors(f))) for f in fans) > 500
+
+    def test_three_polarizations_of_each_random_fan(self):
+        certified = 0
+        for seed in range(200):
+            f, d = random_polarized(seed)
+            rng, divisors, k = random.Random(seed), [d], 2
+            while len(divisors) < 3:
+                e = divisor(f, [k * c + rng.randint(0, 1) for c in d.coeffs])
+                if is_ample(polytope_from_divisor(e)):
+                    divisors.append(e)
+                k += 1
+            certified += self.check(f, divisors)
+        assert certified > 100
 
 
 class TestKahlerEinstein:
