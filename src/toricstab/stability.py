@@ -21,7 +21,8 @@ picked on those integer sums: walking the flats in their sorted
 ``(rank, rays_in)`` order, a flat replaces the best one only when
 ``total * best_rank > best_total * rank``, so the first flat of highest
 slope wins, which is the smallest rank and then the lexicographically
-first ``rays_in``.
+first ``rays_in``.  Only that flat gets a ``Fraction`` slope;
+``StabilityVerdict.candidates`` derives every flat's slope on first read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadRank, DimMismatch, NonAmple
 from .fan import Fan, validate_fan
@@ -67,15 +69,21 @@ class SubsheafCandidate:
 class StabilityVerdict:
     """Verdict of ``decide``; ``volumes`` is the facet-volume table the
     slopes were computed from and ``fan`` the validated fan, whose rays
-    the certificate's basis and jump data are derived from."""
+    the certificate's basis and jump data are derived from; ``candidates``
+    (each of ``fan.flats`` with its slope) is derived from both when read."""
 
     status: Stability
     mu_tx: Fraction
     best: SubsheafCandidate | None
-    candidates: tuple[SubsheafCandidate, ...]
     notes: tuple[str, ...]
     volumes: VolumeTable | None = None
     fan: Fan | None = None
+
+    @cached_property
+    def candidates(self) -> tuple[SubsheafCandidate, ...]:
+        w, den = self.volumes.weights, self.volumes.den
+        return tuple(SubsheafCandidate(r, s, Fraction(sum(w[i] for i in s), den * r))
+                     for r, s in self.fan.flats)
 
 
 @dataclass(frozen=True)
@@ -96,12 +104,16 @@ def enumerate_candidates(f: Fan, max_rays: int = MAX_RAYS) -> list[SubsheafCandi
     grown once per fan object and kept on it); ``rays_in`` is the flat
     itself.  Slopes are left unfilled.  Each call returns a new list.
     """
+    return [SubsheafCandidate(r, s) for r, s in _capped_flats(f, max_rays)]
+
+
+def _capped_flats(f: Fan, max_rays: int):
     if len(f.rays) > max_rays:
         raise ValueError(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "
             f"{max_rays} (raise max_rays to override)"
         )
-    return [SubsheafCandidate(r, s) for r, s in f.flats]
+    return f.flats
 
 
 def _status_against(best, mu: Fraction) -> Stability:
@@ -121,22 +133,19 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
     weights, den = vols.weights, vols.den
     mu = Fraction(sum(weights), den * f.dim)
-    # Weights are positive (facet_volumes raises NonAmple otherwise), so
-    # every candidate beats the 0/1 start.  The flats come sorted by
-    # (rank, rays_in) and only a strictly larger slope replaces the best, so
-    # ties go to the smallest rank, then rays_in.
-    cands, best, best_total, best_rank = [], None, 0, 1
-    for c in enumerate_candidates(f, max_rays=max_rays):
-        total = sum(weights[i] for i in c.rays_in)
-        cand = SubsheafCandidate(c.rank, c.rays_in, Fraction(total, den * c.rank))
-        cands.append(cand)
-        if total * best_rank > best_total * c.rank:
-            best, best_total, best_rank = cand, total, c.rank
+    # Weights are positive (NonAmple is raised above, before the ray cap), so
+    # every flat beats the 0/1 start; ties go as the module docstring says.
+    best_rays, best_total, best_rank = None, 0, 1
+    for rank, rays_in in _capped_flats(f, max_rays):
+        total = sum(weights[i] for i in rays_in)
+        if total * best_rank > best_total * rank:
+            best_rays, best_total, best_rank = rays_in, total, rank
+    best = best_rays and SubsheafCandidate(
+        best_rank, best_rays, Fraction(best_total, den * best_rank))
     return StabilityVerdict(
         status=_status_against(best, mu),
         mu_tx=mu,
         best=best,
-        candidates=tuple(cands),
         notes=(SCOPE_NOTE, GENERIC_NOTE),
         volumes=vols,
         fan=f,

@@ -278,12 +278,22 @@ def random_fan(seed: int) -> Fan:
     return random_polarized(seed)[0]
 
 
+def hirzebruch_lines(m: int, a: int, b: int) -> tuple[SubsheafCandidate, ...]:
+    """The ray-spanned lines of the twisted surface in ``Fan.flats`` order,
+    with slopes b, 2a + m*b and b, or 2b and 2a when m = 0."""
+    if m == 0:
+        slopes = {(0, 2): 2 * b, (1, 3): 2 * a}
+    else:
+        slopes = {(0,): b, (1, 3): 2 * a + m * b, (2,): b}
+    return tuple(SubsheafCandidate(1, s, Fraction(x)) for s, x in slopes.items())
+
+
 def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:
     """Closed-form verdict for the twisted surface, independent of decide().
 
     With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
-    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the candidates are
-    the two or three ray-spanned lines with slopes b, 2a + m*b (and b).
+    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the maximizer is the
+    first line of ``hirzebruch_lines(m, a, b)`` of highest slope.
     """
     if m < 0:
         raise BadTwist(f"twist must be nonnegative, got {m}")
@@ -293,20 +303,11 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
         raise NonAmple(f"divisor is not ample: a = {a}, b = {b} must both be positive")
     vols = VolumeTable(2, (b, a, b, a + m * b), 1)
     mu = Fraction(2 * a + (m + 2) * b, 2)
-
-    def line(rays_in, slope):
-        return SubsheafCandidate(1, rays_in, Fraction(slope))
-
-    if m == 0:
-        cands = (line((0, 2), 2 * b), line((1, 3), 2 * a))
-    else:
-        cands = (line((0,), b), line((1, 3), 2 * a + m * b), line((2,), b))
-    best = min(cands, key=lambda c: (-c.slope, c.rank, c.rays_in))
+    best = min(hirzebruch_lines(m, a, b), key=lambda c: (-c.slope, c.rank, c.rays_in))
     return StabilityVerdict(
         status=_status_against(best, mu),
         mu_tx=mu,
         best=best,
-        candidates=cands,
         notes=(SCOPE_NOTE, GENERIC_NOTE),
         volumes=vols,
         fan=construct_hirzebruch(m),

@@ -178,26 +178,31 @@ def chow_volumes(f, coeffs) -> tuple[Fraction, ...]:
     S + j is a cone, so ``F(S) = sum_j (a_j + <u, rho_j>) F(S + j)`` over
     the rays j outside S that extend it to a cone.  Only the cone duals are
     shared with the vertex formula; ``f.pairings`` is not used.
+
+    The recursion runs on ``qD``, q the lcm of the coefficients'
+    denominators, whose coefficients and characters are integers; since
+    ``F_qD(S) = q^(n-|S|) F_D(S)``, each volume is ``F_qD({i})`` divided by
+    ``q^(n-1) (n-1)!``.
     """
     n = f.dim
-    a = [Fraction(c) for c in coeffs]
+    coeffs = [Fraction(c) for c in coeffs]
+    q = lcm(*(c.denominator for c in coeffs))
+    a = [int(c * q) for c in coeffs]
     cones = [frozenset(c) for c in f.max_cones]
 
     @cache
-    def intersection(s: frozenset) -> Fraction:
+    def intersection(s: frozenset) -> int:
         if len(s) == n:
-            return Fraction(1)
+            return 1
         containing = [ci for ci, c in enumerate(cones) if s <= c]
         ci = containing[0]
         duals = dict(zip(f.max_cones[ci], f.duals[ci]))
         u = [-sum(a[k] * duals[k][x] for k in s) for x in range(n)]
         extensions = set().union(*(cones[c] for c in containing)) - s
-        return sum(
-            ((a[j] + dot(u, f.rays[j])) * intersection(s | {j}) for j in sorted(extensions)),
-            Fraction(0),
-        )
+        return sum((a[j] + dot(u, f.rays[j])) * intersection(s | {j}) for j in sorted(extensions))
 
-    return tuple(intersection(frozenset({i})) / factorial(n - 1) for i in range(len(f.rays)))
+    scale = q ** (n - 1) * factorial(n - 1)
+    return tuple(Fraction(intersection(frozenset({i})), scale) for i in range(len(f.rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,15 @@ class TestAnalyze:
         assert captured.out == ""
         assert "non-ample" in captured.err
 
+    def test_ray_cap_exits_4(self, b5_path, f2_path, capsys):
+        assert main(["analyze", b5_path, "--anticanonical", "--max-rays", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at 3" in captured.err
+        # F2 (4 rays) fails both checks; ampleness is decided first.
+        assert main(["analyze", f2_path, "--anticanonical", "--max-rays", "3"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_one_ampleness_check_per_request(self, f2_path, count_calls, capsys):
         for divisor, code in (("1,1,3,1", 0), ("1,1,1,1", 3)):
             polytopes = count_calls(polytope, "polytope_from_divisor")

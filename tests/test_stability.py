@@ -52,6 +52,7 @@ from toricstab.testkit import (
     build_case_fan,
     golden_suite,
     hirzebruch_closed_form,
+    hirzebruch_lines,
     random_polarized,
     random_unimodular,
     transform_fan,
@@ -148,8 +149,14 @@ class TestEnumeration:
         assert certificate(v) is None
 
     def test_ray_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as enumerated:
             enumerate_candidates(B5, max_rays=3)
+        with pytest.raises(ValueError) as decided:
+            decide(B5, anticanonical(B5), max_rays=3)
+        assert str(decided.value) == str(enumerated.value)
+        assert decide(B5, anticanonical(B5), max_rays=6).mu_tx == 128
+        with pytest.raises(NonAmple):  # ampleness is decided before the cap
+            decide(F2, anticanonical(F2), max_rays=3)
 
     def test_candidate_slopes(self):
         vols = volumes_of(B5)
@@ -471,15 +478,25 @@ def box_divisors(f, top=4):
 
 
 class TestBestPick:
-    """``decide`` picks its maximizer on integer sums in flat order; this is
-    the ranking rule it must agree with."""
+    """``decide`` picks its maximizer on integer sums in flat order and
+    builds no candidate list; the list, derived when first read, is every
+    flat with its slope, and its ranking rule is the one the pick must
+    agree with."""
 
     @staticmethod
     def check(v):
+        certificate(v)
+        assert "candidates" not in vars(v)
+        weights, den = v.volumes.weights, v.volumes.den
+        assert v.candidates == tuple(
+            replace(c, slope=Fraction(sum(weights[i] for i in c.rays_in), den * c.rank))
+            for c in enumerate_candidates(v.fan)
+        )
         expected = min(v.candidates, key=lambda c: (-c.slope, c.rank, c.rays_in), default=None)
         assert v.best == expected
         if expected is None:
             return False
+        assert v.best in v.candidates
         return sum(c.slope == expected.slope for c in v.candidates) > 1
 
     def test_goldens_and_random_polarizations(self):
@@ -505,6 +522,13 @@ class TestBestPick:
                 ties += self.check(decide(f, d))
                 checked += 1
         assert checked > 100 and ties > 0
+
+    def test_reading_the_list_leaves_the_verdict_alike(self):
+        f = validate_fan(skewed_b5(8))
+        read, unread = decide(f, anticanonical(f)), decide(f, anticanonical(f))
+        assert read.candidates is read.candidates
+        assert "candidates" in vars(read) and "candidates" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
 
 
 class TestKeptFanData:
@@ -699,5 +723,6 @@ class TestClosedForm:
                             direct = decide(f, divisor(f, (a1, a2, a3, a4)))
                             closed = hirzebruch_closed_form(m, a1, a2, a3, a4)
                             assert direct == closed
+                            assert direct.candidates == hirzebruch_lines(m, a, b)
                             checked += 1
         assert checked >= 100
