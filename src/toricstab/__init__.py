@@ -72,7 +72,6 @@ from .sheafdata import (
     rank_of,
     tangent_jump_data,
     validate_lambda_matrix,
-    validate_lambda_vector,
 )
 from .stability import (
     Certificate,
@@ -82,7 +81,6 @@ from .stability import (
     admissible_slope_bound,
     certificate,
     decide,
-    enumerate_candidates,
 )
 
 __version__ = "0.1.0"
@@ -99,12 +97,12 @@ __all__ = [
     "construct_hirzebruch", "construct_p1_bundle", "construct_product",
     "construct_proj_split", "construct_projective_space", "decide",
     "degree_monotonicity_check", "degree_of", "divisor",
-    "enumerate_candidates", "expand_in_chart", "facet_volumes",
+    "expand_in_chart", "facet_volumes",
     "in_semigroup", "is_ample", "is_cone", "is_reflexive", "is_regular",
     "jump_data", "lambda_matrix_to_jump",
     "lambda_vector_to_jump", "make_fan", "polytope_from_divisor",
     "rank_of", "rank_one_exists", "reexpand",
     "tangent_jump_data", "validate_fan",
-    "validate_lambda_matrix", "validate_lambda_vector",
+    "validate_lambda_matrix",
     "weight_space_dim",
 ]

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidLambda, NotMaximal, ZeroVector
+from .errors import DimMismatch, InvalidLambda, NotMaximal, ZeroVector
 from .fan import Fan, cone_dual, cone_rays
 from .lattice import Vector, dot, pivot_of, primitive_vector
-from .sheafdata import validate_lambda_vector
+from .sheafdata import validate_lambda_matrix
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class MonomialDerivation:
     v: tuple
 
     def __post_init__(self):
+        if len(self.u) != len(self.v):
+            raise DimMismatch(f"weight has {len(self.u)} entries, direction {len(self.v)}")
         if not any(self.v):
             raise ZeroVector("derivation direction must be nonzero")
 
@@ -76,6 +78,8 @@ def is_regular(d: MonomialDerivation, c: Chart) -> bool:
 
 def weight_space_dim(f: Fan, sigma, u) -> int:
     """Dimension of the weight-u piece of the tangent sections on sigma's chart."""
+    if len(u) != f.dim:
+        raise DimMismatch(f"weight of length {len(u)} in dimension {f.dim}")
     c = chart_of(f, sigma)
     return sum(1 for m in c.dual if in_semigroup(c, tuple(x + y for x, y in zip(u, m))))
 
@@ -104,7 +108,7 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     is -1, a generic line.  A line witnesses the data when on every
     maximal cone the pinned weight makes the derivation regular.
     """
-    ok, problems = validate_lambda_vector(f, lam)
+    ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)
     negative = [i for i, l in enumerate(lam) if l == -1]

@@ -12,12 +12,13 @@ degrees lives here:
   integer ``weights`` and ``den`` of the polarization's ``VolumeTable``),
 * the tangent bundle contributes ``(-1, 1)`` and ``(0, n-1)`` on every ray.
 
-Rank-one data is a plain integer vector (one level per ray); general data
-flattens to an integer matrix with one sorted column per ray.  Necessary
-admissibility conditions for such data to come from an actual subsheaf are
-checked by the two validators; they are necessary but not sufficient, and
-the chart-level machinery provides the independent existence oracle for
-the rank-one case.
+Rank-r data flattens to an integer matrix with r rows and one sorted
+column per ray; rank-one data is its one-row case, a vector with one level
+per ray.  Necessary admissibility conditions for such data to come from an
+actual subsheaf are checked by ``validate_lambda_matrix``, for rank one on
+the one-row matrix; they are necessary but not sufficient, and the
+chart-level machinery provides the independent existence oracle for the
+rank-one case.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     InvalidJumpData,
     RankMismatch,
 )
-from .fan import Fan, is_cone
+from .fan import Fan
 from .polytope import VolumeTable
 
 JumpPairs = tuple[tuple[int, int], ...]
@@ -111,44 +112,19 @@ def degree_of(j: JumpData, vols: VolumeTable, n: int) -> Fraction:
 
 
 def lambda_vector_to_jump(lam) -> JumpData:
-    return jump_data(tuple(((int(v), 1),) for v in lam))
+    """Rank-one data: the one-row matrix ``(lam,)``."""
+    return lambda_matrix_to_jump((lam,))
 
 
 def lambda_matrix_to_jump(mat) -> JumpData:
-    rows = tuple(tuple(int(x) for x in row) for row in mat)
+    """Jump data with one level of multiplicity one per row in each column;
+    ``jump_data`` rejects the entries that are not integer levels."""
+    rows = tuple(tuple(row) for row in mat)
     if not rows:
         raise InvalidJumpData("empty matrix")
-    width = len(rows[0])
-    per_ray = []
-    for j in range(width):
-        per_ray.append([(rows[i][j], 1) for i in range(len(rows))])
-    return jump_data(per_ray)
-
-
-def validate_lambda_vector(f: Fan, lam) -> tuple[bool, tuple[str, ...]]:
-    """Admissibility of a rank-one integer vector: one integer >= -1 per
-    ray, and no two rays spanning a cone may both carry -1.
-
-    Passing is necessary but not sufficient for an actual rank-one sheaf
-    to exist with this data; the chart oracle decides existence.
-    """
-    problems: list[str] = []
-    vec = tuple(lam)
-    if len(vec) != len(f.rays):
-        problems.append(f"expected one value per ray ({len(f.rays)}), got {len(vec)}")
-        return (False, tuple(problems))
-    for i, v in enumerate(vec):
-        if not isinstance(v, int):
-            problems.append(f"ray {i}: non-integer value {v!r}")
-        elif v < -1:
-            problems.append(f"ray {i}: value {v} below -1")
-    if problems:
-        return (False, tuple(problems))
-    negatives = [i for i, v in enumerate(vec) if v == -1]
-    for i, k in combinations(negatives, 2):
-        if is_cone(f, (i, k)):
-            problems.append(f"rays ({i}, {k}) span a cone but both carry -1")
-    return (not problems, tuple(problems))
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidJumpData(f"rows of unequal lengths {[len(row) for row in rows]}")
+    return jump_data([(v, 1) for v in col] for col in zip(*rows))
 
 
 def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:

@@ -58,11 +58,12 @@ class Stability(Enum):
 
 @dataclass(frozen=True)
 class SubsheafCandidate:
-    """A ray-spanned proper subspace: its rank and the rays it contains."""
+    """A ray-spanned proper subspace: its rank, the rays it contains and
+    its slope under one polarization."""
 
     rank: int
     rays_in: tuple[int, ...]
-    slope: Fraction | None = None
+    slope: Fraction
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,6 @@ class Certificate:
     mu_tx: Fraction
 
 
-def enumerate_candidates(f: Fan, max_rays: int = MAX_RAYS) -> list[SubsheafCandidate]:
-    """All distinct proper subspaces spanned by nonempty sets of rays.
-
-    These are the flats of rank 1 to n-1 of the ray matroid (``Fan.flats``,
-    grown once per fan object and kept on it); ``rays_in`` is the flat
-    itself.  Slopes are left unfilled.  Each call returns a new list.
-    """
-    return [SubsheafCandidate(r, s) for r, s in _capped_flats(f, max_rays)]
-
-
-def _capped_flats(f: Fan, max_rays: int):
-    if len(f.rays) > max_rays:
-        raise ValueError(
-            f"fan has {len(f.rays)} rays; candidate enumeration capped at "
-            f"{max_rays} (raise max_rays to override)"
-        )
-    return f.flats
-
-
 def _status_against(best, mu: Fraction) -> Stability:
     if best is None or best.slope < mu:
         return Stability.STABLE
@@ -131,12 +113,17 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
     vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
+    if len(f.rays) > max_rays:
+        raise ValueError(
+            f"fan has {len(f.rays)} rays; candidate enumeration capped at "
+            f"{max_rays} (raise max_rays to override)"
+        )
     weights, den = vols.weights, vols.den
     mu = Fraction(sum(weights), den * f.dim)
     # Weights are positive (NonAmple is raised above, before the ray cap), so
     # every flat beats the 0/1 start; ties go as the module docstring says.
     best_rays, best_total, best_rank = None, 0, 1
-    for rank, rays_in in _capped_flats(f, max_rays):
+    for rank, rays_in in f.flats:
         total = sum(weights[i] for i in rays_in)
         if total * best_rank > best_total * rank:
             best_rays, best_total, best_rank = rays_in, total, rank

@@ -28,7 +28,7 @@ from .polytope import (
     is_ample,
     polytope_from_divisor,
 )
-from .sheafdata import validate_lambda_matrix, validate_lambda_vector
+from .sheafdata import validate_lambda_matrix
 from .stability import (
     GENERIC_NOTE,
     SCOPE_NOTE,
@@ -160,7 +160,7 @@ def fuzz_lambda(f: Fan, seed: int):
         for i, j in pairs:
             if lam[i] == -1 and lam[j] == -1:
                 lam[j] = 0
-        ok, problems = validate_lambda_vector(f, tuple(lam))
+        ok, problems = validate_lambda_matrix(f, (lam,))
         assert ok, problems
         yield tuple(lam)
 

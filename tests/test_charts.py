@@ -20,7 +20,7 @@ from toricstab.charts import (
     reexpand,
     weight_space_dim,
 )
-from toricstab.errors import InvalidLambda, NotMaximal, NotSmoothCone, ZeroVector
+from toricstab.errors import DimMismatch, InvalidLambda, NotMaximal, NotSmoothCone, ZeroVector
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
@@ -29,7 +29,7 @@ from toricstab.fan import (
     make_fan,
 )
 from toricstab.lattice import dot, hermite_canonical
-from toricstab.sheafdata import tangent_jump_data, validate_lambda_vector
+from toricstab.sheafdata import tangent_jump_data, validate_lambda_matrix
 from toricstab.testkit import random_polarized
 
 B5 = construct_proj_split(1, (1, 0, 0))
@@ -100,6 +100,10 @@ class TestExpansion:
         with pytest.raises(ZeroVector):
             D((0, 0), (0, 0))
 
+    def test_weight_longer_than_direction_rejected(self):
+        with pytest.raises(DimMismatch):
+            expand_in_chart(D((0, 0, 5), (1, 0)), chart_of(F1, (1, 2)))
+
 
 class TestRegularity:
     def test_double_pole(self):
@@ -148,6 +152,10 @@ class TestWeightSpaceDim:
     def test_not_maximal(self):
         with pytest.raises(NotMaximal):
             weight_space_dim(P2, (0,), (0, 0))
+
+    def test_weight_of_wrong_length_rejected(self):
+        with pytest.raises(DimMismatch):
+            weight_space_dim(F1, (1, 2), (0, 0, 7))
 
     def test_equals_regular_basis_derivation_count(self):
         rng = random.Random(7)
@@ -222,9 +230,9 @@ class TestRankOneExists:
                             and hermite_canonical([f.rays[i], f.rays[j]]).dim == 2
                         )
                         # leave genuine line-pairs alone, zero out others
-                        if bad and not validate_lambda_vector(f, lam)[0]:
+                        if bad and not validate_lambda_matrix(f, (lam,))[0]:
                             lam[i] = 0
-                if not validate_lambda_vector(f, lam)[0]:
+                if not validate_lambda_matrix(f, (lam,))[0]:
                     continue
                 checked += 1
                 negatives = [f.rays[i] for i, l in enumerate(lam) if l == -1]

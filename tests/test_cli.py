@@ -392,7 +392,7 @@ class TestOracle:
             assert len(duals) == 1
 
     def test_lambda_validated_once_per_request(self, f2_path, count_calls, capsys):
-        checks = count_calls(sheafdata, "validate_lambda_vector")
+        checks = count_calls(sheafdata, "validate_lambda_matrix")
         for lam, code in (("0,-1,0,-1", 0), ("-1,-1,0,0", 5), ("0,0", 5)):
             checks.clear()
             assert main(["oracle", f2_path, f"--lam={lam}"]) == code

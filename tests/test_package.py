@@ -18,6 +18,8 @@ REMOVED = (
     "jump_to_lambda_vector",
     "jump_to_lambda_matrix",
     "candidate_slope",
+    "validate_lambda_vector",
+    "enumerate_candidates",
 )
 
 

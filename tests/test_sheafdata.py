@@ -40,9 +40,14 @@ from toricstab.sheafdata import (
     rank_of,
     tangent_jump_data,
     validate_lambda_matrix,
-    validate_lambda_vector,
 )
-from toricstab.testkit import build_case_fan, fuzz_lambda_matrix, golden_suite, random_polarized
+from toricstab.testkit import (
+    build_case_fan,
+    fuzz_lambda,
+    fuzz_lambda_matrix,
+    golden_suite,
+    random_polarized,
+)
 
 
 def volumes_of(f, coeffs=None):
@@ -191,32 +196,34 @@ class TestIntegerDegree:
 
 
 class TestLambdaVectorValidation:
+    """Rank-one data is validated as the one-row matrix."""
+
     def test_valid_vertical_pair(self):
         for m in range(4):
-            ok, probs = validate_lambda_vector(construct_hirzebruch(m), (0, -1, 0, -1))
+            ok, probs = validate_lambda_matrix(construct_hirzebruch(m), ((0, -1, 0, -1),))
             assert ok and probs == ()
 
     def test_valid_but_unrealizable_horizontal_pair(self):
         # rays 0 and 2 span no cone, so the validator passes even though
         # no rank-one sheaf exists with this data
-        ok, _ = validate_lambda_vector(F1, (-1, 0, -1, 0))
+        ok, _ = validate_lambda_matrix(F1, ((-1, 0, -1, 0),))
         assert ok
 
     def test_cone_pair_rejected(self):
-        ok, probs = validate_lambda_vector(F1, (-1, -1, 0, 0))
+        ok, probs = validate_lambda_matrix(F1, ((-1, -1, 0, 0),))
         assert not ok
         assert any("(0, 1)" in p for p in probs)
 
     def test_length_mismatch(self):
-        ok, probs = validate_lambda_vector(F1, (0, 0, 0))
+        ok, probs = validate_lambda_matrix(F1, ((0, 0, 0),))
         assert not ok and probs
 
     def test_value_floor(self):
-        ok, probs = validate_lambda_vector(F1, (0, -2, 0, 0))
+        ok, probs = validate_lambda_matrix(F1, ((0, -2, 0, 0),))
         assert not ok and any("below -1" in p for p in probs)
 
     def test_non_integer(self):
-        ok, probs = validate_lambda_vector(F1, (0, Fraction(1, 2), 0, 0))
+        ok, probs = validate_lambda_matrix(F1, ((0, Fraction(1, 2), 0, 0),))
         assert not ok
 
 
@@ -295,6 +302,17 @@ class TestLambdaMatrixValidation:
                         flagged += bool(expected)
                         if m is rows:
                             assert ok and expected == []
+            # Rank-one vectors from the fuzzer, then copies with -1 put on
+            # random rays.
+            for lam in islice(fuzz_lambda(f, seed), 4):
+                corrupted = tuple(-1 if rng.random() < 0.4 else x for x in lam)
+                for vec in (lam, corrupted):
+                    ok, probs = validate_lambda_matrix(f, (vec,))
+                    expected = cone_carrier_problems(f, (vec,))
+                    assert [x for x in probs if "span a cone" in x] == expected
+                    flagged += bool(expected)
+                    if vec is lam:
+                        assert ok and expected == []
         assert flagged > 100
 
     def test_all_minus_one_row_on_a_product_of_nine_lines(self):
@@ -333,6 +351,18 @@ class TestConversions:
     def test_matrix_sorts_columns(self):
         j = lambda_matrix_to_jump(((2, 0), (0, 1)))
         assert j.per_ray == (((0, 1), (2, 1)), ((0, 1), (1, 1)))
+
+    def test_vector_keeps_a_fractional_level(self):
+        with pytest.raises(InvalidJumpData, match="non-integer"):
+            lambda_vector_to_jump((Fraction(3, 2), -1))
+
+    def test_matrix_with_a_longer_row(self):
+        with pytest.raises(InvalidJumpData, match="unequal"):
+            lambda_matrix_to_jump(((0,), (0, 1)))
+
+    def test_matrix_with_a_shorter_row(self):
+        with pytest.raises(InvalidJumpData, match="unequal"):
+            lambda_matrix_to_jump(((0, -1), (0,)))
 
 
 class TestDegreeMonotonicity:

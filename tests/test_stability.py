@@ -3,7 +3,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, lcm
@@ -44,9 +43,9 @@ from toricstab.sheafdata import (
 from toricstab.stability import (
     Stability,
     admissible_slope_bound,
+    SubsheafCandidate,
     certificate,
     decide,
-    enumerate_candidates,
 )
 from toricstab.testkit import (
     build_case_fan,
@@ -76,21 +75,21 @@ def reference_slope(c, vols, n):
 class TestEnumeration:
     def test_twisted_surfaces_have_three_lines(self):
         for m in (1, 2, 3):
-            cands = enumerate_candidates(construct_hirzebruch(m))
-            assert [c.rays_in for c in cands] == [(0,), (1, 3), (2,)]
-            assert all(c.rank == 1 for c in cands)
+            flats = construct_hirzebruch(m).flats
+            assert [s for _, s in flats] == [(0,), (1, 3), (2,)]
+            assert all(r == 1 for r, _ in flats)
 
     def test_product_surface_has_two_lines(self):
-        cands = enumerate_candidates(construct_hirzebruch(0))
-        assert [c.rays_in for c in cands] == [(0, 2), (1, 3)]
+        flats = construct_hirzebruch(0).flats
+        assert [s for _, s in flats] == [(0, 2), (1, 3)]
 
     def test_projective_line_has_none(self):
-        assert enumerate_candidates(construct_projective_space(1)) == []
+        assert construct_projective_space(1).flats == ()
 
     def test_fourfold_bundle_key_candidates(self):
-        cands = {c.rays_in: c for c in enumerate_candidates(B5)}
-        assert cands[(0, 1, 2, 3)].rank == 3
-        assert cands[(0, 4, 5)].rank == 2
+        ranks = {s: r for r, s in B5.flats}
+        assert ranks[(0, 1, 2, 3)] == 3
+        assert ranks[(0, 4, 5)] == 2
         sub = hermite_canonical([B5.rays[i] for i in (0, 4, 5)])
         assert sub.basis == ((1, 0, 0, 0), (0, 0, 0, 1))
 
@@ -114,20 +113,20 @@ class TestEnumeration:
                     s = hermite_canonical(list(subset))
                     if s.dim < f.dim:
                         expected.add(s)
-            got = enumerate_candidates(f)
-            spans = [hermite_canonical([f.rays[i] for i in c.rays_in]) for c in got]
+            got = f.flats
+            spans = [hermite_canonical([f.rays[i] for i in s]) for _, s in got]
             assert set(spans) == expected
             assert len(set(spans)) == len(got)
-            for c, sub in zip(got, spans):
-                inside = [hermite_canonical([*sub.basis, r]).dim == c.rank for r in f.rays]
-                assert c.rays_in == tuple(i for i, ok in enumerate(inside) if ok)
+            for (rank, rays_in), sub in zip(got, spans):
+                inside = [hermite_canonical([*sub.basis, r]).dim == rank for r in f.rays]
+                assert rays_in == tuple(i for i, ok in enumerate(inside) if ok)
 
     def test_no_basis_or_jump_data_per_candidate(self, count_calls):
         p4 = construct_projective_space(4)
         hermite = count_calls(lattice, "hermite_canonical")
         jumps = count_calls(sheafdata, "jump_data")
         for f, flats in ((p4, 25), (B5, 29)):
-            assert len(enumerate_candidates(f)) == flats
+            assert len(f.flats) == flats
         decide(B5, anticanonical(B5))
         assert hermite == [] and jumps == []
 
@@ -149,23 +148,24 @@ class TestEnumeration:
         assert certificate(v) is None
 
     def test_ray_cap(self):
-        with pytest.raises(ValueError) as enumerated:
-            enumerate_candidates(B5, max_rays=3)
         with pytest.raises(ValueError) as decided:
             decide(B5, anticanonical(B5), max_rays=3)
-        assert str(decided.value) == str(enumerated.value)
+        assert str(decided.value) == (
+            "fan has 6 rays; candidate enumeration capped at 3 (raise max_rays to override)"
+        )
         assert decide(B5, anticanonical(B5), max_rays=6).mu_tx == 128
         with pytest.raises(NonAmple):  # ampleness is decided before the cap
             decide(F2, anticanonical(F2), max_rays=3)
 
     def test_candidate_slopes(self):
         vols = volumes_of(B5)
-        by_rays = {c.rays_in: c for c in enumerate_candidates(B5)}
+        cands = decide(B5, anticanonical(B5)).candidates
+        assert [(c.rank, c.rays_in) for c in cands] == list(B5.flats)
+        by_rays = {c.rays_in: c for c in cands}
         assert reference_slope(by_rays[(0, 1, 2, 3)], vols, 4) == 128
         assert reference_slope(by_rays[(0, 4, 5)], vols, 4) == 88
         assert reference_slope(by_rays[(1, 2)], vols, 4) == 112
-        slopes = {c.rays_in: c.slope for c in decide(B5, anticanonical(B5)).candidates}
-        assert all(slopes[k] == reference_slope(c, vols, 4) for k, c in by_rays.items())
+        assert all(c.slope == reference_slope(c, vols, 4) for c in cands)
 
 
 def skewed_b5(seed):
@@ -194,26 +194,15 @@ class TestPreparedFan:
         assert [c.rays_in for c in second.candidates] == [
             c.rays_in for c in first.candidates
         ]
-        assert second.candidates == tuple(
-            replace(c, slope=reference_slope(c, second.volumes, 4))
-            for c in enumerate_candidates(skewed_b5(1))
-        )
-
-    def test_returned_list_is_fresh(self):
-        f = validate_fan(skewed_b5(2))
-        first = enumerate_candidates(f)
-        expected = list(first)
-        first.pop()
-        first.reverse()
-        assert enumerate_candidates(f) == expected
-        assert enumerate_candidates(f) is not enumerate_candidates(f)
+        assert [(c.rank, c.rays_in) for c in second.candidates] == list(skewed_b5(1).flats)
+        assert all(c.slope == reference_slope(c, second.volumes, 4) for c in second.candidates)
 
     def test_ray_cap_checked_on_a_stored_fan(self):
         f = validate_fan(skewed_b5(3))
-        enumerate_candidates(f)
+        f.flats
         assert "flats" in vars(f)
         with pytest.raises(ValueError):
-            enumerate_candidates(f, max_rays=3)
+            decide(f, anticanonical(f), max_rays=3)
 
     def test_one_basis_per_maximizer_flat(self, count_calls):
         # Every ample box polarization of one fan object: the fan derives
@@ -253,7 +242,7 @@ class TestPreparedFan:
 
     def test_entry_dies_with_its_fan(self):
         f = validate_fan(skewed_b5(5))
-        enumerate_candidates(f)
+        f.flats
         assert "flats" in vars(f)
         alive = weakref.ref(f)
         del f
@@ -489,8 +478,8 @@ class TestBestPick:
         assert "candidates" not in vars(v)
         weights, den = v.volumes.weights, v.volumes.den
         assert v.candidates == tuple(
-            replace(c, slope=Fraction(sum(weights[i] for i in c.rays_in), den * c.rank))
-            for c in enumerate_candidates(v.fan)
+            SubsheafCandidate(r, s, Fraction(sum(weights[i] for i in s), den * r))
+            for r, s in v.fan.flats
         )
         expected = min(v.candidates, key=lambda c: (-c.slope, c.rank, c.rays_in), default=None)
         assert v.best == expected
@@ -631,7 +620,7 @@ class TestAdmissibleBound:
         for _, f in catalog_fano4():
             vols = volumes_of(f)
             bounds = {}
-            for c in enumerate_candidates(f):
+            for c in decide(f, anticanonical(f)).candidates:
                 b = bounds.setdefault(
                     c.rank, admissible_slope_bound(f, c.rank, vols)
                 )

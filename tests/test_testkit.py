@@ -9,7 +9,7 @@ import pytest
 from oracles import _inverse
 from toricstab.fan import construct_hirzebruch, is_cone, validate_fan
 from toricstab.polytope import is_ample, polytope_from_divisor
-from toricstab.sheafdata import validate_lambda_matrix, validate_lambda_vector
+from toricstab.sheafdata import validate_lambda_matrix
 from toricstab.testkit import (
     GoldenCase,
     build_case_fan,
@@ -89,7 +89,7 @@ class TestFuzzLambda:
         for case in SUITE[:8]:
             f = build_case_fan(case)
             for lam in islice(fuzz_lambda(f, 3), 50):
-                ok, problems = validate_lambda_vector(f, lam)
+                ok, problems = validate_lambda_matrix(f, (lam,))
                 assert ok, problems
                 assert all(-1 <= x <= 3 for x in lam)
 
