@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     RankMismatch,
     ToricStabError,
+    TooManyRays,
     ZeroVector,
 )
 from .fan import (
@@ -91,7 +92,7 @@ __all__ = [
     "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
-    "ToricDivisor", "ToricStabError", "VolumeTable", "ZeroVector",
+    "ToricDivisor", "ToricStabError", "TooManyRays", "VolumeTable", "ZeroVector",
     "admissible_slope_bound", "anticanonical",
     "catalog_fano4", "certificate", "chart_of", "cone_rays",
     "construct_hirzebruch", "construct_p1_bundle", "construct_product",

@@ -27,7 +27,6 @@ from .sheafdata import validate_lambda_matrix
 
 @dataclass(frozen=True)
 class Chart:
-    fan: Fan
     cone: tuple[int, ...]
     rays: tuple[Vector, ...]
     dual: tuple[Vector, ...]
@@ -53,7 +52,7 @@ def chart_of(f: Fan, sigma) -> Chart:
         ci = f.max_cones.index(cone)
     except ValueError:
         raise NotMaximal(f"{cone} is not a maximal cone of the fan") from None
-    return Chart(fan=f, cone=cone, rays=cone_rays(f, cone), dual=cone_dual(f, ci))
+    return Chart(cone=cone, rays=cone_rays(f, cone), dual=cone_dual(f, ci))
 
 
 def in_semigroup(c: Chart, u) -> bool:
@@ -122,7 +121,7 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
         generic = _line_of((1,) * f.dim)
         if generic not in lines:
             lines.append(generic)
-    charts = [Chart(f, c, cone_rays(f, c), cone_dual(f, ci)) for ci, c in enumerate(f.max_cones)]
+    charts = [Chart(c, cone_rays(f, c), cone_dual(f, ci)) for ci, c in enumerate(f.max_cones)]
     for v in lines:
         if all(
             is_regular(MonomialDerivation(_pinned_weight(c, lam), v), c)

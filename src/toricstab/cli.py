@@ -28,14 +28,13 @@ from itertools import product
 from .charts import rank_one_exists
 from .errors import (
     BadDimension,
-    BadIndex,
-    BadRank,
     BadTwist,
     DimMismatch,
     InvalidFan,
     InvalidLambda,
     NonAmple,
     ParseError,
+    TooManyRays,
 )
 from .fan import (
     Fan,
@@ -52,9 +51,17 @@ from .polytope import anticanonical, divisor
 from .stability import MAX_RAYS, certificate, decide
 
 
+def _decimal(x: int) -> str:
+    """``str(x)``; ParseError when x has more digits than Python will print."""
+    try:
+        return str(x)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+
+
 def _frac_str(x) -> str:
     q = Fraction(x)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def _parse_fraction(token: str) -> Fraction:
@@ -64,38 +71,29 @@ def _parse_fraction(token: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}: {e}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int(text: str, what: str) -> int:
     try:
-        return tuple(int(t.strip()) for t in text.split(","))
-    except ValueError as e:
-        raise ParseError(f"bad integer list {text!r}: {e}") from None
-
-
-def _fan_int(x, what: str) -> int:
-    """A fan-file number: exactly a JSON integer, never a bool, float or string."""
-    if type(x) is not int:
-        raise TypeError(f"{what} {x!r} is not an integer")
-    return x
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not an integer") from None
 
 
 def load_fan_file(path: str) -> Fan:
-    """Read and validate a fan file: {"dim": n, "rays": [...], "max_cones": [...]}."""
+    """Read and validate a fan file: {"dim": n, "rays": [...], "max_cones": [...]}.
+
+    Every number must be a JSON integer; ``make_fan`` rejects the rest."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read fan file: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an integer past the digit limit
         raise ParseError(f"fan file is not valid JSON: {e}") from None
     if not isinstance(raw, dict) or not {"dim", "rays", "max_cones"} <= raw.keys():
         raise ParseError('fan file needs keys "dim", "rays", "max_cones"')
     try:
-        f = make_fan(
-            _fan_int(raw["dim"], "dim"),
-            tuple(tuple(_fan_int(x, "ray entry") for x in r) for r in raw["rays"]),
-            tuple(tuple(_fan_int(i, "cone index") for i in c) for c in raw["max_cones"]),
-        )
-    except (TypeError, ValueError, BadIndex, DimMismatch) as e:
+        f = make_fan(raw["dim"], raw["rays"], raw["max_cones"])
+    except TypeError as e:
         raise ParseError(f"malformed fan file: {e}") from None
     return validate_fan(f)
 
@@ -159,10 +157,7 @@ def _parse_factor(spec: str) -> Fan:
     kind, _, arg = spec.partition(":")
     if not arg:
         raise ParseError(f"factor {spec!r} must look like pn:2 or hirzebruch:1")
-    try:
-        k = int(arg)
-    except ValueError:
-        raise ParseError(f"factor parameter {arg!r} is not an integer") from None
+    k = _parse_int(arg, "factor parameter")
     if kind == "pn":
         return construct_projective_space(k)
     if kind == "hirzebruch":
@@ -174,15 +169,16 @@ def cmd_construct(args) -> int:
     if args.kind == "pn":
         if len(args.params) != 1:
             raise ParseError("pn takes exactly one parameter: the dimension")
-        f = construct_projective_space(int(args.params[0]))
+        f = construct_projective_space(_parse_int(args.params[0], "dimension"))
     elif args.kind == "hirzebruch":
         if len(args.params) != 1:
             raise ParseError("hirzebruch takes exactly one parameter: the twist")
-        f = construct_hirzebruch(int(args.params[0]))
+        f = construct_hirzebruch(_parse_int(args.params[0], "twist"))
     elif args.kind == "proj-split":
         if args.base is None or args.twists is None:
             raise ParseError("proj-split needs --base and --twists")
-        f = construct_proj_split(args.base, _parse_int_list(args.twists))
+        twists = tuple(_parse_int(t, "twist") for t in args.twists.split(","))
+        f = construct_proj_split(args.base, twists)
     else:  # product
         if len(args.params) != 2:
             raise ParseError("product takes exactly two factor specs, e.g. pn:1 pn:3")
@@ -240,17 +236,15 @@ def cmd_scan(args) -> int:
             ample, verdict = True, decide(f, d).status.value
         except NonAmple:
             ample, verdict = False, ""
-        lines.append(f"{a1},{a2},{a3},{a4},{a},{b},{str(ample).lower()},{verdict}")
+        numbers = ",".join(map(_decimal, (a1, a2, a3, a4, a, b)))
+        lines.append(f"{numbers},{str(ample).lower()},{verdict}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     f = load_fan_file(args.fan)
-    try:
-        lam = tuple(int(t.strip()) for t in args.lam.split(","))
-    except ValueError as e:
-        raise ParseError(f"bad lambda list {args.lam!r}: {e}") from None
+    lam = tuple(_parse_int(t, "lambda entry") for t in args.lam.split(","))
     witness = rank_one_exists(f, lam)
     poles = [f.rays[i] for i, x in enumerate(lam) if x == -1]
     span_dim = len(row_hermite(poles))
@@ -330,6 +324,6 @@ def main(argv=None) -> int:
     except InvalidLambda as e:
         print(f"error: invalid lambda data: {e}", file=sys.stderr)
         return 5
-    except (ParseError, DimMismatch, BadDimension, BadTwist, BadRank, ValueError) as e:
+    except (ParseError, DimMismatch, BadDimension, BadTwist, TooManyRays) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

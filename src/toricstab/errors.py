@@ -96,5 +96,9 @@ class InvalidLambda(ToricStabError):
         super().__init__("; ".join(self.failures) or "invalid lambda data")
 
 
+class TooManyRays(ToricStabError, ValueError):
+    """A fan has more rays than the flat enumeration is capped at."""
+
+
 class ParseError(ToricStabError):
     """Input text (JSON fan/divisor files, rationals, CLI params) is malformed."""

@@ -136,12 +136,19 @@ class Fan:
         return bases[key]
 
 
+def _integer(x, what: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def make_fan(dim, rays, max_cones) -> Fan:
-    """Build an (unvalidated) Fan, normalizing containers and cone order."""
+    """Build an (unvalidated) Fan, normalizing containers and cone order; every
+    number must be an exact ``int`` (TypeError otherwise, bools included)."""
     return Fan(
-        int(dim),
-        tuple(tuple(int(x) for x in r) for r in rays),
-        tuple(tuple(sorted(int(i) for i in c)) for c in max_cones),
+        _integer(dim, "dim"),
+        tuple(tuple(_integer(x, "ray entry") for x in r) for r in rays),
+        tuple(tuple(sorted(_integer(i, "cone index") for i in c)) for c in max_cones),
     )
 
 
@@ -190,7 +197,7 @@ def validate_fan(f: Fan) -> Fan:
     the geometric stages that depend on them.
     """
     violations: list[tuple[str, str]] = []
-    if not isinstance(f.dim, int) or f.dim < 1:
+    if type(f.dim) is not int or f.dim < 1:
         raise InvalidFan([("BadDimension", f"dim = {f.dim!r}")])
     n = f.dim
 
@@ -198,7 +205,7 @@ def validate_fan(f: Fan) -> Fan:
     if not rays:
         violations.append(("BadRay", "no rays"))
     for i, r in enumerate(rays):
-        if len(r) != n or not all(isinstance(x, int) for x in r):
+        if len(r) != n or not all(type(x) is int for x in r):
             violations.append(("BadRay", f"ray {i} = {r!r}"))
     if violations:
         raise InvalidFan(violations)
@@ -221,7 +228,7 @@ def validate_fan(f: Fan) -> Fan:
         ok = (
             len(c) == n
             and len(set(c)) == n
-            and all(isinstance(i, int) and 0 <= i < len(rays) for i in c)
+            and all(type(i) is int and 0 <= i < len(rays) for i in c)
         )
         if not ok:
             violations.append(("BadIndex", f"cone {ci} = {f.max_cones[ci]!r}"))

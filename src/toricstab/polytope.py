@@ -44,8 +44,15 @@ QVector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class ToricDivisor:
+    """``sum(coeffs[i] * D_i)`` on a validated fan; a raw fan is validated
+    here, once (InvalidFan when it is not smooth and complete)."""
+
     fan: Fan
     coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not self.fan.validated:
+            object.__setattr__(self, "fan", validate_fan(self.fan))
 
 
 def divisor(f: Fan, coeffs) -> ToricDivisor:
@@ -113,13 +120,7 @@ class VolumeTable:
 
 
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:
-    """Each maximal cone s's height ``-sum_k q*a_{s[k]} * pairings[s][k]``.
-
-    A fan that is not yet validated is validated here (InvalidFan when it
-    is not smooth and complete).
-    """
-    if not d.fan.validated:
-        d = ToricDivisor(validate_fan(d.fan), d.coeffs)
+    """Each maximal cone s's height ``-sum_k q*a_{s[k]} * pairings[s][k]``."""
     f = d.fan
     q = lcm(*(c.denominator for c in d.coeffs))
     cs = tuple(c.numerator * (q // c.denominator) for c in d.coeffs)

@@ -32,8 +32,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadRank, DimMismatch, NonAmple
-from .fan import Fan, validate_fan
+from .errors import BadRank, DimMismatch, NonAmple, TooManyRays
+from .fan import Fan
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 from .sheafdata import check_volume_table
 
@@ -107,14 +107,14 @@ def _status_against(best, mu: Fraction) -> Stability:
 
 
 def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdict:
-    """Stability of the tangent sheaf with respect to the ample divisor `a`."""
-    if not f.validated:
-        f = validate_fan(f)
+    """Stability of the tangent sheaf with respect to the ample divisor `a`
+    on ``f``, read off the validated fan ``a`` carries."""
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
-    vols = facet_volumes(polytope_from_divisor(ToricDivisor(f, a.coeffs)))
+    f = a.fan
+    vols = facet_volumes(polytope_from_divisor(a))
     if len(f.rays) > max_rays:
-        raise ValueError(
+        raise TooManyRays(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "
             f"{max_rays} (raise max_rays to override)"
         )

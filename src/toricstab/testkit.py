@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
 from .errors import BadTwist, NonAmple
 from .fan import (
@@ -17,7 +18,6 @@ from .fan import (
     construct_product,
     construct_proj_split,
     construct_projective_space,
-    is_cone,
     make_fan,
     validate_fan,
 )
@@ -149,12 +149,7 @@ def compare_golden(case: GoldenCase) -> list[str]:
 def fuzz_lambda(f: Fan, seed: int):
     """Deterministic infinite stream of valid lambda-vectors, entries in [-1, 3]."""
     rng = random.Random(seed)
-    pairs = [
-        (i, j)
-        for i in range(len(f.rays))
-        for j in range(i + 1, len(f.rays))
-        if is_cone(f, (i, j))
-    ]
+    pairs = sorted({pair for cone in f.max_cones for pair in combinations(sorted(cone), 2)})
     while True:
         lam = [rng.choice((-1, -1, 0, 0, 0, 1, 2, 3)) for _ in f.rays]
         for i, j in pairs:
@@ -179,8 +174,6 @@ def fuzz_lambda_matrix(f: Fan, rank: int, seed: int):
     p = len(f.rays)
     forbidden = []
     if rank + 1 <= f.dim:
-        from itertools import combinations
-
         for sigma in f.max_cones:
             forbidden.extend(combinations(sigma, rank + 1))
     while True:

@@ -1,5 +1,6 @@
 """Chart expansions, regularity, and the rank-one existence oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -54,6 +55,12 @@ class TestChartOf:
 
     def test_accepts_unsorted_cone(self):
         assert chart_of(F1, (1, 0)).cone == (0, 1)
+
+    def test_a_chart_is_its_cone_data_alone(self):
+        # F1 and F2 share the cone (0, 1) and its rays, and differ elsewhere.
+        assert [f.name for f in dataclasses.fields(Chart)] == ["cone", "rays", "dual"]
+        assert chart_of(F1, (0, 1)) == chart_of(F2, (0, 1))
+        assert hash(chart_of(F1, (0, 1))) == hash(chart_of(F2, (0, 1)))
 
     def test_not_maximal(self):
         with pytest.raises(NotMaximal):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from toricstab import lattice, polytope, sheafdata
+from toricstab import cli, lattice, polytope, sheafdata
 from toricstab.cli import fan_to_dict, load_fan_file, main
 from toricstab.fan import (
     construct_hirzebruch,
@@ -155,10 +156,48 @@ class TestAnalyze:
         assert main(["analyze", b5_path, "--anticanonical", "--max-rays", "3"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "capped at 3" in captured.err
+        assert captured.err == (
+            "error: fan has 6 rays; candidate enumeration capped at 3 "
+            "(raise max_rays to override)\n"
+        )
         # F2 (4 rays) fails both checks; ampleness is decided first.
         assert main(["analyze", f2_path, "--anticanonical", "--max-rays", "3"]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_internal_value_error_is_not_a_usage_error(self, f2_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "decide", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["analyze", f2_path, "--anticanonical"])
+
+    def test_numbers_too_long_to_print_exit_4(self, tmp_path, capsys):
+        # The P4 volumes of this divisor have about 6000 digits, more than
+        # Python converts to text.
+        path = write_fan(tmp_path, construct_projective_space(4), "p4.json")
+        assert main(["analyze", path, "--divisor", "1e2000,1,1,1,1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Exceeds the limit")
+        big = "1" + "0" * 2200
+        argv = ["scan", "--m", big, "--a1", "0", "--a2", big, "--a3", "0", "--a4", "0"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Exceeds the limit")
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",
+        b'{"dim": 2, "rays": [[' + b"1" * 5000 + b', 0]], "max_cones": []}',
+    ], ids=["not-utf8", "integer-past-digit-limit"])
+    def test_unreadable_json_exits_4(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["analyze", str(bad), "--anticanonical"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fan file is not valid JSON" in captured.err
 
     def test_one_ampleness_check_per_request(self, f2_path, count_calls, capsys):
         for divisor, code in (("1,1,3,1", 0), ("1,1,1,1", 3)):
@@ -257,6 +296,16 @@ class TestConstruct:
 
     def test_negative_dimension_exits_4(self, capsys):
         assert main(["construct", "pn", "0"]) == 4
+
+    @pytest.mark.parametrize("argv, err", [
+        (["pn", "x"], "error: dimension 'x' is not an integer\n"),
+        (["hirzebruch", "1.5"], "error: twist '1.5' is not an integer\n"),
+        (["proj-split", "--base", "2", "--twists", "2,x"], "error: twist 'x' is not an integer\n"),
+        (["product", "pn:1", "pn:y"], "error: factor parameter 'y' is not an integer\n"),
+    ], ids=["pn", "hirzebruch", "proj-split", "product"])
+    def test_non_integer_parameter_exits_4(self, capsys, argv, err):
+        assert main(["construct", *argv]) == 4
+        assert capsys.readouterr() == ("", err)
 
 
 class TestCatalog:
@@ -409,6 +458,7 @@ class TestOracle:
 
     def test_bad_lambda_text_exits_4(self, f2_path, capsys):
         assert main(["oracle", f2_path, "--lam", "0,x,0,0"]) == 4
+        assert capsys.readouterr() == ("", "error: lambda entry 'x' is not an integer\n")
 
 
 class TestTopLevel:
@@ -496,6 +546,16 @@ class TestEntryPoint:
                                   env=env, capture_output=True, timeout=60)
             assert proc.returncode == code, proc.stderr
             assert proc.stdout == (in_process.encode() if code == 0 else b"")
+
+
+    def test_python_dash_m_catalog(self, monkeypatch, capsys):
+        assert main(["catalog"]) == 0
+        in_process = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["toricstab", "catalog"])
+        with pytest.raises(SystemExit) as ei:
+            runpy.run_module("toricstab", run_name="__main__")
+        assert ei.value.code == 0
+        assert capsys.readouterr().out == in_process
 
 
 def _pinned_runs(tmp_path):

@@ -22,7 +22,7 @@ from toricstab.fan import (
     validate_fan,
 )
 from toricstab.lattice import dot, dual_basis, generic_vector
-from toricstab.polytope import divisor, facet_volumes, polytope_from_divisor
+from toricstab.polytope import ToricDivisor, divisor, facet_volumes, polytope_from_divisor
 from toricstab.testkit import (
     build_case_fan,
     golden_suite,
@@ -549,6 +549,23 @@ class TestPreparedFan:
         assert p.divisor.fan.validated and p.divisor.fan == raw
         assert facet_volumes(p) == facet_volumes(polytope_from_divisor(divisor(f, (1, 0, 0, 4))))
 
+    def test_divisor_validates_a_raw_fan_once(self, count_calls):
+        f = construct_hirzebruch(1)
+        raw = transform_fan(f, random_unimodular(2, random.Random(7)))
+        validations = count_calls(fan, "validate_fan")
+        d = ToricDivisor(raw, (Fraction(1),) * 4)
+        assert d.fan.validated and d.fan == raw and len(validations) == 1
+        polytope_from_divisor(d)
+        assert len(validations) == 1
+        # A validated fan is kept as it is, with whatever it has derived.
+        assert divisor(f, (1, 0, 0, 4)).fan is f and len(validations) == 1
+
+    @pytest.mark.parametrize("name", ["overlapping_cones", "not_smooth"])
+    def test_divisor_on_an_invalid_fan_raises(self, name):
+        f = INVALID_FANS[name]
+        with pytest.raises(InvalidFan):
+            ToricDivisor(f, (Fraction(1),) * len(f.rays))
+
     @pytest.mark.parametrize("name", ["overlapping_cones", "not_smooth"])
     def test_polytope_of_an_invalid_fan_raises(self, name):
         f = INVALID_FANS[name]
@@ -653,3 +670,56 @@ class TestWallCrossing:
         assert ei.value.violations == VIOLATIONS[name]
         assert sum(code == "NotSmooth" for code, _ in ei.value.violations) == non_smooth
         assert len(duals) == starts + non_smooth
+
+
+P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+P2_CONES = ((0, 1), (1, 2), (0, 2))
+
+
+class TestMakeFanGate:
+    def test_exact_integers_pass_unchanged(self):
+        f = make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[1, 0], [2, 1], [2, 0]])
+        assert (f.dim, f.rays, f.max_cones) == (2, P2_RAYS, P2_CONES)
+
+    def test_nothing_is_converted(self):
+        # int() would turn every number here into P2's, which validates.
+        with pytest.raises(TypeError, match="dim 2.7 is not an integer"):
+            make_fan(2.7, [(1.9, 0), (0, "1"), (-1, -1)], [(0, 1), (1, 2), (0, 2.2)])
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, False, "1", None, Fraction(1)],
+                             ids=repr)
+    @pytest.mark.parametrize("what", ["dim", "ray entry", "cone index"])
+    def test_each_position_takes_only_an_int(self, what, value):
+        dim, rays, cones = 2, [list(r) for r in P2_RAYS], [list(c) for c in P2_CONES]
+        if what == "dim":
+            dim = value
+        elif what == "ray entry":
+            rays[1][1] = value
+        else:
+            cones[1][0] = value
+        with pytest.raises(TypeError) as ei:
+            make_fan(dim, rays, cones)
+        assert str(ei.value) == f"{what} {value!r} is not an integer"
+
+
+class TestStructuralChecks:
+    """The checks ``validate_fan`` makes before any geometry, on fans built
+    directly, which ``make_fan``'s gate never saw."""
+
+    @pytest.mark.parametrize("f, expected", [
+        (Fan(0, P2_RAYS, P2_CONES), ("BadDimension", "dim = 0")),
+        (Fan(2.0, P2_RAYS, P2_CONES), ("BadDimension", "dim = 2.0")),
+        (Fan(True, ((1,), (-1,)), ((0,), (1,))), ("BadDimension", "dim = True")),
+        (Fan(2, (), P2_CONES), ("BadRay", "no rays")),
+        (Fan(2, ((1, 0), (0,), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0,)")),
+        (Fan(2, ((1, 0), (0, 1, 0), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0, 1, 0)")),
+        (Fan(2, ((1.0, 0), (0, 1), (-1, -1)), P2_CONES), ("BadRay", "ray 0 = (1.0, 0)")),
+        (Fan(2, ((True, 0), (0, 1), (-1, -1)), P2_CONES), ("BadRay", "ray 0 = (True, 0)")),
+        (Fan(2, P2_RAYS, ((False, 1), (1, 2), (0, 2))), ("BadIndex", "cone 0 = (False, 1)")),
+        (Fan(2, P2_RAYS, ()), ("NotComplete", "no maximal cones")),
+    ], ids=["dim-zero", "dim-float", "dim-bool", "no-rays", "short-ray", "long-ray",
+            "float-entry", "bool-entry", "bool-index", "no-cones"])
+    def test_each_check_reports_alone(self, f, expected):
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(f)
+        assert ei.value.violations == (expected,)

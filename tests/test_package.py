@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import toricstab
+from toricstab import errors
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "toricstab"
@@ -172,3 +173,41 @@ def test_no_process_lifetime_caches_in_the_package():
         if (uses := _process_caches(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _main_handlers(source):
+    """What each ``except`` clause of the top-level ``main`` catches, as
+    ``(line, name)`` pairs; a bare ``except`` is ``(line, None)``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            for handler in ast.walk(node):
+                if isinstance(handler, ast.ExceptHandler):
+                    caught = handler.type
+                    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                    found += [(handler.lineno, n and ast.unparse(n)) for n in names]
+    return found
+
+
+def test_cli_main_catches_only_package_errors():
+    # A broad catch such as ValueError would turn an internal fault into a
+    # usage error.  The one exception is the SystemExit argparse raises.
+    snippet = (
+        "def main():\n"
+        "    try:\n        run()\n"
+        "    except (ParseError, ValueError):\n        pass\n"
+        "    except errors.NonAmple as e:\n        pass\n"
+        "    except:\n        pass\n"
+        "def helper():\n"
+        "    try:\n        run()\n    except OSError:\n        pass\n"
+    )
+    assert _main_handlers(snippet) == [
+        (4, "ParseError"), (4, "ValueError"), (6, "errors.NonAmple"), (8, None),
+    ]
+    package = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ToricStabError)
+    }
+    caught = _main_handlers((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert caught and all(name is not None for _, name in caught)
+    assert [name for _, name in caught if name not in package] == ["SystemExit"]

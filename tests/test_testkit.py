@@ -1,13 +1,22 @@
 """Tests for the shared fixture kit: golden cases, fuzzers, random fans."""
 
 import dataclasses
+import random
 import time
 from itertools import islice
 
 import pytest
 
 from oracles import _inverse
-from toricstab.fan import construct_hirzebruch, is_cone, validate_fan
+from toricstab import fan
+from toricstab.fan import (
+    catalog_fano4,
+    construct_hirzebruch,
+    construct_product,
+    construct_projective_space,
+    is_cone,
+    validate_fan,
+)
 from toricstab.polytope import is_ample, polytope_from_divisor
 from toricstab.sheafdata import validate_lambda_matrix
 from toricstab.testkit import (
@@ -110,6 +119,43 @@ class TestFuzzLambda:
                     if lam[i] == lam[j] == -1:
                         assert not is_cone(f, (i, j))
         assert seen_pole
+
+
+def _scanned_pairs_stream(f, seed):
+    """``fuzz_lambda`` with its cone pairs found by ``is_cone`` on every ray
+    pair: the reference the pairs from the maximal cones must reproduce."""
+    rng = random.Random(seed)
+    p = len(f.rays)
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p) if is_cone(f, (i, j))]
+    while True:
+        lam = [rng.choice((-1, -1, 0, 0, 0, 1, 2, 3)) for _ in f.rays]
+        for i, j in pairs:
+            if lam[i] == -1 and lam[j] == -1:
+                lam[j] = 0
+        yield tuple(lam)
+
+
+def _oracle_workload_fans():
+    """The benchmark's oracle product fans, each in a skewed basis."""
+    p1, p2 = construct_projective_space(1), construct_projective_space(2)
+    f1 = construct_hirzebruch(1)
+    p1p1, p2p2 = construct_product(p1, p1), construct_product(p2, p2)
+    rng = random.Random(0)
+    for f in (p2p2, construct_product(p1p1, p1p1), construct_product(p2p2, p2),
+              construct_product(construct_product(p2, f1), p1p1),
+              construct_product(construct_product(f1, f1), f1)):
+        yield transform_fan(f, random_unimodular(f.dim, rng))
+
+
+class TestFuzzLambdaPairs:
+    @pytest.mark.parametrize("seed", [0, 7, 401])
+    def test_stream_is_unchanged(self, seed, count_calls):
+        scans = count_calls(fan, "is_cone")
+        fans = [f for _, f in catalog_fano4()] + list(_oracle_workload_fans())
+        for f in fans:
+            got = list(islice(fuzz_lambda(f, seed), 50))
+            assert got == list(islice(_scanned_pairs_stream(f, seed), 50)), f
+        assert scans == []
 
 
 class TestFuzzLambdaMatrix:
