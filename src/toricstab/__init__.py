@@ -26,6 +26,7 @@ from .errors import (
     BadRank,
     BadTwist,
     DimMismatch,
+    IncomparableLevels,
     InconsistentRank,
     InvalidFan,
     InvalidJumpData,
@@ -48,7 +49,6 @@ from .fan import (
     construct_product,
     construct_proj_split,
     construct_projective_space,
-    is_cone,
     make_fan,
     validate_fan,
 )
@@ -88,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadDimension", "BadIndex", "BadRank", "BadTwist", "Certificate",
-    "Chart", "DimMismatch", "Fan", "InconsistentRank", "InvalidFan",
+    "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank", "InvalidFan",
     "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
@@ -99,7 +99,7 @@ __all__ = [
     "construct_proj_split", "construct_projective_space", "decide",
     "degree_monotonicity_check", "degree_of", "divisor",
     "expand_in_chart", "facet_volumes",
-    "in_semigroup", "is_ample", "is_cone", "is_reflexive", "is_regular",
+    "in_semigroup", "is_ample", "is_reflexive", "is_regular",
     "jump_data", "lambda_matrix_to_jump",
     "lambda_vector_to_jump", "make_fan", "polytope_from_divisor",
     "rank_of", "rank_one_exists", "reexpand",

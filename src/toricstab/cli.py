@@ -65,6 +65,10 @@ def _frac_str(x) -> str:
 
 
 def _parse_fraction(token: str) -> Fraction:
+    """An integer, ``a/b`` or a decimal; exponent notation is refused, since
+    ``1e1000000`` would cost its digits in arithmetic before any check."""
+    if "e" in token.lower():
+        raise ParseError(f"bad rational {token!r}: exponent notation is not accepted")
     try:
         return Fraction(token.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -62,11 +62,16 @@ class BadTwist(ToricStabError):
 
 
 class NonAmple(ToricStabError):
-    """The divisor is not ample, so facet volumes / slopes are undefined."""
+    """The divisor is not ample, so facet volumes / slopes are undefined
+    (or not nef, where ``is_reflexive`` needs nef)."""
 
 
 class InconsistentRank(ToricStabError):
     """Per-ray jump multiplicities do not sum to one common rank."""
+
+
+class IncomparableLevels(ToricStabError, ValueError):
+    """Two jump datasets whose levels must be pointwise comparable are not."""
 
 
 class RankMismatch(ToricStabError):

@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import BadDimension, BadIndex, BadTwist, InvalidFan, NotSmoothCone
+from .errors import BadDimension, BadTwist, InvalidFan, NotSmoothCone
 from .lattice import (
     Vector, dot, dual_basis, generic_vector, hermite_canonical, identity_rows, primitive_vector,
     proper_flats,
@@ -165,22 +165,6 @@ def cone_dual(f: Fan, ci: int) -> tuple[Vector, ...]:
     if f.duals is not None:
         return f.duals[ci]
     return dual_basis(cone_rays(f, f.max_cones[ci]))
-
-
-def is_cone(f: Fan, ray_indices) -> bool:
-    """Whether the given rays span a cone of the fan.
-
-    For a simplicial fan the cones are exactly the subsets of maximal
-    cones.  Raises BadIndex on out-of-range or repeated indices; the empty
-    set is the zero cone and always present.
-    """
-    idxs = [int(i) for i in ray_indices]
-    if len(set(idxs)) != len(idxs):
-        raise BadIndex(f"repeated ray index in {tuple(ray_indices)}")
-    if any(i < 0 or i >= len(f.rays) for i in idxs):
-        raise BadIndex(f"ray index out of range in {tuple(ray_indices)}")
-    want = set(idxs)
-    return any(want <= set(c) for c in f.max_cones)
 
 
 # ---------------------------------------------------------------------------

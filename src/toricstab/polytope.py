@@ -31,15 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product as iproduct
 from math import factorial, gcd, lcm
 
 from .errors import DimMismatch, NonAmple
 from .fan import Fan, validate_fan
-from .lattice import Vector, dot
-
-QVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -74,29 +69,17 @@ class Polytope:
 
     ``scale`` is the common denominator q of the divisor's coefficients,
     ``scaled_coeffs[i]`` is the integer q times the coefficient of ray i,
-    and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring).  ``points[s]``
-    is the integer vector ``q*u_s``, solved on first read; ``vertices``
-    gives the u_s as fractions.  The fan is validated, and moving along
-    the k-th of its ``duals[s]`` keeps every equality of cone s but that of
-    its k-th ray: for an ample divisor these are the edges at u_s.
+    and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring); the cone
+    points u_s themselves are never solved.  The fan is validated, and
+    moving along the k-th of its ``duals[s]`` keeps every equality of cone
+    s but that of its k-th ray: for an ample divisor these are the edges at
+    u_s.
     """
 
     divisor: ToricDivisor
     scale: int
     scaled_coeffs: tuple[int, ...]
     heights: tuple[int, ...]
-
-    @cached_property
-    def points(self) -> tuple[Vector, ...]:
-        f, cs = self.divisor.fan, self.scaled_coeffs
-        return tuple(
-            tuple(-sum(cs[r] * x for r, x in zip(cone, column)) for column in zip(*duals))
-            for cone, duals in zip(f.max_cones, f.duals)
-        )
-
-    @property
-    def vertices(self) -> tuple[QVector, ...]:
-        return tuple(tuple(Fraction(x, self.scale) for x in pt) for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -138,6 +121,19 @@ def is_ample(p: Polytope) -> bool:
     return all((h[t] - h[s]) * f.pairings[s][k] > 0 for s, k, t in f.walls)
 
 
+def _facet_numerators(p: Polytope) -> list[int]:
+    """``D^(n-1).D_i * L * q^(n-1)`` for every ray i: the vertex formula of
+    ``facet_volumes``, a localization that holds for any divisor."""
+    f = p.divisor.fan
+    n = f.dim
+    nums = [0] * len(f.rays)
+    for cone, height, row, factor in zip(f.max_cones, p.heights, f.pairings, f.cone_factors[1]):
+        height = height ** (n - 1) * factor
+        for r, x in zip(cone, row):
+            nums[r] -= height * x
+    return nums
+
+
 def facet_volumes(p: Polytope) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
 
@@ -159,49 +155,32 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
     """
-    f = p.divisor.fan
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
-    n = f.dim
-    common, factors = f.cone_factors
-    nums = [0] * len(f.rays)
-    for cone, height, row, factor in zip(f.max_cones, p.heights, f.pairings, factors):
-        height = height ** (n - 1) * factor
-        for r, x in zip(cone, row):
-            nums[r] -= height * x
-    den = common * p.scale ** (n - 1)
+    f = p.divisor.fan
+    nums = _facet_numerators(p)
+    den = f.cone_factors[0] * p.scale ** (f.dim - 1)
     g = gcd(den, *nums)
-    return VolumeTable(n, tuple(x // g for x in nums), den // g)
+    return VolumeTable(f.dim, tuple(x // g for x in nums), den // g)
 
 
 def is_reflexive(p: Polytope) -> bool:
-    """Whether the cone points are integral and the origin is the polytope's
-    only interior lattice point.
+    """Whether P_D is reflexive with the origin as its interior point: a
+    lattice polytope with every facet at lattice distance 1.
 
-    For an ample divisor in dimension 2 that is reflexivity.  In dimension
-    >= 3 it is weaker: reflexive also asks every facet to lie at lattice
-    distance 1 from the origin, and ``construct_p1_bundle(3, 1)`` with
-    coefficients ``(1, 1, 2, 1, 1)`` is ample and passes with one facet at
-    distance 2.
+    For a nef D on the smooth fan the cone points u_s are the vertices and
+    each ray's inequality is tight at the points of the cones through it,
+    so P_D is a lattice polytope exactly when ``scale == 1``.  Ray i gives a facet, at lattice distance
+    ``a_i``, exactly when ``D^(n-1).D_i > 0``.  So the test is linear:
+    ``scale == 1``, ``a_i == 1`` on every ray that gives a facet and
+    ``a_i >= 1`` on every other ray.  No lattice point is visited.
 
-    The polytope is contained in the convex hull of the cone points (for
-    any direction c, pick a maximal cone containing -c; its point bounds
-    the support function), so the hull's bounding box is scanned and each
-    candidate tested against all inequalities.  Exact for ample divisors;
-    for non-ample ones the integrality test is conservative because the
-    cone points may not all be true vertices.
+    Raises NonAmple when D is not nef: ``D.V(tau) < 0`` on some wall tau.
     """
-    f = p.divisor.fan
-    q, cs = p.scale, p.scaled_coeffs
-    if any(x % q for pt in p.points for x in pt):
+    f, h = p.divisor.fan, p.heights
+    if any((h[t] - h[s]) * f.pairings[s][k] < 0 for s, k, t in f.walls):
+        raise NonAmple("the divisor is not nef on this fan")
+    if p.scale != 1:
         return False
-    verts = [tuple(x // q for x in pt) for pt in p.points]
-    lo = [min(v[j] for v in verts) for j in range(f.dim)]
-    hi = [max(v[j] for v in verts) for j in range(f.dim)]
-    interior = []
-    for point in iproduct(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(q * dot(point, ray) + cs[r] > 0 for r, ray in enumerate(f.rays)):
-            interior.append(point)
-            if len(interior) > 1:
-                return False
-    return interior == [tuple(0 for _ in range(f.dim))]
+    nums = _facet_numerators(p)
+    return all(a == 1 if x > 0 else a >= 1 for a, x in zip(p.scaled_coeffs, nums))

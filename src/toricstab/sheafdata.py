@@ -29,6 +29,7 @@ from itertools import combinations
 
 from .errors import (
     DimMismatch,
+    IncomparableLevels,
     InconsistentRank,
     InvalidJumpData,
     RankMismatch,
@@ -178,7 +179,8 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
 def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: int) -> bool:
     """For same-rank data with j1's levels pointwise >= j2's (per ray,
     after expanding multiplicities in ascending order), degree can only
-    drop: returns degree_of(j1) <= degree_of(j2).
+    drop: returns degree_of(j1) <= degree_of(j2).  Raises
+    IncomparableLevels when some ray's levels are not pointwise >=.
     """
     r1, r2 = rank_of(j1), rank_of(j2)
     if r1 != r2:
@@ -189,5 +191,5 @@ def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: 
         l1 = [lam for lam, e in p1 for _ in range(e)]
         l2 = [lam for lam, e in p2 for _ in range(e)]
         if any(a < b for a, b in zip(l1, l2)):
-            raise ValueError(f"ray {ri}: levels are not pointwise comparable")
+            raise IncomparableLevels(f"ray {ri}: levels are not pointwise comparable")
     return degree_of(j1, vols, n) <= degree_of(j2, vols, n)

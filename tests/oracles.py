@@ -6,14 +6,17 @@ an arbitrary point set by brute force, with a rational inverse
 membership for rational vectors; ``chow_volumes`` reads facet volumes off
 intersection numbers in the Chow ring, sharing only the cone duals with the
 vertex formula of ``toricstab.polytope``; ``ample_by_fractions`` decides
-ampleness by the global scan over every cone and every ray, on the points
-``fraction_vertices`` solves in fractions.  ``closure_flats`` grows the
-flats of the ray matroid from the definition, with the oracles' own rank
-test (``rank``, which the span and hull tests use too);
-``barycenter_is_origin`` is the Kähler–Einstein test of a toric
+ampleness (``nef_by_fractions`` nefness) by the global scan over every
+cone and every ray, on the points ``fraction_vertices`` solves in
+fractions, and ``reflexive_by_scan`` scans the bounding box of those points
+for interior lattice points, as ``polytope.is_reflexive`` once did.
+``closure_flats`` grows the flats of the ray matroid from the definition,
+with the oracles' own rank test (``rank``, which the span and hull tests
+use too); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
 Fano manifold (Wang and Zhu, 2004).  ``cone_carrier_problems`` is the
 scan of every (r+1)-subset of a row's -1 rays that
-``sheafdata.validate_lambda_matrix`` once ran.
+``sheafdata.validate_lambda_matrix`` once ran, with ``is_cone`` as its
+face test.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from itertools import product as iproduct
 from math import factorial, lcm
 
 from toricstab import lattice
 from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
-from toricstab.fan import is_cone
 from toricstab.lattice import Subspace, Vector, dot, integer_kernel
 
 
@@ -222,15 +225,47 @@ def fraction_vertices(f, coeffs):
     return out
 
 
-def ample_by_fractions(f, coeffs):
-    """Strict convexity checked globally on fraction vertices: each cone's
-    point strictly satisfies the inequality of every ray outside the cone."""
-    return all(
-        dot(u, ray) > -Fraction(coeffs[r])
+def _outside_gaps(f, coeffs):
+    """``<u_s, ray> + coeff`` for each cone's fraction point u_s and every
+    ray outside the cone."""
+    return [
+        dot(u, ray) + Fraction(coeffs[r])
         for cone, u in zip(f.max_cones, fraction_vertices(f, coeffs))
         for r, ray in enumerate(f.rays)
         if r not in cone
-    )
+    ]
+
+
+def ample_by_fractions(f, coeffs):
+    """Strict convexity checked globally on fraction vertices: each cone's
+    point strictly satisfies the inequality of every ray outside the cone."""
+    return all(gap > 0 for gap in _outside_gaps(f, coeffs))
+
+
+def nef_by_fractions(f, coeffs):
+    """Convexity checked globally: each cone's point lies in the polytope."""
+    return all(gap >= 0 for gap in _outside_gaps(f, coeffs))
+
+
+def reflexive_by_scan(f, coeffs) -> bool:
+    """Whether the cone points are integral and the origin is the only
+    interior lattice point of the polytope, by a scan of the points'
+    bounding box, which holds the polytope of a nef divisor.
+
+    In dimension 2 that is reflexivity.  In dimension >= 3 it is weaker: a
+    reflexive polytope also has every facet at lattice distance 1.  The
+    cost grows with the box, so it serves small boxes only.
+    """
+    verts = fraction_vertices(f, coeffs)
+    if any(x.denominator != 1 for v in verts for x in v):
+        return False
+    interior = []
+    for point in iproduct(*(range(int(min(c)), int(max(c)) + 1) for c in zip(*verts))):
+        if all(dot(point, ray) + coeffs[r] > 0 for r, ray in enumerate(f.rays)):
+            interior.append(point)
+            if len(interior) > 1:
+                return False
+    return interior == [(0,) * f.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +319,13 @@ def closure_flats(rays, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 # ---------------------------------------------------------------------------
 # Admissibility of lambda-matrices by brute force
+
+
+def is_cone(f, ray_indices) -> bool:
+    """Whether the given rays span a cone of the simplicial fan ``f``: they
+    lie in one maximal cone.  The empty set is the zero cone."""
+    want = set(ray_indices)
+    return any(want <= set(c) for c in f.max_cones)
 
 
 def cone_carrier_problems(f, mat) -> list[str]:

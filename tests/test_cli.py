@@ -176,7 +176,7 @@ class TestAnalyze:
         # The P4 volumes of this divisor have about 6000 digits, more than
         # Python converts to text.
         path = write_fan(tmp_path, construct_projective_space(4), "p4.json")
-        assert main(["analyze", path, "--divisor", "1e2000,1,1,1,1"]) == 4
+        assert main(["analyze", path, "--divisor", "1" + "0" * 2000 + ",1,1,1,1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: Exceeds the limit")
@@ -186,6 +186,20 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: Exceeds the limit")
+
+    def test_exponent_notation_exits_4_before_any_arithmetic(self, tmp_path, count_calls,
+                                                             capsys):
+        # eleven characters for a million digits
+        path = write_fan(tmp_path, construct_projective_space(4), "p4.json")
+        polytopes = count_calls(polytope, "polytope_from_divisor")
+        for token in ("1e1000000", "2E3", "1.5e0"):
+            assert main(["analyze", path, "--divisor", token + ",1,1,1,1"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: bad rational {token!r}")
+        assert polytopes == []
+        assert main(["analyze", path, "--divisor", "0.5,1/2,1,1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["divisor"][:2] == ["1/2", "1/2"]
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{",

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+from oracles import fraction_vertices, is_cone
 from toricstab import fan, lattice
-from toricstab.errors import BadDimension, BadIndex, BadTwist, InvalidFan
+from toricstab.errors import BadDimension, BadTwist, InvalidFan
 from toricstab.fan import (
     Fan,
     catalog_fano4,
@@ -17,7 +18,6 @@ from toricstab.fan import (
     construct_proj_split,
     construct_product,
     construct_projective_space,
-    is_cone,
     make_fan,
     validate_fan,
 )
@@ -345,6 +345,8 @@ class TestValidateFan:
 
 
 class TestIsCone:
+    """The face test of the oracles (``oracles.is_cone``)."""
+
     def test_faces_of_plane_fan(self):
         f = construct_projective_space(2)
         assert is_cone(f, ())
@@ -352,18 +354,14 @@ class TestIsCone:
         assert is_cone(f, (0, 1))
         assert not is_cone(f, (0, 1, 2))
 
-    def test_bad_indices(self):
-        f = construct_projective_space(2)
-        with pytest.raises(BadIndex):
-            is_cone(f, (0, 0))
-        with pytest.raises(BadIndex):
-            is_cone(f, (7,))
-
     def test_non_face_pair(self):
         # opposite rays of the quadric never span a cone
         f = construct_hirzebruch(0)
         assert not is_cone(f, (0, 2))
         assert not is_cone(f, (1, 3))
+
+    def test_indices_are_not_truncated(self):
+        assert not is_cone(construct_hirzebruch(1), (0.9, 1))
 
 
 def _covering_and_pairwise(f: Fan):
@@ -537,9 +535,11 @@ class TestPreparedFan:
         for case in golden_suite():
             f = build_case_fan(case)
             base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
-            p = polytope_from_divisor(divisor(f, [Fraction(c) / q for c in base]))
+            coeffs = [Fraction(c) / q for c in base]
+            p = polytope_from_divisor(divisor(f, coeffs))
             xi = generic_vector(f.dim, f.duals)[0]
-            assert p.heights == tuple(dot(xi, pt) for pt in p.points), case.name
+            points = [[p.scale * x for x in u] for u in fraction_vertices(f, coeffs)]
+            assert p.heights == tuple(dot(xi, pt) for pt in points), case.name
 
     def test_polytope_of_a_raw_fan_validates_it(self):
         f = construct_hirzebruch(1)

@@ -21,6 +21,7 @@ REMOVED = (
     "candidate_slope",
     "validate_lambda_vector",
     "enumerate_candidates",
+    "is_cone",
 )
 
 
@@ -211,3 +212,44 @@ def test_cli_main_catches_only_package_errors():
     caught = _main_handlers((SRC / "cli.py").read_text(encoding="utf-8"))
     assert caught and all(name is not None for _, name in caught)
     assert [name for _, name in caught if name not in package] == ["SystemExit"]
+
+
+def _raised_names(source):
+    """The class each ``raise`` names, as ``(line, name)`` pairs: the called
+    or named class, its last attribute for ``errors.X``, and None for a
+    bare ``raise``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "attr", getattr(exc, "id", None))
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_package_raises_only_its_own_errors():
+    # A caller catches ToricStabError; a builtin exception raised for bad
+    # input would pass through.  make_fan's TypeError is the one exception,
+    # and testkit is the test fixtures' module.
+    snippet = (
+        "def f(x):\n"
+        "    if x:\n        raise ValueError(x)\n"
+        "    raise errors.NonAmple('no') from None\n"
+        "try:\n    f(1)\nexcept KeyError:\n    raise\n"
+        "raise SystemExit\n"
+    )
+    assert _raised_names(snippet) == [
+        (3, "ValueError"), (4, "NonAmple"), (8, None), (9, "SystemExit"),
+    ]
+    package = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ToricStabError)
+    }
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "testkit.py"
+        for _, name in _raised_names(path.read_text(encoding="utf-8"))
+        if name not in package
+    }
+    assert found == {("fan.py", "TypeError")}

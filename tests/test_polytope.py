@@ -9,14 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ample_by_fractions, chow_volumes, fraction_vertices, lattice_volume
+from oracles import (
+    ample_by_fractions,
+    chow_volumes,
+    fraction_vertices,
+    lattice_volume,
+    nef_by_fractions,
+    reflexive_by_scan,
+)
+from toricstab import lattice
 from toricstab.errors import DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
+    construct_p1_bundle,
     construct_proj_split,
     construct_product,
     construct_projective_space,
+    make_fan,
+    validate_fan,
 )
 from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
@@ -37,6 +48,12 @@ from toricstab.testkit import (
 )
 
 
+def blown_up_quadric():
+    """P1 x P1 blown up at the fixed point of the cone of (1, 0) and (0, 1)."""
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1))
+    return validate_fan(make_fan(2, rays, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
+
+
 def hirzebruch_polytope(m, coeffs):
     return polytope_from_divisor(divisor(construct_hirzebruch(m), coeffs))
 
@@ -52,12 +69,12 @@ def facets(f):
 
 class TestVertices:
     def test_plane_anticanonical_triangle(self):
-        p = polytope_from_divisor(anticanonical(construct_projective_space(2)))
-        assert set(p.vertices) == {(-1, -1), (2, -1), (-1, 2)}
+        f = construct_projective_space(2)
+        assert set(fraction_vertices(f, (1, 1, 1))) == {(-1, -1), (2, -1), (-1, 2)}
 
     def test_twisted_surface_anticanonical(self):
-        p = hirzebruch_polytope(1, (1, 1, 1, 1))
-        assert p.vertices == ((-1, -1), (0, -1), (2, 1), (-1, 1))
+        f = construct_hirzebruch(1)
+        assert fraction_vertices(f, (1, 1, 1, 1)) == [(-1, -1), (0, -1), (2, 1), (-1, 1)]
 
     def test_facet_lists_follow_rays(self):
         f = construct_projective_space(2)
@@ -67,14 +84,14 @@ class TestVertices:
 
     def test_vertices_satisfy_their_equalities(self):
         f = construct_proj_split(1, (1, 0, 0))
-        p = polytope_from_divisor(anticanonical(f))
-        for ci, cone in enumerate(f.max_cones):
-            v = p.vertices[ci]
+        for cone, v in zip(f.max_cones, fraction_vertices(f, [1] * len(f.rays))):
             for r in cone:
                 assert sum(a * b for a, b in zip(v, f.rays[r])) == -1
 
     @pytest.mark.parametrize("k", [1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)])
     def test_points_are_scaled_vertices(self, k):
+        # q times each fraction vertex is an integer point, and the heights
+        # pair those points with the generic vector
         for case in golden_suite():
             f = build_case_fan(case)
             base = [1] * len(f.rays) if case.divisor == "anticanonical" else case.divisor
@@ -83,11 +100,10 @@ class TestVertices:
             assert p.scale == lcm(*(c.denominator for c in coeffs))
             assert all(type(x) is int for x in p.scaled_coeffs)
             assert p.scaled_coeffs == tuple(p.scale * c for c in coeffs), case.name
-            assert all(type(x) is int for pt in p.points for x in pt)
-            assert p.points == tuple(
-                tuple(p.scale * x for x in u) for u in fraction_vertices(f, coeffs)
-            ), case.name
-            assert p.vertices == tuple(fraction_vertices(f, coeffs))
+            points = [[p.scale * x for x in u] for u in fraction_vertices(f, coeffs)]
+            assert all(x.denominator == 1 for pt in points for x in pt), case.name
+            xi = generic_vector(f.dim, f.duals)[0]
+            assert p.heights == tuple(dot(xi, pt) for pt in points), case.name
 
     def test_coefficient_count_checked(self):
         with pytest.raises(DimMismatch):
@@ -265,14 +281,13 @@ def _volumes(f, coeffs):
     return facet_volumes(polytope_from_divisor(divisor(f, coeffs))).values
 
 
-def _polytope_volume(p):
+def _polytope_volume(f, coeffs):
     """Normalized n-volume of the polytope from the degree-n vertex sum."""
-    f = p.divisor.fan
     n, xi = f.dim, generic_vector(f.dim, f.duals)[0]
     return sum(
         (
             dot(xi, u) ** n / (factorial(n) * prod(-dot(xi, m) for m in edges))
-            for u, edges in zip(p.vertices, f.duals)
+            for u, edges in zip(fraction_vertices(f, coeffs), f.duals)
         ),
         Fraction(0),
     )
@@ -302,9 +317,8 @@ class TestVertexFormulaProperties:
     def test_pyramid_identity(self, f, d):
         # cone over each facet from the origin: its lattice height is the
         # (signed) coefficient of the facet's ray
-        p = polytope_from_divisor(d)
-        vols = facet_volumes(p)
-        assert f.dim * _polytope_volume(p) == sum(
+        vols = facet_volumes(polytope_from_divisor(d))
+        assert f.dim * _polytope_volume(f, d.coeffs) == sum(
             a * v for a, v in zip(d.coeffs, vols.values)
         )
 
@@ -405,3 +419,72 @@ class TestReflexive:
         for name, f in catalog_fano4():
             p = polytope_from_divisor(anticanonical(f))
             assert is_reflexive(p), name
+
+    @pytest.mark.parametrize("f, coeffs", [
+        (construct_p1_bundle(3, 1), (1, 1, 2, 1, 1)),
+        (construct_p1_bundle(4, 1), (1, 1, 1, 2, 1, 1)),
+        (construct_proj_split(2, (1, 0)), (2, 1, 1, 1, 1, 1)),
+    ], ids=["p1_bundle(3,1)", "B3", "C2"])
+    def test_facet_at_distance_two_is_not_reflexive(self, f, coeffs):
+        # ample, so every ray gives a facet, and the ray with coefficient 2
+        # gives one at lattice distance 2; the origin is still the only
+        # interior lattice point
+        p = polytope_from_divisor(divisor(f, coeffs))
+        assert is_ample(p)
+        assert not is_reflexive(p)
+        if f.dim == 3:
+            assert reflexive_by_scan(f, coeffs)
+
+    def test_ray_supporting_only_a_vertex(self):
+        # P1 x P1 blown up at a fixed point: D is nef, its polytope is the
+        # reflexive square, and the ray (1, 1) touches it at the vertex (-1, -1)
+        f = blown_up_quadric()
+        p = polytope_from_divisor(divisor(f, (1, 2, 1, 1, 1)))
+        assert not is_ample(p)
+        assert is_reflexive(p)
+        assert reflexive_by_scan(f, (1, 2, 1, 1, 1))
+
+    def test_non_nef_divisor_raises(self):
+        # a1 + a3 - a2 < 0: negative on the curve of ray 1
+        p = hirzebruch_polytope(1, (1, 1, -1, 1))
+        assert not nef_by_fractions(p.divisor.fan, (1, 1, -1, 1))
+        with pytest.raises(NonAmple, match="not nef"):
+            is_reflexive(p)
+
+    def test_matches_the_box_scan_on_small_boxes(self):
+        # every integer coefficient vector in {0, 1, 2}: a divisor that is
+        # not nef raises; on a nef one the scan agrees in dimension 2, and in
+        # dimension 3 the one it passes with a facet at distance 2 differs
+        fans = [construct_hirzebruch(m) for m in range(4)]
+        fans += [construct_projective_space(2), blown_up_quadric(), construct_projective_space(3),
+                 construct_p1_bundle(3, 1), construct_proj_split(1, (1, 0))]
+        verdicts, differ = 0, []
+        for f in fans:
+            for coeffs in iproduct(range(3), repeat=len(f.rays)):
+                p = polytope_from_divisor(divisor(f, coeffs))
+                if not nef_by_fractions(f, coeffs):
+                    with pytest.raises(NonAmple):
+                        is_reflexive(p)
+                    continue
+                verdicts += 1
+                got, scanned = is_reflexive(p), reflexive_by_scan(f, coeffs)
+                assert scanned or not got, (f, coeffs)
+                if got != scanned:
+                    differ.append((f, coeffs))
+        assert verdicts == 922
+        assert differ == [(construct_p1_bundle(3, 1), (1, 1, 2, 1, 1))]
+
+    def test_work_does_not_grow_with_the_coefficients(self, count_calls):
+        f = construct_projective_space(4)
+        dots = count_calls(lattice, "dot")
+        counts = []
+        for k in range(1, 13):
+            p = polytope_from_divisor(divisor(f, [k] * 5))
+            before = len(dots)
+            assert is_reflexive(p) == (k == 1)
+            counts.append(len(dots) - before)
+        assert counts == [counts[0]] * 12
+
+    def test_random_polarization_answers(self):
+        f, d = random_polarized(1)
+        assert not is_reflexive(polytope_from_divisor(d))

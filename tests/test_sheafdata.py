@@ -15,6 +15,7 @@ from toricstab.errors import (
     InconsistentRank,
     InvalidJumpData,
     RankMismatch,
+    ToricStabError,
 )
 from toricstab.fan import (
     catalog_fano4,
@@ -389,6 +390,8 @@ class TestDegreeMonotonicity:
         j1 = lambda_vector_to_jump((0, -1, 0, 0))
         j2 = lambda_vector_to_jump((-1, 0, 0, 0))
         with pytest.raises(ValueError):
+            degree_monotonicity_check(j1, j2, vols, 2)
+        with pytest.raises(ToricStabError):
             degree_monotonicity_check(j1, j2, vols, 2)
 
     @given(
