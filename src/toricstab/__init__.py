@@ -22,7 +22,6 @@ from .charts import (
 )
 from .errors import (
     BadDimension,
-    BadIndex,
     BadRank,
     BadTwist,
     DimMismatch,
@@ -87,7 +86,7 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadDimension", "BadIndex", "BadRank", "BadTwist", "Certificate",
+    "BadDimension", "BadRank", "BadTwist", "Certificate",
     "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank", "InvalidFan",
     "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",

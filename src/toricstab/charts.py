@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DimMismatch, InvalidLambda, NotMaximal, ZeroVector
-from .fan import Fan, cone_dual, cone_rays
+from .fan import Fan, cone_dual, cone_rays, validate_fan
 from .lattice import Vector, dot, pivot_of, primitive_vector
 from .sheafdata import validate_lambda_matrix
 
@@ -72,7 +73,18 @@ def expand_in_chart(d: MonomialDerivation, c: Chart):
 
 
 def is_regular(d: MonomialDerivation, c: Chart) -> bool:
-    return all(in_semigroup(c, e) for _, e, _ in expand_in_chart(d, c))
+    return _regular(d.u, d.v, c.rays, c.dual)
+
+
+def _regular(u, v, rays, dual) -> bool:
+    """chi(u) d_v is regular on the chart of ``rays`` with duals ``dual``:
+    every exponent u + m_i with <m_i, v> != 0 pairs >= 0 with every ray."""
+    for m in dual:
+        if dot(m, v):
+            e = tuple(map(add, u, m))
+            if any(dot(e, ray) < 0 for ray in rays):
+                return False
+    return True
 
 
 def weight_space_dim(f: Fan, sigma, u) -> int:
@@ -81,17 +93,6 @@ def weight_space_dim(f: Fan, sigma, u) -> int:
         raise DimMismatch(f"weight of length {len(u)} in dimension {f.dim}")
     c = chart_of(f, sigma)
     return sum(1 for m in c.dual if in_semigroup(c, tuple(x + y for x, y in zip(u, m))))
-
-
-def _pinned_weight(c: Chart, lam) -> Vector:
-    # <alpha_i, u> = lambda_{alpha_i} for the rays of the cone has the
-    # unique solution u = sum_i lambda_i * m_i
-    n = len(c.dual[0])
-    u = [0] * n
-    for i, ray_index in enumerate(c.cone):
-        for k in range(n):
-            u[k] += lam[ray_index] * c.dual[i][k]
-    return tuple(u)
 
 
 def _line_of(v) -> Vector:
@@ -105,8 +106,12 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
 
     Tries each ray line (those carrying a -1 first) and, when no entry
     is -1, a generic line.  A line witnesses the data when on every
-    maximal cone the pinned weight makes the derivation regular.
+    maximal cone the pinned weight makes the derivation regular.  A raw
+    fan is validated here, once (InvalidFan when it is not smooth and
+    complete).
     """
+    if not f.validated:
+        f = validate_fan(f)
     ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)
@@ -121,12 +126,17 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
         generic = _line_of((1,) * f.dim)
         if generic not in lines:
             lines.append(generic)
-    charts = [Chart(c, cone_rays(f, c), cone_dual(f, ci)) for ci, c in enumerate(f.max_cones)]
+    # Per chart: its rays, its duals and the pinned weight u = sum_i lam_i m_i,
+    # the one solution of <u, ray_i> = lam_i on the cone's rays.
+    charts = []
+    for c, dual in zip(f.max_cones, f.duals):
+        u = (0,) * f.dim
+        for i, m in zip(c, dual):
+            if lam[i]:
+                u = tuple(x + lam[i] * y for x, y in zip(u, m))
+        charts.append((u, cone_rays(f, c), dual))
     for v in lines:
-        if all(
-            is_regular(MonomialDerivation(_pinned_weight(c, lam), v), c)
-            for c in charts
-        ):
+        if all(_regular(u, v, rays, dual) for u, rays, dual in charts):
             return v
     return None
 

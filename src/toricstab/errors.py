@@ -49,10 +49,6 @@ class InvalidFan(ToricStabError):
         super().__init__(f"invalid fan ({lines})")
 
 
-class BadIndex(ToricStabError):
-    """A ray or cone index is out of range or repeated."""
-
-
 class BadDimension(ToricStabError):
     """A constructor was asked for an unsupported dimension."""
 

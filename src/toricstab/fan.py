@@ -64,6 +64,16 @@ component of the cones connected through opposite-side walls, plus one per
 non-smooth cone.  A smooth fan is connected exactly when one start
 suffices.  Every other cone costs O(n^2) integer operations.
 
+The pairings with v ride along on the same crossing.  With p = -1 the
+duals of sigma' pair with v to -<v, m_k> (for rho') and
+<v, m_l> + q_l <v, m_k>, where q_l = <m_l, rho'> is what the crossing
+computes anyway.  So only the duals of each start cone are paired with
+v = (1, 2, ..., 2^(n-1)) by dot products.  Only when a carried pairing is
+0, t = 2 is not generic for the fan, and ``generic_vector`` searches from
+t = 2 over all the duals.  Walls are keyed by one integer each, the
+cone's ray bitmask with the omitted ray cleared, and are sorted only to
+name them in violations.
+
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
 Fano fourfolds with b_2 <= 2 live here as well.
@@ -206,7 +216,8 @@ def validate_fan(f: Fan) -> Fan:
     if not cones:
         violations.append(("NotComplete", "no maximal cones"))
     used: set[int] = set()
-    cone_seen: dict[frozenset, int] = {}
+    masks: dict[int, int] = {}  # ray bitmask -> first cone with those rays
+    keys = []  # per cone, the key of each wall: its bitmask without that ray
     bad_cone = False
     for ci, c in enumerate(cones):
         ok = (
@@ -218,10 +229,11 @@ def validate_fan(f: Fan) -> Fan:
             violations.append(("BadIndex", f"cone {ci} = {f.max_cones[ci]!r}"))
             bad_cone = True
             continue
-        key = frozenset(c)
-        if key in cone_seen:
-            violations.append(("DuplicateCone", f"cones {cone_seen[key]} and {ci} are both {c}"))
-        cone_seen[key] = ci
+        mask = sum(1 << i for i in c)
+        if mask in masks:
+            violations.append(("DuplicateCone", f"cones {masks[mask]} and {ci} are both {c}"))
+        masks[mask] = ci
+        keys.append(tuple(mask ^ (1 << i) for i in c))
         used.update(c)
     if violations and (bad_cone or not cones or not rays):
         raise InvalidFan(violations)
@@ -231,19 +243,23 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
 
-    # Every wall (a cone minus one ray) with its cones and the ray each omits.
-    walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ci, c in enumerate(cones):
-        for k, omit in enumerate(c):
-            walls.setdefault(c[:k] + c[k + 1:], []).append((ci, omit))
+    # Every wall (a cone minus one ray), keyed by its ray bitmask, with the
+    # cones holding it and the position in each of the ray it omits.
+    walls: dict[int, list[tuple[int, int]]] = {}
+    for ci, cone_keys in enumerate(keys):
+        for k, key in enumerate(cone_keys):
+            walls.setdefault(key, []).append((ci, k))
 
-    # Smoothness, wall sides and connectivity in one walk: a Hermite
-    # reduction for each cone no crossing from a smooth cone has reached
+    # Smoothness, wall sides, connectivity and the pairings with
+    # v = (1, 2, ..., 2^(n-1)) in one walk: a Hermite reduction and n dot
+    # products for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
     # records p = <m_k, new ray> and the wall as (cone, k, other cone); only
-    # p = -1 (opposite sides) is crossed.
+    # p = -1 (opposite sides) is crossed, carrying duals and pairings over.
+    v = tuple(1 << j for j in range(n))
     duals: list = [None] * len(cones)
-    side: dict[tuple[int, ...], int] = {}
+    pairings: list = [None] * len(cones)
+    side: dict[int, int] = {}
     adjacent: list[tuple[int, int, int]] = []
     starts = 0
     for start, c in enumerate(cones):
@@ -254,49 +270,64 @@ def validate_fan(f: Fan) -> Fan:
         except NotSmoothCone as e:
             violations.append(("NotSmooth", f"cone {c} has |det| = {e.det}"))
             continue
+        pairings[start] = tuple(dot(v, m) for m in duals[start])
         starts += 1
         stack = [start]
         while stack:
             ci = stack.pop()
-            c, ms = cones[ci], duals[ci]
-            for k in range(n):
-                wall = c[:k] + c[k + 1:]
-                members = walls[wall]
-                if len(members) != 2 or wall in side:
+            ms, ps = duals[ci], pairings[ci]
+            for k, key in enumerate(keys[ci]):
+                members = walls[key]
+                if len(members) != 2 or key in side:
                     continue
-                cj, new = members[members[0][0] == ci]  # the other cone, its new ray
-                side[wall] = dot(ms[k], rays[new])
+                cj, kj = members[members[0][0] == ci]  # the other cone, its new ray's place
+                new = rays[cones[cj][kj]]
+                mk = ms[k]
+                side[key] = p = dot(mk, new)
                 adjacent.append((ci, k, cj))
-                if side[wall] != -1 or duals[cj] is not None:
+                if p != -1 or duals[cj] is not None:
                     continue
-                crossed = {new: tuple(-x for x in ms[k])}
-                for i, m in zip(wall, ms[:k] + ms[k + 1:]):
-                    q = dot(m, rays[new])
-                    crossed[i] = tuple(x + q * y for x, y in zip(m, ms[k])) if q else m
-                duals[cj] = tuple(crossed[i] for i in cones[cj])
+                pk = ps[k]
+                crossed, paired = [], []
+                for m, pm in zip(ms[:k] + ms[k + 1:], ps[:k] + ps[k + 1:]):
+                    q = dot(m, new)
+                    crossed.append(tuple(x + q * y for x, y in zip(m, mk)) if q else m)
+                    paired.append(pm + q * pk)
+                crossed.insert(kj, tuple(-x for x in mk))
+                paired.insert(kj, -pk)
+                duals[cj], pairings[cj] = tuple(crossed), tuple(paired)
                 stack.append(cj)
     if violations:
         raise InvalidFan(violations)
-    pairings = generic_vector(n, duals)[1]
+    # A zero pairing means t = 2 is not generic: search on from t = 2.
+    pairings = tuple(pairings) if all(map(all, pairings)) else generic_vector(n, duals)[1]
 
     # Wall pairing and orientation, read off the sides the walk recorded.
     # With every cone smooth |p| = 1, and p has one sign from either side.
-    for wall, members in sorted(walls.items()):
-        if len(members) != 2:
-            violations.append(
-                ("NotComplete", f"wall {wall} lies in {len(members)} maximal cone(s)")
-            )
-        elif side[wall] >= 0:
-            (c1, _), (c2, _) = members
-            violations.append(
-                ("NotComplete", f"cones {cones[c1]} and {cones[c2]} lie on one side of wall {wall}")
-            )
+    # Every two-cone wall has a side, so fewer sides than walls means a
+    # wall in one cone or in three or more.
+    if len(side) < len(walls) or max(side.values()) >= 0:
+        named = []
+        for key, members in walls.items():
+            ci, k = members[0]
+            named.append((cones[ci][:k] + cones[ci][k + 1:], key))
+        for wall, key in sorted(named):
+            members = walls[key]
+            if len(members) != 2:
+                violations.append(
+                    ("NotComplete", f"wall {wall} lies in {len(members)} maximal cone(s)")
+                )
+            elif side[key] >= 0:
+                c1, c2 = (cones[ci] for ci, _ in members)
+                violations.append(
+                    ("NotComplete", f"cones {c1} and {c2} lie on one side of wall {wall}")
+                )
     # The walk crosses exactly the opposite-side walls, so one start reached
     # every cone exactly when they are connected through them.
     if starts != 1:
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    if violations or sum(all(x > 0 for x in row) for row in pairings) != 1:
+    if violations or sum(min(row) > 0 for row in pairings) != 1:
         for a in range(len(cones)):
             for b in range(a + 1, len(cones)):
                 detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])

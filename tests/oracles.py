@@ -16,7 +16,9 @@ use too); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
 Fano manifold (Wang and Zhu, 2004).  ``cone_carrier_problems`` is the
 scan of every (r+1)-subset of a row's -1 rays that
 ``sheafdata.validate_lambda_matrix`` once ran, with ``is_cone`` as its
-face test.
+face test.  ``rank_one_by_charts`` is ``charts.rank_one_exists`` line by
+line through the public chart objects, and ``skewed_products`` are the
+product fans the ``oracle`` benchmark draws from.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from functools import cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import factorial, lcm
+from random import Random
 
 from toricstab import lattice
+from toricstab.charts import MonomialDerivation, chart_of, is_regular
 from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
+from toricstab.fan import construct_hirzebruch, construct_product, construct_projective_space
 from toricstab.lattice import Subspace, Vector, dot, integer_kernel
+from toricstab.testkit import random_unimodular, transform_fan
 
 
 class NotOnFacetHyperplane(ToricStabError):
@@ -376,3 +382,57 @@ def barycenter_is_origin(f) -> bool:
         if total:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Rank-one realizations, one chart object per line and cone
+
+
+def rank_one_by_charts(f, lam):
+    """The first line that realizes the rank-one data ``lam`` on the
+    validated fan ``f``, in the order ``charts.rank_one_exists`` tries them
+    (the lines of the rays carrying -1, then of the other rays, then of
+    (1, ..., 1) when no entry is -1), or None.  A line v realizes it when on
+    every maximal cone the weight u with <u, ray> = lam on the cone's rays
+    (the chart's duals combined, checked against its rays) makes
+    chi(u) d_v regular by the public ``chart_of``, ``MonomialDerivation``
+    and ``is_regular``.
+    """
+    order = [i for i, x in enumerate(lam) if x == -1] + [i for i, x in enumerate(lam) if x != -1]
+    vectors = [f.rays[i] for i in order] + ([(1,) * f.dim] if -1 not in lam else [])
+    lines = []
+    for w in vectors:
+        p = primitive_vector(w)
+        line = p if next(x for x in p if x) > 0 else tuple(-x for x in p)
+        if line not in lines:
+            lines.append(line)
+    for v in lines:
+        for cone in f.max_cones:
+            chart = chart_of(f, cone)
+            u = tuple(
+                sum(lam[i] * m[k] for i, m in zip(chart.cone, chart.dual)) for k in range(f.dim)
+            )
+            assert [dot(u, ray) for ray in chart.rays] == [lam[i] for i in chart.cone]
+            if not is_regular(MonomialDerivation(u, v), chart):
+                break
+        else:
+            return v
+    return None
+
+
+def skewed_products():
+    """The five product fans the ``oracle`` benchmark draws from (P2^2,
+    P1^4, P2^3, P2 x F1 x P1^2 and F1^3, with 9 to 64 cones), each raw in a
+    skewed basis of its own."""
+    p1, p2, f1 = construct_projective_space(1), construct_projective_space(2), construct_hirzebruch(1)
+    p2p2, p1p1 = construct_product(p2, p2), construct_product(p1, p1)
+    bases = (
+        p2p2,
+        construct_product(p1p1, p1p1),
+        construct_product(p2p2, p2),
+        construct_product(construct_product(p2, f1), p1p1),
+        construct_product(construct_product(f1, f1), f1),
+    )
+    return tuple(
+        transform_fan(f, random_unimodular(f.dim, Random(400 + i))) for i, f in enumerate(bases)
+    )

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import charts
+from oracles import rank_one_by_charts, skewed_products
+from toricstab import charts, fan
 from toricstab.charts import (
     Chart,
     MonomialDerivation,
@@ -21,17 +22,25 @@ from toricstab.charts import (
     reexpand,
     weight_space_dim,
 )
-from toricstab.errors import DimMismatch, InvalidLambda, NotMaximal, NotSmoothCone, ZeroVector
+from toricstab.errors import (
+    DimMismatch,
+    InvalidFan,
+    InvalidLambda,
+    NotMaximal,
+    NotSmoothCone,
+    ZeroVector,
+)
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
     construct_proj_split,
     construct_projective_space,
     make_fan,
+    validate_fan,
 )
 from toricstab.lattice import dot, hermite_canonical
 from toricstab.sheafdata import tangent_jump_data, validate_lambda_matrix
-from toricstab.testkit import random_polarized
+from toricstab.testkit import fuzz_lambda, random_polarized, random_unimodular, transform_fan
 
 B5 = construct_proj_split(1, (1, 0, 0))
 F1 = construct_hirzebruch(1)
@@ -221,6 +230,42 @@ class TestRankOneExists:
     def test_invalid_data_rejected(self):
         with pytest.raises(InvalidLambda):
             rank_one_exists(F1, (-1, -1, 0, 0))
+
+    def test_raw_fan_is_validated_once(self, count_calls):
+        raw = transform_fan(F1, random_unimodular(2, random.Random(3)))
+        f = validate_fan(raw)
+        validations = count_calls(fan, "validate_fan")
+        for lam in ((0, -1, 0, -1), (-1, 0, -1, 0), (0, 1, 0, 2)):
+            assert rank_one_exists(raw, lam) == rank_one_exists(f, lam)
+        # One per request on the raw fan, none on the validated one.
+        assert len(validations) == 3
+        assert rank_one_exists(raw, (0, -1, 0, -1)) is not None
+
+    def test_incomplete_raw_fan_is_rejected(self):
+        raw = make_fan(2, P2.rays, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidFan) as ei:
+            rank_one_exists(raw, (0, 0, 0))
+        assert {code for code, _ in ei.value.violations} == {"NotComplete"}
+
+    def test_non_smooth_raw_fan_is_rejected(self):
+        raw = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(InvalidFan) as ei:
+            rank_one_exists(raw, (0, 0, 0))
+        assert ei.value.violations == (("NotSmooth", "cone (0, 2) has |det| = 2"),)
+
+    def test_matches_the_per_line_reference(self):
+        fans = [f for _, f in catalog_fano4()] + [validate_fan(f) for f in skewed_products()]
+        outcomes = set()
+        for i, f in enumerate(fans):
+            stream = fuzz_lambda(f, 900 + i)
+            for _ in range(60):
+                lam = next(stream)
+                witness = rank_one_exists(f, lam)
+                assert witness == rank_one_by_charts(f, lam), (i, lam)
+                outcomes.add(witness is None)
+        assert outcomes == {True, False}
+        assert rank_one_exists(B5, (0, 0, 0, 0, -1, -1)) is None
+        assert rank_one_by_charts(B5, (0, 0, 0, 0, -1, -1)) is None
 
     def test_agrees_with_span_criterion(self):
         rng = random.Random(20260816)

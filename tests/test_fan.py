@@ -1,12 +1,13 @@
 """Fan validation and the standard constructors."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from oracles import fraction_vertices, is_cone
+from oracles import fraction_vertices, is_cone, skewed_products
 from toricstab import fan, lattice
 from toricstab.errors import BadDimension, BadTwist, InvalidFan
 from toricstab.fan import (
@@ -459,14 +460,26 @@ class TestCoveringCount:
         assert _covering_and_pairwise(INVALID_FANS["overlapping_cones"])[0] == 1
 
     def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
-        # B5 has 8 cones and 16 walls: 8 * 4 duals paired once with v, one
-        # pairing per wall for its side, on the walk's first visit, and 3 more
-        # per crossing into the 7 cones after the first (the omitted ray's
-        # dual was paired for the side).
+        # B5 has 8 cones and 16 walls: the start cone's 4 duals paired with
+        # v, one pairing per wall for its side, on the walk's first visit,
+        # and 3 more per crossing into the 7 cones after the first (the
+        # omitted ray's dual was paired for the side).  Each crossing carries
+        # the pairings with v over, so no other dual is paired with v.
         b5 = construct_proj_split(1, (1, 0, 0))
         dots = count_calls(lattice, "dot")
         validate_fan(make_fan(b5.dim, b5.rays, b5.max_cones))
-        assert len(dots) == 8 * 4 + 16 + 7 * 3
+        assert len(dots) == 4 + 16 + 7 * 3
+
+    def test_pairings_ride_along_on_a_product_of_eight_lines(self, count_calls):
+        # P1^8: 256 cones, 1024 walls; 8 start pairings, one per wall, 7 per
+        # crossing into the other 255 cones.  Every dual is +-e_i, so t = 2
+        # is generic and the search never runs.
+        f = _power(construct_projective_space(1), 8)
+        dots = count_calls(lattice, "dot")
+        searches = count_calls(lattice, "generic_vector")
+        validate_fan(make_fan(f.dim, f.rays, f.max_cones))
+        assert len(dots) == 8 + 1024 + 255 * 7
+        assert not searches
 
     def test_pairwise_check_only_runs_as_fallback(self, count_calls):
         calls = count_calls(fan, "_pair_face_violation")
@@ -626,7 +639,74 @@ VIOLATIONS = {
 }
 
 
+WALLS_DIGEST = "7642623fc7445f8fceee2f2b7f4849972a662f66c6a1ad3fa17f7049eaf75fcd"
+
+
+def _crossing_fans():
+    """Raw copies of the goldens, the catalog, ``random_polarized`` seeds
+    0-199 and the five skewed product fans, with their names."""
+    fans = [(case.name, build_case_fan(case)) for case in golden_suite()]
+    fans += catalog_fano4()
+    fans += [(f"random_polarized({seed})", random_polarized(seed)[0]) for seed in range(200)]
+    fans += [(f"skewed product {i}", f) for i, f in enumerate(skewed_products())]
+    return [(name, make_fan(f.dim, f.rays, f.max_cones)) for name, f in fans]
+
+
+@pytest.fixture(scope="module")
+def crossed():
+    return [(name, validate_fan(raw)) for name, raw in _crossing_fans()]
+
+
+def _zero_at_two(f) -> bool:
+    """Whether (1, 2, ..., 2^(n-1)) pairs to 0 with some cone dual of ``f``."""
+    v = tuple(2**j for j in range(f.dim))
+    return any(dot(v, m) == 0 for ms in f.duals for m in ms)
+
+
 class TestWallCrossing:
+    def test_carried_pairings_and_duals_match_per_cone_ones(self, crossed):
+        assert len(crossed) == 246
+        for name, f in crossed:
+            assert f.pairings == generic_vector(f.dim, f.duals)[1], name
+            assert f.duals == tuple(dual_basis(cone_rays(f, c)) for c in f.max_cones), name
+        # The search past t = 2 runs on some of them.
+        assert sum(_zero_at_two(f) for _, f in crossed) == 33
+
+    def test_walls_are_unchanged(self, crossed):
+        # SHA-256 over repr(f.walls) of every fan, a line each, in order, as
+        # the walk gave them when it keyed each wall by its tuple of rays.
+        h = hashlib.sha256()
+        for _, f in crossed:
+            h.update(repr(f.walls).encode() + b"\n")
+        assert h.hexdigest() == WALLS_DIGEST
+
+    def test_one_sided_walls_are_named_when_every_wall_has_two_cones(self):
+        # Three smooth cones on (1, 0), (0, 1), (1, 1), folded over each
+        # other: each wall lies in two cones, and two of the walls have both
+        # cones on one side.
+        folded = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(folded)
+        assert ei.value.violations == (
+            ("NotComplete", "cones (0, 1) and (0, 2) lie on one side of wall (0,)"),
+            ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
+            ("NotComplete", "maximal cones are not connected through walls"),
+            bad_intersection((0, 1), (1, 2), (1,)),
+            bad_intersection((0, 1), (0, 2), (0,)),
+        )
+
+    def test_a_zero_pairing_at_t_2_falls_back_to_the_search(self, count_calls):
+        skewed = random_polarized(5)[0]
+        raw = make_fan(skewed.dim, skewed.rays, skewed.max_cones)
+        searches = count_calls(lattice, "generic_vector")
+        f = validate_fan(raw)
+        assert _zero_at_two(f) and len(searches) == 1
+        v, rows = generic_vector(f.dim, f.duals)
+        assert v[1] > 2 and f.pairings == rows
+        b5 = construct_proj_split(1, (1, 0, 0))
+        validate_fan(make_fan(b5.dim, b5.rays, b5.max_cones))
+        assert not _zero_at_two(b5) and len(searches) == 1
+
     def test_duals_equal_per_cone_hermite_duals(self):
         rng = random.Random(5)
         skews = [

@@ -22,6 +22,7 @@ REMOVED = (
     "validate_lambda_vector",
     "enumerate_candidates",
     "is_cone",
+    "BadIndex",
 )
 
 
