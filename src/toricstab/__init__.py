@@ -21,6 +21,7 @@ from .charts import (
     weight_space_dim,
 )
 from .errors import (
+    BadCoefficient,
     BadDimension,
     BadRank,
     BadTwist,
@@ -86,7 +87,7 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadDimension", "BadRank", "BadTwist", "Certificate",
+    "BadCoefficient", "BadDimension", "BadRank", "BadTwist", "Certificate",
     "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank", "InvalidFan",
     "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",

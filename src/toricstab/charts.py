@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DimMismatch, InvalidLambda, NotMaximal, ZeroVector
-from .fan import Fan, cone_dual, cone_rays, validate_fan
+from .fan import Fan, cone_rays, validate_fan
 from .lattice import Vector, dot, pivot_of, primitive_vector
 from .sheafdata import validate_lambda_matrix
 
@@ -48,12 +48,17 @@ class MonomialDerivation:
 
 
 def chart_of(f: Fan, sigma) -> Chart:
+    """The chart of the maximal cone ``sigma`` (any ray order), its duals
+    read off the validated fan; a raw fan is validated here, once
+    (InvalidFan when it is not smooth and complete)."""
+    if not f.validated:
+        f = validate_fan(f)
     cone = tuple(sorted(sigma))
     try:
         ci = f.max_cones.index(cone)
     except ValueError:
         raise NotMaximal(f"{cone} is not a maximal cone of the fan") from None
-    return Chart(cone=cone, rays=cone_rays(f, cone), dual=cone_dual(f, ci))
+    return Chart(cone=cone, rays=cone_rays(f, cone), dual=f.duals[ci])
 
 
 def in_semigroup(c: Chart, u) -> bool:

@@ -48,7 +48,7 @@ from .fan import (
 )
 from .lattice import row_hermite
 from .polytope import anticanonical, divisor
-from .stability import MAX_RAYS, certificate, decide
+from .stability import MAX_RAYS, Stability, certificate, decide
 
 
 def _decimal(x: int) -> str:
@@ -195,8 +195,7 @@ def catalog_rows() -> list[dict]:
     rows = []
     for name, f in catalog_fano4():
         v = decide(f, anticanonical(f))
-        cert = certificate(v)
-        rank = cert.rank if cert else None
+        rank = None if v.status is Stability.STABLE else v.best.rank
         rows.append({"name": name, "verdict": v.status.value, "rank": rank})
     return rows
 

@@ -101,5 +101,9 @@ class TooManyRays(ToricStabError, ValueError):
     """A fan has more rays than the flat enumeration is capped at."""
 
 
+class BadCoefficient(ToricStabError, TypeError):
+    """A divisor coefficient is neither an exact ``int`` nor a ``Fraction``."""
+
+
 class ParseError(ToricStabError):
     """Input text (JSON fan/divisor files, rationals, CLI params) is malformed."""

@@ -142,7 +142,7 @@ class Fan:
         bases = self.__dict__.setdefault("_flat_bases", {})
         key = tuple(rays_in)
         if key not in bases:
-            bases[key] = hermite_canonical([self.rays[i] for i in key]).basis
+            bases[key] = hermite_canonical([self.rays[i] for i in key])
         return bases[key]
 
 
@@ -164,17 +164,6 @@ def make_fan(dim, rays, max_cones) -> Fan:
 
 def cone_rays(f: Fan, cone) -> tuple[Vector, ...]:
     return tuple(f.rays[i] for i in cone)
-
-
-def cone_dual(f: Fan, ci: int) -> tuple[Vector, ...]:
-    """Dual basis of maximal cone ``ci``, in cone order.
-
-    A validated fan keeps them; for any other fan it is computed here
-    (NotSmoothCone when the cone is not unimodular).
-    """
-    if f.duals is not None:
-        return f.duals[ci]
-    return dual_basis(cone_rays(f, f.max_cones[ci]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +373,7 @@ def _pair_face_violation(rays, ca, cb, duals_a, duals_b):
 
 def construct_projective_space(n: int) -> Fan:
     """Fan of projective n-space: rays e_1..e_n and -(e_1+...+e_n)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BadDimension(f"projective space needs n >= 1, got {n!r}")
     rays = [*identity_rows(n), (-1,) * n]
     cones = [tuple(i for i in range(n + 1) if i != omit) for omit in range(n + 1)]
@@ -397,7 +386,7 @@ def construct_hirzebruch(m: int) -> Fan:
     Rays (1,0), (0,1), (-1,m), (0,-1) with the four quadrant-like cones.
     Twist 0 is the quadric P1 x P1.
     """
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise BadTwist(f"Hirzebruch twist must be an integer >= 0, got {m!r}")
     rays = [(1, 0), (0, 1), (-1, m), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -413,10 +402,10 @@ def construct_proj_split(base_dim: int, twists) -> Fan:
     Twisting by a constant or flipping all signs changes nothing up to
     lattice isomorphism, so any integer twists are accepted.
     """
-    if not isinstance(base_dim, int) or base_dim < 1:
+    if type(base_dim) is not int or base_dim < 1:
         raise BadDimension(f"base dimension must be >= 1, got {base_dim!r}")
     ts = tuple(twists)
-    if not ts or not all(isinstance(t, int) for t in ts):
+    if not ts or not all(type(t) is int for t in ts):
         raise BadTwist(f"twists must be a nonempty tuple of integers, got {twists!r}")
     k = len(ts)
     d = base_dim
@@ -446,9 +435,9 @@ def construct_p1_bundle(dim: int, twist: int) -> Fan:
     two fiber rays are the rays at indices dim-1 and dim.  Isomorphic to
     ``construct_proj_split(dim - 1, (twist,))`` up to relabeling.
     """
-    if not isinstance(dim, int) or dim < 2:
+    if type(dim) is not int or dim < 2:
         raise BadDimension(f"bundle needs total dimension >= 2, got {dim!r}")
-    if not isinstance(twist, int) or twist < 0:
+    if type(twist) is not int or twist < 0:
         raise BadTwist(f"twist must be an integer >= 0, got {twist!r}")
     n = dim
     rays = [*identity_rows(n), (0,) * (n - 1) + (-1,), (-1,) * (n - 1) + (twist,)]

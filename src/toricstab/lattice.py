@@ -18,15 +18,15 @@ off the pairings of the dual bases with the ``generic_vector`` of the
 moment curve; ``validate_fan`` counts covering cones from those pairings
 and keeps them on the fan.
 
-Every input and output is an integer vector; no floats and no rationals.
-The brute-force hull volume, the rational inverse and the other test
-oracles live in ``tests/oracles.py``.  Outputs are canonical, so equal
-subspaces compare equal as values.
+Every input and output is an integer vector, never converted here
+(``make_fan`` is the one integer gate).  A subspace is its canonical basis
+tuple, so equal subspaces compare equal as values.  The brute-force hull
+volume, the rational inverse and the other test oracles live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
@@ -62,9 +62,9 @@ def row_hermite(rows) -> tuple[Vector, ...]:
     Returns the unique canonical basis of the lattice generated by the rows:
     zero rows dropped, pivots positive, entries above each pivot reduced into
     ``[0, pivot)``.  Any two generating sets of the same lattice map to the
-    same tuple, which is what makes Subspace values directly comparable.
+    same tuple, which is what makes canonical bases directly comparable.
     """
-    mat = [list(map(int, r)) for r in rows]
+    mat = [list(r) for r in rows]
     if not mat:
         return ()
     ncols = len(mat[0])
@@ -111,7 +111,7 @@ def integer_kernel(rows) -> tuple[Vector, ...]:
     basis is saturated, and their identity parts are already in Hermite
     form.  ``rows`` must be nonempty so the ambient dimension is known.
     """
-    rows = [tuple(map(int, r)) for r in rows]
+    rows = list(rows)
     if not rows:
         raise ZeroSpan("integer_kernel needs at least one row")
     n = len(rows[0])
@@ -187,31 +187,17 @@ def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(sorted(flats))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A rational subspace of Q^n carried by its saturated lattice.
-
-    ``basis`` is the Hermite-canonical basis of ``span ∩ Z^n``, so two
-    Subspace values are equal exactly when they describe the same subspace.
-    """
-
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def hermite_canonical(vectors) -> Subspace:
-    """Canonical Subspace spanned by integer vectors.
+def hermite_canonical(vectors) -> tuple[Vector, ...]:
+    """Hermite-canonical basis of ``span ∩ Z^n`` for integer vectors, so
+    two spanning sets give equal tuples exactly when they span the same
+    subspace; its length is the dimension.
 
     Saturation matters: the rows of a Hermite form of the generators need
     not generate ``span ∩ Z^n`` (e.g. (2,0,1) and (0,2,1) miss (1,1,1)), so
     the saturated basis is computed as the integer kernel of the integer
     kernel of the generators.
     """
-    vecs = [tuple(map(int, v)) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         raise ZeroSpan("empty spanning set")
     n = len(vecs[0])
@@ -221,9 +207,7 @@ def hermite_canonical(vectors) -> Subspace:
     if not nonzero:
         raise ZeroSpan("spanning set contains only zero vectors")
     perp = integer_kernel(nonzero)
-    if not perp:
-        return Subspace(n, identity_rows(n))
-    return Subspace(n, integer_kernel(perp))
+    return integer_kernel(perp) if perp else identity_rows(n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +223,7 @@ def dual_basis(rays) -> tuple[Vector, ...]:
     ``[U*rays | U]`` with ``U*rays`` upper triangular, so its diagonal
     multiplies to |det|, and it is ``[I | rays^-1]`` exactly when that is 1.
     """
-    mat = [tuple(map(int, r)) for r in rays]
+    mat = [tuple(r) for r in rays]
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise DimMismatch("dual basis needs n vectors of length n")

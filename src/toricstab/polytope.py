@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import DimMismatch, NonAmple
+from .errors import BadCoefficient, DimMismatch, NonAmple
 from .fan import Fan, validate_fan
 
 
@@ -51,11 +51,16 @@ class ToricDivisor:
 
 
 def divisor(f: Fan, coeffs) -> ToricDivisor:
-    """Divisor sum(coeffs[i] * D_i) over the rays of ``f``."""
-    cs = tuple(Fraction(c) for c in coeffs)
+    """Divisor sum(coeffs[i] * D_i) over the rays of ``f``; each coefficient
+    must be an exact ``int`` or a ``Fraction`` (BadCoefficient otherwise,
+    bools included)."""
+    cs = tuple(coeffs)
+    for c in cs:
+        if type(c) not in (int, Fraction):
+            raise BadCoefficient(f"coefficient {c!r} is not an int or a Fraction")
     if len(cs) != len(f.rays):
         raise DimMismatch(f"{len(cs)} coefficients for {len(f.rays)} rays")
-    return ToricDivisor(f, cs)
+    return ToricDivisor(f, tuple(map(Fraction, cs)))
 
 
 def anticanonical(f: Fan) -> ToricDivisor:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     DimMismatch,
@@ -58,7 +58,7 @@ def jump_data(per_ray) -> JumpData:
     for ri, pairs in enumerate(per_ray):
         merged: dict[int, int] = {}
         for lam, e in pairs:
-            if not isinstance(lam, int) or not isinstance(e, int):
+            if type(lam) is not int or type(e) is not int:
                 raise InvalidJumpData(f"ray {ri}: non-integer pair ({lam!r}, {e!r})")
             if lam < -1:
                 raise InvalidJumpData(f"ray {ri}: level {lam} below -1")
@@ -150,7 +150,7 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
         return (False, tuple(problems))
     for i, row in enumerate(rows):
         for jdx, v in enumerate(row):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 problems.append(f"entry ({i}, {jdx}): non-integer {v!r}")
             elif v < -1:
                 problems.append(f"entry ({i}, {jdx}): value {v} below -1")
@@ -180,7 +180,9 @@ def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: 
     """For same-rank data with j1's levels pointwise >= j2's (per ray,
     after expanding multiplicities in ascending order), degree can only
     drop: returns degree_of(j1) <= degree_of(j2).  Raises
-    IncomparableLevels when some ray's levels are not pointwise >=.
+    IncomparableLevels when some ray's levels are not pointwise >=, that is,
+    when at some level t j1 has more levels <= t than j2: cumulative
+    multiplicities decide, never expanded.
     """
     r1, r2 = rank_of(j1), rank_of(j2)
     if r1 != r2:
@@ -188,8 +190,10 @@ def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: 
     if len(j1.per_ray) != len(j2.per_ray):
         raise DimMismatch("jump data over different ray counts")
     for ri, (p1, p2) in enumerate(zip(j1.per_ray, j2.per_ray)):
-        l1 = [lam for lam, e in p1 for _ in range(e)]
-        l2 = [lam for lam, e in p2 for _ in range(e)]
-        if any(a < b for a, b in zip(l1, l2)):
+        excess: dict[int, int] = {}  # level -> j1's minus j2's multiplicity
+        for pairs, sign in ((p1, 1), (p2, -1)):
+            for lam, e in pairs:
+                excess[lam] = excess.get(lam, 0) + sign * e
+        if any(x > 0 for x in accumulate(excess[lam] for lam in sorted(excess))):
             raise IncomparableLevels(f"ray {ri}: levels are not pointwise comparable")
     return degree_of(j1, vols, n) <= degree_of(j2, vols, n)

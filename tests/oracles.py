@@ -34,7 +34,7 @@ from toricstab import lattice
 from toricstab.charts import MonomialDerivation, chart_of, is_regular
 from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
 from toricstab.fan import construct_hirzebruch, construct_product, construct_projective_space
-from toricstab.lattice import Subspace, Vector, dot, integer_kernel
+from toricstab.lattice import Vector, dot, integer_kernel
 from toricstab.testkit import random_unimodular, transform_fan
 
 
@@ -60,13 +60,14 @@ def primitive_vector(v) -> Vector:
     return lattice.primitive_vector(tuple(int(x * mult) for x in vals))
 
 
-def subspace_contains(s: Subspace, v) -> bool:
-    """Whether ``v`` (ints or rationals) lies in the rational span of ``s``."""
-    if len(v) != s.ambient_dim:
-        raise DimMismatch(f"vector of length {len(v)} in Q^{s.ambient_dim}")
+def subspace_contains(basis, v) -> bool:
+    """Whether ``v`` (ints or rationals) lies in the rational span of the
+    nonempty integer ``basis`` (a ``hermite_canonical`` result)."""
+    if len(v) != len(basis[0]):
+        raise DimMismatch(f"vector of length {len(v)} in Q^{len(basis[0])}")
     if not any(v):
         return True
-    return rank([*s.basis, primitive_vector(v)]) == s.dim
+    return rank([*basis, primitive_vector(v)]) == len(basis)
 
 
 # ---------------------------------------------------------------------------

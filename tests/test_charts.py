@@ -27,7 +27,6 @@ from toricstab.errors import (
     InvalidFan,
     InvalidLambda,
     NotMaximal,
-    NotSmoothCone,
     ZeroVector,
 )
 from toricstab.fan import (
@@ -78,9 +77,18 @@ class TestChartOf:
             chart_of(F1, (0, 2))
 
     def test_not_smooth(self):
+        # A raw fan is validated first, as rank_one_exists and divisors do.
         f = make_fan(2, ((1, 0), (1, 2)), ((0, 1),))
-        with pytest.raises(NotSmoothCone):
+        with pytest.raises(InvalidFan) as ei:
             chart_of(f, (0, 1))
+        assert "NotSmooth" in {code for code, _ in ei.value.violations}
+
+    def test_raw_fan_reads_the_validated_duals(self, count_calls):
+        raw = make_fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+        validations = count_calls(fan, "validate_fan")
+        for sigma in P2.max_cones:
+            assert chart_of(raw, sigma) == chart_of(P2, sigma)
+        assert validations == [(raw,)] * len(P2.max_cones)
 
     def test_duality_pairing_is_identity(self):
         for _, f in catalog_fano4():
@@ -231,6 +239,10 @@ class TestRankOneExists:
         with pytest.raises(InvalidLambda):
             rank_one_exists(F1, (-1, -1, 0, 0))
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(InvalidLambda, match="non-integer True"):
+            rank_one_exists(P2, (True, 0, -1))
+
     def test_raw_fan_is_validated_once(self, count_calls):
         raw = transform_fan(F1, random_unimodular(2, random.Random(3)))
         f = validate_fan(raw)
@@ -279,7 +291,7 @@ class TestRankOneExists:
                     for j in range(i):
                         bad = (
                             lam[i] == lam[j] == -1
-                            and hermite_canonical([f.rays[i], f.rays[j]]).dim == 2
+                            and len(hermite_canonical([f.rays[i], f.rays[j]])) == 2
                         )
                         # leave genuine line-pairs alone, zero out others
                         if bad and not validate_lambda_matrix(f, (lam,))[0]:
@@ -288,7 +300,7 @@ class TestRankOneExists:
                     continue
                 checked += 1
                 negatives = [f.rays[i] for i, l in enumerate(lam) if l == -1]
-                span_dim = hermite_canonical(negatives).dim if negatives else 0
+                span_dim = len(hermite_canonical(negatives)) if negatives else 0
                 witness = rank_one_exists(f, tuple(lam))
                 assert (witness is not None) == (span_dim <= 1), (lam,)
 
@@ -303,7 +315,7 @@ class TestRankOneExists:
         for seed in range(300):
             vectors += random_polarized(seed)[0].rays
         for v in vectors:
-            assert charts._line_of(v) == hermite_canonical([v]).basis[0], v
+            assert charts._line_of(v) == hermite_canonical([v])[0], v
 
 
 def _normalized(terms):
@@ -379,4 +391,4 @@ class TestRankThreeSubsheafFields:
             dirs = [
                 B5.rays[i] for i in sigma if i in self.W_RAYS
             ]
-            assert len(hermite_canonical(dirs).basis) == 3
+            assert len(hermite_canonical(dirs)) == 3

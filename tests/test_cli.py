@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from toricstab import cli, lattice, polytope, sheafdata
-from toricstab.cli import fan_to_dict, load_fan_file, main
+from toricstab.cli import catalog_rows, fan_to_dict, load_fan_file, main
 from toricstab.fan import (
     construct_hirzebruch,
     construct_product,
@@ -353,6 +353,13 @@ class TestCatalog:
         assert lines[1].split() == ["P4", "stable", "-"]
         assert lines[6].split() == ["B5", "semistable", "3"]
         assert lines[10].split() == ["C4", "semistable", "2"]
+
+    def test_rows_derive_no_basis(self, count_calls):
+        # The rank comes from the verdict; no certificate basis is derived.
+        hermite = count_calls(lattice, "hermite_canonical")
+        rows = catalog_rows()
+        assert {r["name"]: (r["verdict"], r["rank"]) for r in rows} == self.EXPECTED
+        assert hermite == []
 
     def test_byte_identical(self, capsys):
         main(["catalog"])

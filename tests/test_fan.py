@@ -782,6 +782,22 @@ class TestMakeFanGate:
         assert str(ei.value) == f"{what} {value!r} is not an integer"
 
 
+class TestConstructorsTakeOnlyInts:
+    """A bool is an ``int`` subclass; the constructors' own checks reject
+    it with their typed errors, before ``make_fan`` sees it."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: construct_projective_space(True), BadDimension),
+        (lambda: construct_hirzebruch(True), BadTwist),
+        (lambda: construct_proj_split(True, (1,)), BadDimension),
+        (lambda: construct_proj_split(1, (True,)), BadTwist),
+        (lambda: construct_p1_bundle(3, True), BadTwist),
+    ], ids=["pn", "hirzebruch", "proj-split-base", "proj-split-twist", "p1-bundle-twist"])
+    def test_bools_are_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
+
+
 class TestStructuralChecks:
     """The checks ``validate_fan`` makes before any geometry, on fans built
     directly, which ``make_fan``'s gate never saw."""

@@ -34,7 +34,6 @@ from toricstab.fan import (
     construct_projective_space,
 )
 from toricstab.lattice import (
-    Subspace,
     dot,
     dual_basis,
     hermite_canonical,
@@ -209,18 +208,14 @@ class TestHermiteCanonical:
         # span{(2,0,1),(0,2,1)} has (1,1,1) in its saturation even though
         # no integer combination of the generators gives it.
         s = hermite_canonical([(2, 0, 1), (0, 2, 1)])
-        assert s.basis == ((1, 1, 1), (0, 2, 1))
-        assert s.dim == 2
+        assert s == ((1, 1, 1), (0, 2, 1))
         assert subspace_contains(s, (1, 1, 1))
 
     def test_duplicate_and_negated_generators_collapse(self):
-        a = hermite_canonical([(0, 1), (0, -1), (0, 1)])
-        assert a.basis == ((0, 1),)
-        assert a.dim == 1
+        assert hermite_canonical([(0, 1), (0, -1), (0, 1)]) == ((0, 1),)
 
     def test_full_space(self):
-        s = hermite_canonical([(2, 1), (1, 1)])
-        assert s.basis == ((1, 0), (0, 1))
+        assert hermite_canonical([(2, 1), (1, 1)]) == ((1, 0), (0, 1))
 
     def test_all_zero_raises(self):
         with pytest.raises(ZeroSpan):
@@ -246,7 +241,7 @@ class TestHermiteCanonical:
             c = (c0, c1)[i]
             combo = [a + c * b for a, b in zip(combo, v)]
         assert subspace_contains(s, tuple(combo))
-        for b in s.basis:
+        for b in s:
             assert subspace_contains(s, b)
 
 
@@ -497,6 +492,7 @@ class TestLatticeVolume:
 
 
 def test_subspace_is_hashable_value():
+    # A subspace is its canonical basis tuple: equal spans, equal hashes.
     a = hermite_canonical([(1, 0, 1)])
-    b = Subspace(3, ((1, 0, 1),))
-    assert a == b and hash(a) == hash(b)
+    b = hermite_canonical([(2, 0, 2), (-1, 0, -1)])
+    assert a == b == ((1, 0, 1),) and hash(a) == hash(b)

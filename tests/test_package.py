@@ -130,6 +130,60 @@ def test_no_floats_in_the_package():
     assert found == {}
 
 
+# The functions of ``cli.py`` that turn command-line text into integers.
+TEXT_PARSERS = {"_parse_int", "_parse_range"}
+
+
+def _int_conversions(source, parsers=()):
+    """``int(...)`` calls, ``map(int, ...)`` and ``isinstance(..., int)``
+    outside the top-level functions named in ``parsers``, as ``(line,
+    what)`` pairs.  ``int`` truncates a non-integer and ``isinstance`` lets
+    a bool through; numbers are checked with ``type(x) is int`` where they
+    enter (``make_fan``, the constructors, ``divisor``, jump data) and never
+    converted below that."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in parsers:
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            name, args = node.func.id, node.args
+            if name == "int":
+                found.append((node.lineno, "int()"))
+            elif name == "map" and args and ast.unparse(args[0]) == "int":
+                found.append((node.lineno, "map(int)"))
+            elif name == "isinstance" and len(args) == 2:
+                kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+                if any(ast.unparse(k) == "int" for k in kinds):
+                    found.append((node.lineno, "isinstance int"))
+    return sorted(found)
+
+
+def test_no_integer_conversions_below_the_gate():
+    snippet = (
+        "def parse(text):\n    return int(text)\n"
+        "def f(rows, x):\n"
+        "    rows = [tuple(map(int, r)) for r in rows]\n"
+        "    if isinstance(x, (int, Fraction)) or isinstance(x, dict):\n"
+        "        return int(x), type(x) is int, rng.randint(1, 2)\n"
+    )
+    assert _int_conversions(snippet, parsers={"parse"}) == [
+        (4, "map(int)"), (5, "isinstance int"), (6, "int()"),
+    ]
+    assert _int_conversions(snippet) == [
+        (2, "int()"), (4, "map(int)"), (5, "isinstance int"), (6, "int()"),
+    ]
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := _int_conversions(
+            path.read_text(encoding="utf-8"), TEXT_PARSERS if path.name == "cli.py" else ()
+        ))
+    }
+    assert found == {}
+
+
 def _process_caches(source):
     """``cache`` or ``lru_cache`` (bare, called or as a ``functools``
     attribute) on a function that takes parameters, and imports of

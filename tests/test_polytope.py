@@ -1,6 +1,7 @@
 """Divisors, polytopes, ampleness, facet volumes, reflexivity."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial, gcd, lcm, prod
@@ -18,7 +19,7 @@ from oracles import (
     reflexive_by_scan,
 )
 from toricstab import lattice
-from toricstab.errors import DimMismatch, NonAmple
+from toricstab.errors import BadCoefficient, DimMismatch, NonAmple, ToricStabError
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
@@ -108,6 +109,16 @@ class TestVertices:
     def test_coefficient_count_checked(self):
         with pytest.raises(DimMismatch):
             divisor(construct_projective_space(2), (1, 1))
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", True, False, None, Decimal(1)],
+                             ids=repr)
+    def test_only_ints_and_fractions_are_coefficients(self, bad):
+        # Fraction() would take each of these; 0.1 would carry its binary error.
+        f = construct_projective_space(2)
+        with pytest.raises(BadCoefficient) as ei:
+            divisor(f, [1, bad, 1])
+        assert isinstance(ei.value, TypeError) and isinstance(ei.value, ToricStabError)
+        assert divisor(f, [1, Fraction(1, 2), 1]).coeffs == (1, Fraction(1, 2), 1)
 
 
 class TestAmpleness:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import chow_volumes, cone_carrier_problems
 from toricstab.errors import (
     DimMismatch,
+    IncomparableLevels,
     InconsistentRank,
     InvalidJumpData,
     RankMismatch,
@@ -90,6 +91,11 @@ class TestJumpData:
     def test_nonpositive_multiplicity(self):
         with pytest.raises(InvalidJumpData):
             jump_data([[(0, 0)]])
+
+    @pytest.mark.parametrize("pair", [(True, 1), (0, True), (False, 2)], ids=repr)
+    def test_bool_pairs_rejected(self, pair):
+        with pytest.raises(InvalidJumpData, match="non-integer"):
+            jump_data([[pair]])
 
     def test_inconsistent_rank(self):
         j = jump_data([[(0, 2)], [(0, 2)], [(0, 3)]])
@@ -229,6 +235,10 @@ class TestLambdaVectorValidation:
 
 
 class TestLambdaMatrixValidation:
+    def test_bool_entry_rejected(self):
+        ok, probs = validate_lambda_matrix(construct_projective_space(2), ((True, 0, 0),))
+        assert not ok and probs == ("entry (0, 0): non-integer True",)
+
     def test_rank3_certificate_shape(self):
         mat = (
             (-1, -1, -1, -1, 0, 0),
@@ -393,6 +403,51 @@ class TestDegreeMonotonicity:
             degree_monotonicity_check(j1, j2, vols, 2)
         with pytest.raises(ToricStabError):
             degree_monotonicity_check(j1, j2, vols, 2)
+
+    def test_cumulative_counts_agree_with_expanded_levels(self):
+        # The levels expanded one by one, in ascending order, and compared
+        # pointwise: the definition, on small fuzzed same-rank data.
+        vols = volumes_of(F1)
+        rng = random.Random(2026)
+
+        def draw(rank):
+            per_ray = []
+            for _ in F1.rays:
+                levels = [rng.randint(0, 4) for _ in range(rank)]
+                if rng.random() < 0.5:
+                    levels[0] = -1
+                per_ray.append([(lam, 1) for lam in levels])
+            return jump_data(per_ray)
+
+        def expand(pairs):
+            return [lam for lam, e in pairs for _ in range(e)]
+
+        outcomes = set()
+        for _ in range(400):
+            rank = rng.randint(1, 4)
+            j1, j2 = draw(rank), draw(rank)
+            comparable = all(
+                all(a >= b for a, b in zip(expand(p1), expand(p2)))
+                for p1, p2 in zip(j1.per_ray, j2.per_ray)
+            )
+            outcomes.add(comparable)
+            if comparable:
+                expected = degree_of(j1, vols, 2) <= degree_of(j2, vols, 2)
+                assert degree_monotonicity_check(j1, j2, vols, 2) is expected
+            else:
+                with pytest.raises(IncomparableLevels):
+                    degree_monotonicity_check(j1, j2, vols, 2)
+        assert outcomes == {True, False}
+
+    def test_huge_multiplicities_answer(self):
+        # Time independent of the multiplicities: 10^12 copies of a level.
+        vols = volumes_of(F1)
+        big = 10**12
+        low = jump_data([[(-1, 1), (0, big - 1)]] * 4)
+        high = jump_data([[(0, big)]] * 4)
+        assert degree_monotonicity_check(high, low, vols, 2)
+        with pytest.raises(IncomparableLevels, match="ray 0"):
+            degree_monotonicity_check(low, high, vols, 2)
 
     @given(
         st.lists(st.integers(-1, 3), min_size=4, max_size=4),
