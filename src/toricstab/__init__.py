@@ -33,7 +33,6 @@ from .errors import (
     InvalidLambda,
     NonAmple,
     NotMaximal,
-    NotSmoothCone,
     ParseError,
     RankMismatch,
     ToricStabError,
@@ -67,9 +66,7 @@ from .sheafdata import (
     JumpData,
     degree_monotonicity_check,
     degree_of,
-    jump_data,
     lambda_matrix_to_jump,
-    lambda_vector_to_jump,
     rank_of,
     tangent_jump_data,
     validate_lambda_matrix,
@@ -90,7 +87,7 @@ __all__ = [
     "BadCoefficient", "BadDimension", "BadRank", "BadTwist", "Certificate",
     "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank", "InvalidFan",
     "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
-    "NonAmple", "NotMaximal", "NotSmoothCone", "ParseError", "Polytope",
+    "NonAmple", "NotMaximal", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
     "ToricDivisor", "ToricStabError", "TooManyRays", "VolumeTable", "ZeroVector",
     "admissible_slope_bound", "anticanonical",
@@ -100,8 +97,7 @@ __all__ = [
     "degree_monotonicity_check", "degree_of", "divisor",
     "expand_in_chart", "facet_volumes",
     "in_semigroup", "is_ample", "is_reflexive", "is_regular",
-    "jump_data", "lambda_matrix_to_jump",
-    "lambda_vector_to_jump", "make_fan", "polytope_from_divisor",
+    "lambda_matrix_to_jump", "make_fan", "polytope_from_divisor",
     "rank_of", "rank_one_exists", "reexpand",
     "tangent_jump_data", "validate_fan",
     "validate_lambda_matrix",

@@ -121,10 +121,10 @@ def _emit(text: str, out_path: str | None) -> None:
             raise ParseError(f"cannot write output: {e}") from None
 
 
-def report_for(f: Fan, a, max_rays: int = MAX_RAYS) -> dict:
-    """Stability report for an already-validated fan and a divisor; raises
-    NonAmple when the divisor is not ample."""
-    v = decide(f, a, max_rays=max_rays)
+def report_for(a, max_rays: int = MAX_RAYS) -> dict:
+    """Stability report for a divisor on the validated fan it carries;
+    raises NonAmple when the divisor is not ample."""
+    v = decide(a.fan, a, max_rays=max_rays)
     cert = certificate(v)
     cert_dict = None
     if cert is not None:
@@ -135,7 +135,7 @@ def report_for(f: Fan, a, max_rays: int = MAX_RAYS) -> dict:
             "slope": _frac_str(cert.slope),
         }
     return {
-        "fan": fan_to_dict(f),
+        "fan": fan_to_dict(a.fan),
         "divisor": [_frac_str(c) for c in a.coeffs],
         "ample": True,
         "volumes": [_frac_str(x) for x in v.volumes.values],
@@ -152,7 +152,7 @@ def cmd_analyze(args) -> int:
         a = anticanonical(f)
     else:
         a = divisor(f, tuple(_parse_fraction(t) for t in args.divisor.split(",")))
-    report = report_for(f, a, max_rays=args.max_rays)
+    report = report_for(a, max_rays=args.max_rays)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
@@ -226,8 +226,6 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_scan(args) -> int:
-    if args.m < 0:
-        raise ParseError(f"twist must be >= 0, got {args.m}")
     f = construct_hirzebruch(args.m)
     ranges = [_parse_range(getattr(args, k)) for k in ("a1", "a2", "a3", "a4")]
     lines = ["a1,a2,a3,a4,a,b,ample,verdict"]

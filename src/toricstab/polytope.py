@@ -39,28 +39,34 @@ from .fan import Fan, validate_fan
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """``sum(coeffs[i] * D_i)`` on a validated fan; a raw fan is validated
-    here, once (InvalidFan when it is not smooth and complete)."""
+    """``sum(coeffs[i] * D_i)`` on a validated fan.
+
+    The one gate for a divisor: ``coeffs`` may be any iterable with one
+    coefficient per ray of ``fan`` (DimMismatch otherwise), each an exact
+    ``int`` or a ``Fraction`` (BadCoefficient otherwise, bools included),
+    and is kept as a tuple of ``Fraction``; a raw fan is then validated
+    here, once (InvalidFan when it is not smooth and complete).
+    """
 
     fan: Fan
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        cs = tuple(self.coeffs)
+        for c in cs:
+            if type(c) not in (int, Fraction):
+                raise BadCoefficient(f"coefficient {c!r} is not an int or a Fraction")
+        if len(cs) != len(self.fan.rays):
+            raise DimMismatch(f"{len(cs)} coefficients for {len(self.fan.rays)} rays")
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, cs)))
         if not self.fan.validated:
             object.__setattr__(self, "fan", validate_fan(self.fan))
 
 
 def divisor(f: Fan, coeffs) -> ToricDivisor:
-    """Divisor sum(coeffs[i] * D_i) over the rays of ``f``; each coefficient
-    must be an exact ``int`` or a ``Fraction`` (BadCoefficient otherwise,
-    bools included)."""
-    cs = tuple(coeffs)
-    for c in cs:
-        if type(c) not in (int, Fraction):
-            raise BadCoefficient(f"coefficient {c!r} is not an int or a Fraction")
-    if len(cs) != len(f.rays):
-        raise DimMismatch(f"{len(cs)} coefficients for {len(f.rays)} rays")
-    return ToricDivisor(f, tuple(map(Fraction, cs)))
+    """Divisor sum(coeffs[i] * D_i) over the rays of ``f``; ``ToricDivisor``
+    checks the coefficients."""
+    return ToricDivisor(f, coeffs)
 
 
 def anticanonical(f: Fan) -> ToricDivisor:

@@ -42,33 +42,33 @@ JumpPairs = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class JumpData:
-    """Per-ray multisets of (level, multiplicity) pairs, sorted by level."""
+    """Per-ray multisets of (level, multiplicity) pairs, sorted by level.
+
+    The one gate for jump data: ``per_ray`` may be any iterable of pair
+    iterables.  Repeated levels are merged and the pairs sorted, and the
+    defining constraints hold or InvalidJumpData is raised: integer
+    levels >= -1, positive integer multiplicities, and at most a simple
+    jump at level -1.
+    """
 
     per_ray: tuple[JumpPairs, ...]
 
-
-def jump_data(per_ray) -> JumpData:
-    """Normalize raw per-ray pair iterables into JumpData.
-
-    Merges repeated levels, sorts, and enforces the defining constraints:
-    integer levels >= -1, positive integer multiplicities, and at most a
-    simple jump at level -1.
-    """
-    rays = []
-    for ri, pairs in enumerate(per_ray):
-        merged: dict[int, int] = {}
-        for lam, e in pairs:
-            if type(lam) is not int or type(e) is not int:
-                raise InvalidJumpData(f"ray {ri}: non-integer pair ({lam!r}, {e!r})")
-            if lam < -1:
-                raise InvalidJumpData(f"ray {ri}: level {lam} below -1")
-            if e < 1:
-                raise InvalidJumpData(f"ray {ri}: multiplicity {e} not positive")
-            merged[lam] = merged.get(lam, 0) + e
-        if merged.get(-1, 0) > 1:
-            raise InvalidJumpData(f"ray {ri}: multiplicity {merged[-1]} at level -1")
-        rays.append(tuple(sorted(merged.items())))
-    return JumpData(tuple(rays))
+    def __post_init__(self):
+        rays = []
+        for ri, pairs in enumerate(self.per_ray):
+            merged: dict[int, int] = {}
+            for lam, e in pairs:
+                if type(lam) is not int or type(e) is not int:
+                    raise InvalidJumpData(f"ray {ri}: non-integer pair ({lam!r}, {e!r})")
+                if lam < -1:
+                    raise InvalidJumpData(f"ray {ri}: level {lam} below -1")
+                if e < 1:
+                    raise InvalidJumpData(f"ray {ri}: multiplicity {e} not positive")
+                merged[lam] = merged.get(lam, 0) + e
+            if merged.get(-1, 0) > 1:
+                raise InvalidJumpData(f"ray {ri}: multiplicity {merged[-1]} at level -1")
+            rays.append(tuple(sorted(merged.items())))
+        object.__setattr__(self, "per_ray", tuple(rays))
 
 
 def tangent_jump_data(f: Fan) -> JumpData:
@@ -86,24 +86,16 @@ def rank_of(j: JumpData) -> int:
     return sums[0]
 
 
-def check_volume_table(vols: VolumeTable, n: int, rays: int) -> None:
-    """Raise DimMismatch unless ``vols`` is a table for dimension ``n``
-    with one weight for each of ``rays`` rays."""
-    if vols.dim != n:
-        raise DimMismatch(f"volume table for dimension {vols.dim}, expected {n}")
-    if len(vols.weights) != rays:
-        raise DimMismatch(f"{len(vols.weights)} volumes for {rays} rays")
-
-
-def degree_of(j: JumpData, vols: VolumeTable, n: int) -> Fraction:
+def degree_of(j: JumpData, vols: VolumeTable) -> Fraction:
     """Exact degree ``-sum(level * multiplicity * w_i) / den`` over the
     integer weights ``w_i`` and denominator ``den`` of ``vols``, where
     ``w_i / den`` is ``(n-1)!`` times the facet volume of ray i.
 
     ``vols`` must come from an ample divisor (facet_volumes enforces that
-    upstream); n is the variety's dimension.
+    upstream); DimMismatch unless it has one weight per ray of ``j``.
     """
-    check_volume_table(vols, n, len(j.per_ray))
+    if len(vols.weights) != len(j.per_ray):
+        raise DimMismatch(f"{len(vols.weights)} volumes for {len(j.per_ray)} rays")
     total = sum(lam * e * w for pairs, w in zip(j.per_ray, vols.weights) for lam, e in pairs)
     return Fraction(-total, vols.den)
 
@@ -112,20 +104,16 @@ def degree_of(j: JumpData, vols: VolumeTable, n: int) -> Fraction:
 # Vector / matrix presentations
 
 
-def lambda_vector_to_jump(lam) -> JumpData:
-    """Rank-one data: the one-row matrix ``(lam,)``."""
-    return lambda_matrix_to_jump((lam,))
-
-
 def lambda_matrix_to_jump(mat) -> JumpData:
     """Jump data with one level of multiplicity one per row in each column;
-    ``jump_data`` rejects the entries that are not integer levels."""
+    ``JumpData`` rejects the entries that are not integer levels.  Rank-one
+    data is the one-row matrix ``(lam,)``."""
     rows = tuple(tuple(row) for row in mat)
     if not rows:
         raise InvalidJumpData("empty matrix")
     if len({len(row) for row in rows}) > 1:
         raise InvalidJumpData(f"rows of unequal lengths {[len(row) for row in rows]}")
-    return jump_data([(v, 1) for v in col] for col in zip(*rows))
+    return JumpData([(v, 1) for v in col] for col in zip(*rows))
 
 
 def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
@@ -176,7 +164,7 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
     return (not problems, tuple(problems))
 
 
-def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: int) -> bool:
+def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable) -> bool:
     """For same-rank data with j1's levels pointwise >= j2's (per ray,
     after expanding multiplicities in ascending order), degree can only
     drop: returns degree_of(j1) <= degree_of(j2).  Raises
@@ -196,4 +184,4 @@ def degree_monotonicity_check(j1: JumpData, j2: JumpData, vols: VolumeTable, n: 
                 excess[lam] = excess.get(lam, 0) + sign * e
         if any(x > 0 for x in accumulate(excess[lam] for lam in sorted(excess))):
             raise IncomparableLevels(f"ray {ri}: levels are not pointwise comparable")
-    return degree_of(j1, vols, n) <= degree_of(j2, vols, n)
+    return degree_of(j1, vols) <= degree_of(j2, vols)

@@ -35,7 +35,6 @@ from functools import cached_property
 from .errors import BadRank, DimMismatch, NonAmple, TooManyRays
 from .fan import Fan
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
-from .sheafdata import check_volume_table
 
 SCOPE_NOTE = (
     "scope: the verdict maximizes slope over saturated equivariant subsheaves "
@@ -89,13 +88,12 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Maximizer report: jump data in matrix form plus both slopes."""
+    """Maximizer report: jump data in matrix form plus its slope."""
 
     rank: int
     lambda_matrix: tuple[tuple[int, ...], ...]
     subspace_basis: tuple[tuple[int, ...], ...]
     slope: Fraction
-    mu_tx: Fraction
 
 
 def _status_against(best, mu: Fraction) -> Stability:
@@ -160,7 +158,6 @@ def certificate(v: StabilityVerdict) -> Certificate | None:
         lambda_matrix=(top,) + ((0,) * len(rays),) * (c.rank - 1),
         subspace_basis=v.fan.flat_basis(c.rays_in),
         slope=c.slope,
-        mu_tx=v.mu_tx,
     )
 
 
@@ -180,7 +177,9 @@ def admissible_slope_bound(f: Fan, r: int, vols: VolumeTable) -> Fraction:
     n = f.dim
     if not 1 <= r < n:
         raise BadRank(f"rank must lie strictly between 0 and {n}, got {r}")
-    check_volume_table(vols, n, len(f.rays))
+    if vols.dim != n or len(vols.weights) != len(f.rays):
+        raise DimMismatch(f"volume table for dimension {vols.dim} and {len(vols.weights)} "
+                          f"rays, expected {n} and {len(f.rays)}")
     weights = vols.weights
     if any(w <= 0 for w in weights):
         raise NonAmple("the bound requires positive facet volumes")

@@ -266,11 +266,6 @@ def random_polarized(seed: int):
     return f, divisor(f, tuple(k * c for c in fallback))
 
 
-def random_fan(seed: int) -> Fan:
-    """A pseudo-random valid complete smooth fan in a skewed lattice basis."""
-    return random_polarized(seed)[0]
-
-
 def hirzebruch_lines(m: int, a: int, b: int) -> tuple[SubsheafCandidate, ...]:
     """The ray-spanned lines of the twisted surface in ``Fan.flats`` order,
     with slopes b, 2a + m*b and b, or 2b and 2a when m = 0."""

@@ -44,7 +44,6 @@ from toricstab.sheafdata import (
     degree_monotonicity_check,
     degree_of,
     lambda_matrix_to_jump,
-    lambda_vector_to_jump,
     rank_of,
     tangent_jump_data,
     validate_lambda_matrix,
@@ -328,24 +327,24 @@ def test_criterion_8_degree_bookkeeping():
         n = f.dim
         tangent = tangent_jump_data(f)
         assert rank_of(tangent) == n
-        assert degree_of(tangent, vols, n) == factorial(n - 1) * sum(vols.values)
+        assert degree_of(tangent, vols) == factorial(n - 1) * sum(vols.values)
 
     # Rank consistency on constructed and fuzzed jump data.
     f2 = construct_hirzebruch(2)
     for mat in islice(fuzz_lambda_matrix(B5, 3, 21), 10):
         assert rank_of(lambda_matrix_to_jump(mat)) == 3
     for lam in islice(fuzz_lambda(f2, 22), 20):
-        assert rank_of(lambda_vector_to_jump(lam)) == 1
+        assert rank_of(lambda_matrix_to_jump((lam,))) == 1
 
     # Degree monotonicity: raising one jump level never raises the degree.
     vols2 = facet_volumes(polytope_from_divisor(divisor(f2, (1, 1, 3, 1))))
     for lam in islice(fuzz_lambda(f2, 23), 30):
         for i in range(4):
             bumped = tuple(x + (1 if k == i else 0) for k, x in enumerate(lam))
-            j_low = lambda_vector_to_jump(lam)
-            j_high = lambda_vector_to_jump(bumped)
-            assert degree_monotonicity_check(j_high, j_low, vols2, 2)
-            assert degree_of(j_high, vols2, 2) <= degree_of(j_low, vols2, 2)
+            j_low = lambda_matrix_to_jump((lam,))
+            j_high = lambda_matrix_to_jump((bumped,))
+            assert degree_monotonicity_check(j_high, j_low, vols2)
+            assert degree_of(j_high, vols2) <= degree_of(j_low, vols2)
 
     # Chart independence of globally regular coordinate fields.
     for _, f in catalog_fano4():

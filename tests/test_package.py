@@ -23,6 +23,9 @@ REMOVED = (
     "enumerate_candidates",
     "is_cone",
     "BadIndex",
+    "NotSmoothCone",
+    "jump_data",
+    "lambda_vector_to_jump",
 )
 
 

@@ -32,6 +32,7 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
+    ToricDivisor,
     anticanonical,
     divisor,
     facet_volumes,
@@ -119,6 +120,26 @@ class TestVertices:
             divisor(f, [1, bad, 1])
         assert isinstance(ei.value, TypeError) and isinstance(ei.value, ToricStabError)
         assert divisor(f, [1, Fraction(1, 2), 1]).coeffs == (1, Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("coeffs, error", [
+        ((1, 1, 1, 1), DimMismatch),
+        ((1, 1), DimMismatch),
+        ((0.5, 1, 1), BadCoefficient),
+        (("1", 1, 1), BadCoefficient),
+        ((True, 1, 1), BadCoefficient),
+    ], ids=repr)
+    def test_a_divisor_built_directly_is_checked(self, coeffs, error):
+        # ToricDivisor itself is the gate, so no verdict or builtin error
+        # comes out of coefficients that divisor() would refuse.
+        f = construct_projective_space(2)
+        with pytest.raises(error):
+            decide(f, ToricDivisor(f, coeffs))
+
+    def test_a_divisor_built_directly_equals_divisor(self):
+        f = construct_projective_space(2)
+        d = ToricDivisor(f, (1, 1, 1))
+        assert d == divisor(f, (1, 1, 1))
+        assert all(type(c) is Fraction for c in d.coeffs)
 
 
 class TestAmpleness:

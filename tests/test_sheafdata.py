@@ -34,11 +34,10 @@ from toricstab.polytope import (
     polytope_from_divisor,
 )
 from toricstab.sheafdata import (
+    JumpData,
     degree_monotonicity_check,
     degree_of,
-    jump_data,
     lambda_matrix_to_jump,
-    lambda_vector_to_jump,
     rank_of,
     tangent_jump_data,
     validate_lambda_matrix,
@@ -77,28 +76,40 @@ class TestJumpData:
         assert rank_of(j) == 4
 
     def test_normalization_merges_and_sorts(self):
-        j = jump_data([[(2, 1), (0, 1), (2, 1)], [(0, 2), (2, 2)]])
+        j = JumpData([[(2, 1), (0, 1), (2, 1)], [(0, 2), (2, 2)]])
         assert j.per_ray == (((0, 1), (2, 2)), ((0, 2), (2, 2)))
 
     def test_level_below_minus_one(self):
         with pytest.raises(InvalidJumpData):
-            jump_data([[(-2, 1)]])
+            JumpData([[(-2, 1)]])
 
     def test_double_jump_at_minus_one(self):
         with pytest.raises(InvalidJumpData):
-            jump_data([[(-1, 2)]])
+            JumpData([[(-1, 2)]])
 
     def test_nonpositive_multiplicity(self):
         with pytest.raises(InvalidJumpData):
-            jump_data([[(0, 0)]])
+            JumpData([[(0, 0)]])
 
     @pytest.mark.parametrize("pair", [(True, 1), (0, True), (False, 2)], ids=repr)
     def test_bool_pairs_rejected(self, pair):
         with pytest.raises(InvalidJumpData, match="non-integer"):
-            jump_data([[pair]])
+            JumpData([[pair]])
+
+    @pytest.mark.parametrize("per_ray", [
+        (((-2, 1),), ((0, 1),), ((0, 1),)),
+        (((-1, 2),), ((0, 2),), ((0, 2),)),
+        (((0.5, 1),), ((0, 1),), ((0, 1),)),
+    ], ids=repr)
+    def test_jump_data_built_directly_is_checked(self, per_ray):
+        # JumpData itself is the gate, so no degree is ever read off data
+        # that breaks its constraints.
+        p2 = construct_projective_space(2)
+        with pytest.raises(InvalidJumpData):
+            degree_of(JumpData(per_ray), volumes_of(p2))
 
     def test_inconsistent_rank(self):
-        j = jump_data([[(0, 2)], [(0, 2)], [(0, 3)]])
+        j = JumpData([[(0, 2)], [(0, 2)], [(0, 3)]])
         with pytest.raises(InconsistentRank):
             rank_of(j)
 
@@ -109,27 +120,27 @@ class TestDegreeAndSlope:
         vols = volumes_of(F2, (1, 1, 3, 1))
         assert vols.values == (2, 2, 2, 6)
         j = tangent_jump_data(F2)
-        assert degree_of(j, vols, 2) == 12
-        assert degree_of(j, vols, 2) / rank_of(j) == 6
+        assert degree_of(j, vols) == 12
+        assert degree_of(j, vols) / rank_of(j) == 6
 
     def test_twisted_surface_destabilizer(self):
         vols = volumes_of(F2, (1, 1, 3, 1))
-        j = lambda_vector_to_jump((0, -1, 0, -1))
-        assert degree_of(j, vols, 2) == 8
-        assert degree_of(j, vols, 2) / rank_of(j) == 8
+        j = lambda_matrix_to_jump(((0, -1, 0, -1),))
+        assert degree_of(j, vols) == 8
+        assert degree_of(j, vols) / rank_of(j) == 8
 
     def test_fourfold_bundle_tangent(self):
         vols = volumes_of(B5)
         j = tangent_jump_data(B5)
-        assert degree_of(j, vols, 4) == 512
-        assert degree_of(j, vols, 4) / rank_of(j) == 128
+        assert degree_of(j, vols) == 512
+        assert degree_of(j, vols) / rank_of(j) == 128
 
     def test_projective_space_slopes(self):
         for n in range(1, 7):
             f = construct_projective_space(n)
             vols = volumes_of(f)
             j = tangent_jump_data(f)
-            mu = degree_of(j, vols, n) / rank_of(j)
+            mu = degree_of(j, vols) / rank_of(j)
             assert mu == Fraction((n + 1) ** n, n)
 
     def test_degree_against_volume_total(self):
@@ -138,20 +149,15 @@ class TestDegreeAndSlope:
             coeffs = None if f is not F2 else (1, 1, 3, 1)
             vols = volumes_of(f, coeffs)
             j = tangent_jump_data(f)
-            assert degree_of(j, vols, f.dim) == factorial(f.dim - 1) * sum(vols.values)
+            assert degree_of(j, vols) == factorial(f.dim - 1) * sum(vols.values)
 
     def test_hand_built_volume_table(self):
-        j = lambda_vector_to_jump((0, -1))
-        assert degree_of(j, VolumeTable(1, (1, 1), 1), 1) == 1
-
-    def test_volume_table_dim_mismatch(self):
-        vols = volumes_of(F1)
-        with pytest.raises(DimMismatch):
-            degree_of(tangent_jump_data(F1), vols, 3)
+        j = lambda_matrix_to_jump(((0, -1),))
+        assert degree_of(j, VolumeTable(1, (1, 1), 1)) == 1
 
     def test_volume_table_ray_count_mismatch(self):
         with pytest.raises(DimMismatch):
-            degree_of(tangent_jump_data(F1), VolumeTable(2, (1, 1, 1), 1), 2)
+            degree_of(tangent_jump_data(F1), VolumeTable(2, (1, 1, 1), 1))
 
     @given(st.integers(-1, 4), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -161,8 +167,8 @@ class TestDegreeAndSlope:
         base[ray] = level
         bumped = list(base)
         bumped[ray] = level + 1
-        d0 = degree_of(lambda_vector_to_jump(base), vols, 2)
-        d1 = degree_of(lambda_vector_to_jump(bumped), vols, 2)
+        d0 = degree_of(lambda_matrix_to_jump((base,)), vols)
+        d1 = degree_of(lambda_matrix_to_jump((bumped,)), vols)
         assert d1 - d0 == -vols.values[ray]
 
 
@@ -199,7 +205,7 @@ class TestIntegerDegree:
                     (lam * e * vol for pairs, vol in zip(j.per_ray, chow) for lam, e in pairs),
                     Fraction(0),
                 )
-                assert degree_of(j, vols, n) == expected, (idx, j)
+                assert degree_of(j, vols) == expected, (idx, j)
 
 
 class TestLambdaVectorValidation:
@@ -344,7 +350,7 @@ class TestLambdaMatrixValidation:
 class TestConversions:
     def test_vector_round_trip(self):
         lam = (0, -1, 2, 0)
-        j = lambda_vector_to_jump(lam)
+        j = lambda_matrix_to_jump((lam,))
         assert rank_of(j) == 1
         assert j.per_ray == (((0, 1),), ((-1, 1),), ((2, 1),), ((0, 1),))
 
@@ -365,7 +371,7 @@ class TestConversions:
 
     def test_vector_keeps_a_fractional_level(self):
         with pytest.raises(InvalidJumpData, match="non-integer"):
-            lambda_vector_to_jump((Fraction(3, 2), -1))
+            lambda_matrix_to_jump(((Fraction(3, 2), -1),))
 
     def test_matrix_with_a_longer_row(self):
         with pytest.raises(InvalidJumpData, match="unequal"):
@@ -379,30 +385,30 @@ class TestConversions:
 class TestDegreeMonotonicity:
     def test_dominating_data_has_smaller_degree(self):
         vols = volumes_of(F2, (1, 1, 3, 1))
-        j1 = lambda_vector_to_jump((0, -1, 0, 0))
-        j2 = lambda_vector_to_jump((0, -1, 0, -1))
-        assert degree_monotonicity_check(j1, j2, vols, 2)
+        j1 = lambda_matrix_to_jump(((0, -1, 0, 0),))
+        j2 = lambda_matrix_to_jump(((0, -1, 0, -1),))
+        assert degree_monotonicity_check(j1, j2, vols)
 
     def test_equal_data(self):
         vols = volumes_of(F1)
         j = tangent_jump_data(F1)
-        assert degree_monotonicity_check(j, j, vols, 2)
+        assert degree_monotonicity_check(j, j, vols)
 
     def test_rank_mismatch(self):
         vols = volumes_of(F1)
         with pytest.raises(RankMismatch):
             degree_monotonicity_check(
-                tangent_jump_data(F1), lambda_vector_to_jump((0, 0, 0, 0)), vols, 2
+                tangent_jump_data(F1), lambda_matrix_to_jump(((0, 0, 0, 0),)), vols
             )
 
     def test_incomparable_rejected(self):
         vols = volumes_of(F1)
-        j1 = lambda_vector_to_jump((0, -1, 0, 0))
-        j2 = lambda_vector_to_jump((-1, 0, 0, 0))
+        j1 = lambda_matrix_to_jump(((0, -1, 0, 0),))
+        j2 = lambda_matrix_to_jump(((-1, 0, 0, 0),))
         with pytest.raises(ValueError):
-            degree_monotonicity_check(j1, j2, vols, 2)
+            degree_monotonicity_check(j1, j2, vols)
         with pytest.raises(ToricStabError):
-            degree_monotonicity_check(j1, j2, vols, 2)
+            degree_monotonicity_check(j1, j2, vols)
 
     def test_cumulative_counts_agree_with_expanded_levels(self):
         # The levels expanded one by one, in ascending order, and compared
@@ -417,7 +423,7 @@ class TestDegreeMonotonicity:
                 if rng.random() < 0.5:
                     levels[0] = -1
                 per_ray.append([(lam, 1) for lam in levels])
-            return jump_data(per_ray)
+            return JumpData(per_ray)
 
         def expand(pairs):
             return [lam for lam, e in pairs for _ in range(e)]
@@ -432,22 +438,22 @@ class TestDegreeMonotonicity:
             )
             outcomes.add(comparable)
             if comparable:
-                expected = degree_of(j1, vols, 2) <= degree_of(j2, vols, 2)
-                assert degree_monotonicity_check(j1, j2, vols, 2) is expected
+                expected = degree_of(j1, vols) <= degree_of(j2, vols)
+                assert degree_monotonicity_check(j1, j2, vols) is expected
             else:
                 with pytest.raises(IncomparableLevels):
-                    degree_monotonicity_check(j1, j2, vols, 2)
+                    degree_monotonicity_check(j1, j2, vols)
         assert outcomes == {True, False}
 
     def test_huge_multiplicities_answer(self):
         # Time independent of the multiplicities: 10^12 copies of a level.
         vols = volumes_of(F1)
         big = 10**12
-        low = jump_data([[(-1, 1), (0, big - 1)]] * 4)
-        high = jump_data([[(0, big)]] * 4)
-        assert degree_monotonicity_check(high, low, vols, 2)
+        low = JumpData([[(-1, 1), (0, big - 1)]] * 4)
+        high = JumpData([[(0, big)]] * 4)
+        assert degree_monotonicity_check(high, low, vols)
         with pytest.raises(IncomparableLevels, match="ray 0"):
-            degree_monotonicity_check(low, high, vols, 2)
+            degree_monotonicity_check(low, high, vols)
 
     @given(
         st.lists(st.integers(-1, 3), min_size=4, max_size=4),
@@ -457,6 +463,6 @@ class TestDegreeMonotonicity:
     def test_fuzzed_dominating_pairs(self, lam, raises):
         vols = volumes_of(F1)
         upper = tuple(v + d for v, d in zip(lam, raises))
-        j1 = lambda_vector_to_jump(upper)
-        j2 = lambda_vector_to_jump(tuple(lam))
-        assert degree_monotonicity_check(j1, j2, vols, 2)
+        j1 = lambda_matrix_to_jump((upper,))
+        j2 = lambda_matrix_to_jump((tuple(lam),))
+        assert degree_monotonicity_check(j1, j2, vols)

@@ -124,7 +124,7 @@ class TestEnumeration:
     def test_no_basis_or_jump_data_per_candidate(self, count_calls):
         p4 = construct_projective_space(4)
         hermite = count_calls(lattice, "hermite_canonical")
-        jumps = count_calls(sheafdata, "jump_data")
+        jumps = count_calls(sheafdata, "JumpData")
         for f, flats in ((p4, 25), (B5, 29)):
             assert len(f.flats) == flats
         decide(B5, anticanonical(B5))
@@ -409,7 +409,7 @@ class TestCatalog:
             vols = volumes_of(f)
             v = decide(f, anticanonical(f))
             j = tangent_jump_data(f)
-            assert v.mu_tx == degree_of(j, vols, f.dim) / rank_of(j)
+            assert v.mu_tx == degree_of(j, vols) / rank_of(j)
 
     def test_certificates_are_admissible(self):
         # every catalog fan and golden case, re-checked from the sheaf side
@@ -425,12 +425,11 @@ class TestCatalog:
             if cert is None:
                 continue
             checked += 1
-            n = f.dim
             ok, problems = validate_lambda_matrix(f, cert.lambda_matrix)
             assert ok, (name, problems)
             j = lambda_matrix_to_jump(cert.lambda_matrix)
             assert rank_of(j) == cert.rank
-            assert degree_of(j, v.volumes, n) / cert.rank == cert.slope, name
+            assert degree_of(j, v.volumes) / cert.rank == cert.slope, name
             assert len(cert.subspace_basis) == cert.rank
             top, *rest = cert.lambda_matrix
             assert [i for i, x in enumerate(top) if x == -1] == [
