@@ -25,6 +25,7 @@ from .errors import (
     BadDimension,
     BadRank,
     BadTwist,
+    BadVolumeTable,
     DimMismatch,
     IncomparableLevels,
     InconsistentRank,
@@ -84,9 +85,9 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadCoefficient", "BadDimension", "BadRank", "BadTwist", "Certificate",
-    "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank", "InvalidFan",
-    "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
+    "BadCoefficient", "BadDimension", "BadRank", "BadTwist", "BadVolumeTable",
+    "Certificate", "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank",
+    "InvalidFan", "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
     "ToricDivisor", "ToricStabError", "TooManyRays", "VolumeTable", "ZeroVector",

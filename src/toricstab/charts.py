@@ -48,17 +48,17 @@ class MonomialDerivation:
 
 
 def chart_of(f: Fan, sigma) -> Chart:
-    """The chart of the maximal cone ``sigma`` (any ray order), its duals
-    read off the validated fan; a raw fan is validated here, once
+    """The chart of the maximal cone ``sigma`` (``int`` indices in any order),
+    its duals read off the validated fan; a raw fan is validated here, once
     (InvalidFan when it is not smooth and complete)."""
     if not f.validated:
         f = validate_fan(f)
-    cone = tuple(sorted(sigma))
-    try:
-        ci = f.max_cones.index(cone)
-    except ValueError:
-        raise NotMaximal(f"{cone} is not a maximal cone of the fan") from None
-    return Chart(cone=cone, rays=cone_rays(f, cone), dual=f.duals[ci])
+    cone = tuple(sigma)
+    key = tuple(sorted(cone)) if all(type(i) is int for i in cone) else None
+    if key not in f.max_cones:
+        raise NotMaximal(f"{cone} is not a maximal cone of the fan")
+    ci = f.max_cones.index(key)
+    return Chart(cone=f.max_cones[ci], rays=cone_rays(f, key), dual=f.duals[ci])
 
 
 def in_semigroup(c: Chart, u) -> bool:

@@ -85,7 +85,7 @@ def _parse_int(text: str, what: str) -> int:
 def load_fan_file(path: str) -> Fan:
     """Read and validate a fan file: {"dim": n, "rays": [...], "max_cones": [...]}.
 
-    Every number must be a JSON integer; ``make_fan`` rejects the rest."""
+    Every number must be a JSON integer; ``Fan`` rejects the rest."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

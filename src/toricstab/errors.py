@@ -62,6 +62,10 @@ class NonAmple(ToricStabError):
     (or not nef, where ``is_reflexive`` needs nef)."""
 
 
+class BadVolumeTable(ToricStabError):
+    """A volume table's numbers are not all integers, or its dim or den is below 1."""
+
+
 class InconsistentRank(ToricStabError):
     """Per-ray jump multiplicities do not sum to one common rank."""
 

@@ -96,7 +96,9 @@ from .lattice import (
 class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
-    ``max_cones`` holds sorted tuples of ray indices.  The rest is set by
+    The one gate for fan input: ``dim``, each ray entry and each cone index
+    is an exact ``int`` (TypeError otherwise, bools included), and rays and
+    cones are kept as tuples, each cone sorted.  The rest is set by
     ``validate_fan`` alone, never participates in equality, and marks the
     fan validated: ``duals[s]``, the dual basis of maximal cone s;
     ``pairings[s][k]``, its k-th dual paired with the covering count's
@@ -116,6 +118,17 @@ class Fan:
     duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
     pairings: tuple[Vector, ...] | None = field(default=None, compare=False, repr=False)
     walls: tuple[tuple[int, int, int], ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        rays = tuple(map(tuple, self.rays))
+        cones = tuple(map(tuple, self.max_cones))
+        for what, rows in (("dim", ((self.dim,),)), ("ray entry", rays), ("cone index", cones)):
+            for row in rows:
+                for x in row:
+                    if type(x) is not int:
+                        raise TypeError(f"{what} {x!r} is not an integer")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
 
     @property
     def validated(self) -> bool:
@@ -146,20 +159,9 @@ class Fan:
         return bases[key]
 
 
-def _integer(x, what: str) -> int:
-    if type(x) is not int:
-        raise TypeError(f"{what} {x!r} is not an integer")
-    return x
-
-
 def make_fan(dim, rays, max_cones) -> Fan:
-    """Build an (unvalidated) Fan, normalizing containers and cone order; every
-    number must be an exact ``int`` (TypeError otherwise, bools included)."""
-    return Fan(
-        _integer(dim, "dim"),
-        tuple(tuple(_integer(x, "ray entry") for x in r) for r in rays),
-        tuple(tuple(sorted(_integer(i, "cone index") for i in c)) for c in max_cones),
-    )
+    """Build an (unvalidated) Fan; ``Fan`` itself checks and normalizes."""
+    return Fan(dim, rays, max_cones)
 
 
 def cone_rays(f: Fan, cone) -> tuple[Vector, ...]:
@@ -180,15 +182,14 @@ def validate_fan(f: Fan) -> Fan:
     the geometric stages that depend on them.
     """
     violations: list[tuple[str, str]] = []
-    if type(f.dim) is not int or f.dim < 1:
+    if f.dim < 1:
         raise InvalidFan([("BadDimension", f"dim = {f.dim!r}")])
-    n = f.dim
+    n, rays, cones = f.dim, f.rays, f.max_cones
 
-    rays = tuple(tuple(r) for r in f.rays)
     if not rays:
         violations.append(("BadRay", "no rays"))
     for i, r in enumerate(rays):
-        if len(r) != n or not all(type(x) is int for x in r):
+        if len(r) != n:
             violations.append(("BadRay", f"ray {i} = {r!r}"))
     if violations:
         raise InvalidFan(violations)
@@ -201,7 +202,6 @@ def validate_fan(f: Fan) -> Fan:
         if first_seen.setdefault(r, i) != i:
             violations.append(("DuplicateRay", f"rays {first_seen[r]} and {i} are both {r}"))
 
-    cones = tuple(tuple(sorted(c)) for c in f.max_cones)
     if not cones:
         violations.append(("NotComplete", "no maximal cones"))
     used: set[int] = set()
@@ -209,13 +209,8 @@ def validate_fan(f: Fan) -> Fan:
     keys = []  # per cone, the key of each wall: its bitmask without that ray
     bad_cone = False
     for ci, c in enumerate(cones):
-        ok = (
-            len(c) == n
-            and len(set(c)) == n
-            and all(type(i) is int and 0 <= i < len(rays) for i in c)
-        )
-        if not ok:
-            violations.append(("BadIndex", f"cone {ci} = {f.max_cones[ci]!r}"))
+        if len(c) != n or len(set(c)) != n or c[0] < 0 or c[-1] >= len(rays):
+            violations.append(("BadIndex", f"cone {ci} = {c!r}"))
             bad_cone = True
             continue
         mask = sum(1 << i for i in c)
@@ -423,7 +418,7 @@ def construct_proj_split(base_dim: int, twists) -> Fan:
         for j in range(d + 1):
             cone = [p for p in range(k + 1) if p != i]
             cone += [k + 1 + q for q in range(d + 1) if q != j]
-            cones.append(tuple(cone))
+            cones.append(cone)
     return validate_fan(make_fan(n, rays, cones))
 
 
@@ -442,24 +437,18 @@ def construct_p1_bundle(dim: int, twist: int) -> Fan:
     n = dim
     rays = [*identity_rows(n), (0,) * (n - 1) + (-1,), (-1,) * (n - 1) + (twist,)]
     base_idx = list(range(n - 1)) + [n + 1]
-    cones = []
-    for fiber in (n - 1, n):
-        for omit in base_idx:
-            cones.append(tuple(sorted([i for i in base_idx if i != omit] + [fiber])))
+    cones = [[i for i in base_idx if i != omit] + [fiber]
+             for fiber in (n - 1, n) for omit in base_idx]
     return validate_fan(make_fan(n, rays, cones))
 
 
 def construct_product(f1: Fan, f2: Fan) -> Fan:
     """Product fan: concatenated rays, one cone per pair of cones."""
     n1, n2 = f1.dim, f2.dim
-    rays = [tuple(r) + (0,) * n2 for r in f1.rays]
-    rays += [(0,) * n1 + tuple(r) for r in f2.rays]
+    rays = [r + (0,) * n2 for r in f1.rays]
+    rays += [(0,) * n1 + r for r in f2.rays]
     shift = len(f1.rays)
-    cones = [
-        tuple(c1) + tuple(i + shift for i in c2)
-        for c1 in f1.max_cones
-        for c2 in f2.max_cones
-    ]
+    cones = [c1 + tuple(i + shift for i in c2) for c1 in f1.max_cones for c2 in f2.max_cones]
     return validate_fan(make_fan(n1 + n2, rays, cones))
 
 

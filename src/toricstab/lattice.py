@@ -19,7 +19,7 @@ moment curve; ``validate_fan`` counts covering cones from those pairings
 and keeps them on the fan.
 
 Every input and output is an integer vector, never converted here
-(``make_fan`` is the one integer gate).  A subspace is its canonical basis
+(``Fan`` is the one integer gate).  A subspace is its canonical basis
 tuple, so equal subspaces compare equal as values.  The brute-force hull
 volume, the rational inverse and the other test oracles live in
 ``tests/oracles.py``.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import BadCoefficient, DimMismatch, NonAmple
+from .errors import BadCoefficient, BadVolumeTable, DimMismatch, NonAmple
 from .fan import Fan, validate_fan
 
 
@@ -79,7 +79,6 @@ class Polytope:
     """A divisor's polytope as one integer height per maximal cone.
 
     ``scale`` is the common denominator q of the divisor's coefficients,
-    ``scaled_coeffs[i]`` is the integer q times the coefficient of ray i,
     and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring); the cone
     points u_s themselves are never solved.  The fan is validated, and
     moving along the k-th of its ``duals[s]`` keeps every equality of cone
@@ -89,7 +88,6 @@ class Polytope:
 
     divisor: ToricDivisor
     scale: int
-    scaled_coeffs: tuple[int, ...]
     heights: tuple[int, ...]
 
 
@@ -98,14 +96,25 @@ class VolumeTable:
     """Per-ray normalized facet volumes of an ample polytope, in integers.
 
     ``weights[i] / den`` is ``(dim-1)!`` times the volume of the facet of
-    ray i, and ``gcd(den, *weights) == 1``, so equal tables mean equal
-    volumes.  ``values`` is the one view of the volumes themselves as
-    fractions; the table is not a sequence.
+    ray i.  The table is its own gate: exact ``int``s, ``dim`` and ``den``
+    at least 1 (BadVolumeTable), weights at least 1 (NonAmple), divided by
+    ``gcd(den, *weights)``, so equal tables mean equal volumes.  ``values``
+    is the one view of the volumes as fractions; the table is not a sequence.
     """
 
     dim: int
     weights: tuple[int, ...]
     den: int
+
+    def __post_init__(self):
+        dim, ws, den = self.dim, tuple(self.weights), self.den
+        if not all(type(x) is int for x in (dim, den, *ws)) or dim < 1 or den < 1:
+            raise BadVolumeTable(f"dim {dim!r}, den {den!r} must be ints >= 1, weights {ws!r} ints")
+        if any(w < 1 for w in ws):
+            raise NonAmple(f"facet weights {ws} must be positive")
+        g = gcd(den, *ws)
+        object.__setattr__(self, "weights", tuple(w // g for w in ws))
+        object.__setattr__(self, "den", den // g)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -121,7 +130,7 @@ def polytope_from_divisor(d: ToricDivisor) -> Polytope:
     heights = tuple(
         -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
     )
-    return Polytope(d, q, cs, heights)
+    return Polytope(d, q, heights)
 
 
 def is_ample(p: Polytope) -> bool:
@@ -159,7 +168,7 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     lcm of the ``|P_s|`` and ``h_s = <xi, q*u>`` the cone's height, that
     term is the integer ``h_s^(n-1) * g_i * (L // P_s)`` over
     ``L * q^(n-1) * (n-1)!``; the table keeps the sums of those integers as
-    its weights over ``L * q^(n-1)``, both divided by their gcd.  L and the
+    its weights over ``L * q^(n-1)`` and divides both by their gcd.  L and the
     ``L // P_s`` depend on the fan alone, which keeps them
     (``Fan.cone_factors``), so a polarization only forms the heights' powers.
 
@@ -169,10 +178,7 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     if not is_ample(p):
         raise NonAmple("the divisor is not ample on this fan")
     f = p.divisor.fan
-    nums = _facet_numerators(p)
-    den = f.cone_factors[0] * p.scale ** (f.dim - 1)
-    g = gcd(den, *nums)
-    return VolumeTable(f.dim, tuple(x // g for x in nums), den // g)
+    return VolumeTable(f.dim, _facet_numerators(p), f.cone_factors[0] * p.scale ** (f.dim - 1))
 
 
 def is_reflexive(p: Polytope) -> bool:
@@ -194,4 +200,4 @@ def is_reflexive(p: Polytope) -> bool:
     if p.scale != 1:
         return False
     nums = _facet_numerators(p)
-    return all(a == 1 if x > 0 else a >= 1 for a, x in zip(p.scaled_coeffs, nums))
+    return all(a == 1 if x > 0 else a >= 1 for a, x in zip(p.divisor.coeffs, nums))

@@ -46,9 +46,10 @@ class JumpData:
 
     The one gate for jump data: ``per_ray`` may be any iterable of pair
     iterables.  Repeated levels are merged and the pairs sorted, and the
-    defining constraints hold or InvalidJumpData is raised: integer
-    levels >= -1, positive integer multiplicities, and at most a simple
-    jump at level -1.
+    defining constraints hold or InvalidJumpData is raised: integer levels
+    >= -1, positive integer multiplicities, at most a simple jump at level
+    -1, and at least one ray.  Every ray's multiplicities sum to one rank
+    >= 1 (InconsistentRank when they differ), as filtrations of one space.
     """
 
     per_ray: tuple[JumpPairs, ...]
@@ -68,6 +69,11 @@ class JumpData:
             if merged.get(-1, 0) > 1:
                 raise InvalidJumpData(f"ray {ri}: multiplicity {merged[-1]} at level -1")
             rays.append(tuple(sorted(merged.items())))
+        sums = [sum(e for _, e in pairs) for pairs in rays]
+        if len(set(sums)) > 1:
+            raise InconsistentRank(f"per-ray multiplicity sums disagree: {sums}")
+        if not sums or sums[0] < 1:
+            raise InvalidJumpData(f"need at least one ray and rank >= 1, got sums {sums}")
         object.__setattr__(self, "per_ray", tuple(rays))
 
 
@@ -79,11 +85,8 @@ def tangent_jump_data(f: Fan) -> JumpData:
 
 
 def rank_of(j: JumpData) -> int:
-    """The common per-ray multiplicity sum."""
-    sums = [sum(e for _, e in pairs) for pairs in j.per_ray]
-    if len(set(sums)) != 1:
-        raise InconsistentRank(f"per-ray multiplicity sums disagree: {sums}")
-    return sums[0]
+    """The common per-ray multiplicity sum, read off the first ray."""
+    return sum(e for _, e in j.per_ray[0])
 
 
 def degree_of(j: JumpData, vols: VolumeTable) -> Fraction:
@@ -91,8 +94,7 @@ def degree_of(j: JumpData, vols: VolumeTable) -> Fraction:
     integer weights ``w_i`` and denominator ``den`` of ``vols``, where
     ``w_i / den`` is ``(n-1)!`` times the facet volume of ray i.
 
-    ``vols`` must come from an ample divisor (facet_volumes enforces that
-    upstream); DimMismatch unless it has one weight per ray of ``j``.
+    DimMismatch unless ``vols`` has one weight per ray of ``j``.
     """
     if len(vols.weights) != len(j.per_ray):
         raise DimMismatch(f"{len(vols.weights)} volumes for {len(j.per_ray)} rays")
@@ -106,11 +108,9 @@ def degree_of(j: JumpData, vols: VolumeTable) -> Fraction:
 
 def lambda_matrix_to_jump(mat) -> JumpData:
     """Jump data with one level of multiplicity one per row in each column;
-    ``JumpData`` rejects the entries that are not integer levels.  Rank-one
-    data is the one-row matrix ``(lam,)``."""
+    ``JumpData`` rejects the entries that are not integer levels and a
+    matrix without columns.  Rank-one data is the one-row matrix ``(lam,)``."""
     rows = tuple(tuple(row) for row in mat)
-    if not rows:
-        raise InvalidJumpData("empty matrix")
     if len({len(row) for row in rows}) > 1:
         raise InvalidJumpData(f"rows of unequal lengths {[len(row) for row in rows]}")
     return JumpData([(v, 1) for v in col] for col in zip(*rows))

@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadRank, DimMismatch, NonAmple, TooManyRays
+from .errors import BadRank, DimMismatch, TooManyRays
 from .fan import Fan
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 
@@ -118,8 +118,8 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
         )
     weights, den = vols.weights, vols.den
     mu = Fraction(sum(weights), den * f.dim)
-    # Weights are positive (NonAmple is raised above, before the ray cap), so
-    # every flat beats the 0/1 start; ties go as the module docstring says.
+    # Weights are positive (VolumeTable's gate, before the ray cap), so every
+    # flat beats the 0/1 start; ties go as the module docstring says.
     best_rays, best_total, best_rank = None, 0, 1
     for rank, rays_in in f.flats:
         total = sum(weights[i] for i in rays_in)
@@ -181,8 +181,6 @@ def admissible_slope_bound(f: Fan, r: int, vols: VolumeTable) -> Fraction:
         raise DimMismatch(f"volume table for dimension {vols.dim} and {len(vols.weights)} "
                           f"rays, expected {n} and {len(f.rays)}")
     weights = vols.weights
-    if any(w <= 0 for w in weights):
-        raise NonAmple("the bound requires positive facet volumes")
     order = sorted(range(len(f.rays)), key=lambda i: (-weights[i], i))
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):

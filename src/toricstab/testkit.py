@@ -10,7 +10,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .errors import BadTwist, NonAmple
+from .errors import BadTwist
 from .fan import (
     Fan,
     construct_hirzebruch,
@@ -281,14 +281,13 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
 
     With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
     (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the maximizer is the
-    first line of ``hirzebruch_lines(m, a, b)`` of highest slope.
+    first line of ``hirzebruch_lines(m, a, b)`` of highest slope.  With
+    m >= 0 the table's gate raises NonAmple exactly when a or b is not > 0.
     """
     if m < 0:
         raise BadTwist(f"twist must be nonnegative, got {m}")
     a = a1 + a3 - m * a2
     b = a2 + a4
-    if a <= 0 or b <= 0:
-        raise NonAmple(f"divisor is not ample: a = {a}, b = {b} must both be positive")
     vols = VolumeTable(2, (b, a, b, a + m * b), 1)
     mu = Fraction(2 * a + (m + 2) * b, 2)
     best = min(hirzebruch_lines(m, a, b), key=lambda c: (-c.slope, c.rank, c.rays_in))

@@ -76,6 +76,14 @@ class TestChartOf:
         with pytest.raises(NotMaximal):
             chart_of(F1, (0, 2))
 
+    @pytest.mark.parametrize("sigma", [(0, 1.0), (0, "1"), (True, 0)], ids=repr)
+    def test_only_integer_indices_name_a_cone(self, sigma):
+        with pytest.raises(NotMaximal):
+            chart_of(P2, sigma)
+
+    def test_the_cone_is_the_fans_own(self):
+        assert chart_of(P2, (1, 0)).cone is P2.max_cones[P2.max_cones.index((0, 1))]
+
     def test_not_smooth(self):
         # A raw fan is validated first, as rank_one_exists and divisors do.
         f = make_fan(2, ((1, 0), (1, 2)), ((0, 1),))

@@ -142,7 +142,7 @@ def _int_conversions(source, parsers=()):
     outside the top-level functions named in ``parsers``, as ``(line,
     what)`` pairs.  ``int`` truncates a non-integer and ``isinstance`` lets
     a bool through; numbers are checked with ``type(x) is int`` where they
-    enter (``make_fan``, the constructors, ``divisor``, jump data) and never
+    enter (``Fan``, the constructors, divisors, volume tables, jump data) and never
     converted below that."""
     found = []
     for top in ast.parse(source).body:
@@ -287,7 +287,7 @@ def _raised_names(source):
 
 def test_package_raises_only_its_own_errors():
     # A caller catches ToricStabError; a builtin exception raised for bad
-    # input would pass through.  make_fan's TypeError is the one exception,
+    # input would pass through.  The Fan gate's TypeError is the one exception,
     # and testkit is the test fixtures' module.
     snippet = (
         "def f(x):\n"

@@ -19,7 +19,9 @@ from oracles import (
     reflexive_by_scan,
 )
 from toricstab import lattice
-from toricstab.errors import BadCoefficient, DimMismatch, NonAmple, ToricStabError
+from toricstab.errors import (
+    BadCoefficient, BadVolumeTable, DimMismatch, NonAmple, ToricStabError,
+)
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
@@ -33,6 +35,7 @@ from toricstab.fan import (
 from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
     ToricDivisor,
+    VolumeTable,
     anticanonical,
     divisor,
     facet_volumes,
@@ -40,7 +43,8 @@ from toricstab.polytope import (
     is_reflexive,
     polytope_from_divisor,
 )
-from toricstab.stability import decide
+from toricstab.sheafdata import degree_of, tangent_jump_data
+from toricstab.stability import admissible_slope_bound, decide
 from toricstab.testkit import (
     build_case_fan,
     golden_suite,
@@ -100,8 +104,6 @@ class TestVertices:
             coeffs = [k * Fraction(c) for c in base]
             p = polytope_from_divisor(divisor(f, coeffs))
             assert p.scale == lcm(*(c.denominator for c in coeffs))
-            assert all(type(x) is int for x in p.scaled_coeffs)
-            assert p.scaled_coeffs == tuple(p.scale * c for c in coeffs), case.name
             points = [[p.scale * x for x in u] for u in fraction_vertices(f, coeffs)]
             assert all(x.denominator == 1 for pt in points for x in pt), case.name
             xi = generic_vector(f.dim, f.duals)[0]
@@ -396,6 +398,23 @@ class TestVolumeTable:
             assert t.den > 0 and gcd(t.den, *t.weights) == 1, case.name
             assert t.values == chow_volumes(f, coeffs), case.name
             assert v.mu_tx == Fraction(sum(t.weights), t.den * f.dim), case.name
+
+    @pytest.mark.parametrize("read", [
+        lambda p2: degree_of(tangent_jump_data(p2), VolumeTable(2, (1, 1, 1), 0)),
+        lambda p2: degree_of(tangent_jump_data(p2), VolumeTable(2, (1, 1, 1), -1)),
+        lambda p2: admissible_slope_bound(p2, 1, VolumeTable(2, (0.5, 1, 1), 1)),
+        lambda p2: VolumeTable(2, (True, 1, 1), 1),
+        lambda p2: VolumeTable(0, (1, 1, 1), 1),
+    ], ids=["den-zero", "den-negative", "float-weight", "bool-weight", "dim-zero"])
+    def test_a_table_built_directly_is_checked(self, read):
+        # VolumeTable itself is the gate, so nothing is read off a table
+        # that is not one.
+        with pytest.raises(BadVolumeTable):
+            read(construct_projective_space(2))
+
+    def test_equal_volumes_make_equal_tables(self):
+        assert VolumeTable(2, (2, 2, 2), 2) == VolumeTable(2, (1, 1, 1), 1)
+        assert VolumeTable(2, [4, 6, 2], 8).weights == (2, 3, 1)
 
 
 class TestGenericFunctional:

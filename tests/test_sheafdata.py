@@ -76,8 +76,8 @@ class TestJumpData:
         assert rank_of(j) == 4
 
     def test_normalization_merges_and_sorts(self):
-        j = JumpData([[(2, 1), (0, 1), (2, 1)], [(0, 2), (2, 2)]])
-        assert j.per_ray == (((0, 1), (2, 2)), ((0, 2), (2, 2)))
+        j = JumpData([[(2, 1), (0, 1), (2, 1)], [(0, 2), (2, 1)]])
+        assert j.per_ray == (((0, 1), (2, 2)), ((0, 2), (2, 1)))
 
     def test_level_below_minus_one(self):
         with pytest.raises(InvalidJumpData):
@@ -109,9 +109,19 @@ class TestJumpData:
             degree_of(JumpData(per_ray), volumes_of(p2))
 
     def test_inconsistent_rank(self):
-        j = JumpData([[(0, 2)], [(0, 2)], [(0, 3)]])
         with pytest.raises(InconsistentRank):
-            rank_of(j)
+            JumpData([[(0, 2)], [(0, 2)], [(0, 3)]])
+
+    @pytest.mark.parametrize("read, error", [
+        (lambda vols: degree_of(JumpData([[(0, 2)], [(0, 2)], [(0, 3)]]), vols), InconsistentRank),
+        (lambda vols: lambda_matrix_to_jump(((),)), InvalidJumpData),
+        (lambda vols: rank_of(JumpData([[], [], []])), InvalidJumpData),
+        (lambda vols: JumpData([]), InvalidJumpData),
+    ], ids=["ranks-differ", "no-columns", "rank-zero", "no-rays"])
+    def test_data_of_no_sheaf_is_rejected(self, read, error):
+        # Every ray filters one space, so every ray sums to one rank >= 1.
+        with pytest.raises(error):
+            read(volumes_of(construct_projective_space(2)))
 
 
 class TestDegreeAndSlope:
