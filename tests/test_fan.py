@@ -811,17 +811,29 @@ class TestConstructorsTakeOnlyInts:
 
 
 class TestStructuralChecks:
-    """The value checks ``validate_fan`` makes before any geometry; the
-    types were checked by ``Fan`` itself (``TestMakeFanGate``)."""
+    """The checks made before any geometry: the type checks by ``Fan``
+    itself, which raise a ``TypeError`` naming the one bad position, and
+    the value checks by ``validate_fan``."""
 
-    @pytest.mark.parametrize("f, expected", [
-        (Fan(0, P2_RAYS, P2_CONES), ("BadDimension", "dim = 0")),
-        (Fan(2, (), P2_CONES), ("BadRay", "no rays")),
-        (Fan(2, ((1, 0), (0,), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0,)")),
-        (Fan(2, ((1, 0), (0, 1, 0), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0, 1, 0)")),
-        (Fan(2, P2_RAYS, ()), ("NotComplete", "no maximal cones")),
-    ], ids=["dim-zero", "no-rays", "short-ray", "long-ray", "no-cones"])
-    def test_each_check_reports_alone(self, f, expected):
-        with pytest.raises(InvalidFan) as ei:
-            validate_fan(f)
-        assert ei.value.violations == (expected,)
+    @pytest.mark.parametrize("args, expected", [
+        ((0, P2_RAYS, P2_CONES), ("BadDimension", "dim = 0")),
+        ((2.0, P2_RAYS, P2_CONES), "dim 2.0 is not an integer"),
+        ((True, ((1,), (-1,)), ((0,), (1,))), "dim True is not an integer"),
+        ((2, (), P2_CONES), ("BadRay", "no rays")),
+        ((2, ((1, 0), (0,), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0,)")),
+        ((2, ((1, 0), (0, 1, 0), (-1, -1)), P2_CONES), ("BadRay", "ray 1 = (0, 1, 0)")),
+        ((2, ((1.0, 0), (0, 1), (-1, -1)), P2_CONES), "ray entry 1.0 is not an integer"),
+        ((2, ((True, 0), (0, 1), (-1, -1)), P2_CONES), "ray entry True is not an integer"),
+        ((2, P2_RAYS, ((False, 1), (1, 2), (0, 2))), "cone index False is not an integer"),
+        ((2, P2_RAYS, ()), ("NotComplete", "no maximal cones")),
+    ], ids=["dim-zero", "dim-float", "dim-bool", "no-rays", "short-ray", "long-ray",
+            "float-entry", "bool-entry", "bool-index", "no-cones"])
+    def test_each_check_reports_alone(self, args, expected):
+        if isinstance(expected, str):
+            with pytest.raises(TypeError) as ei:
+                Fan(*args)
+            assert str(ei.value) == expected
+        else:
+            with pytest.raises(InvalidFan) as ei:
+                validate_fan(Fan(*args))
+            assert ei.value.violations == (expected,)
