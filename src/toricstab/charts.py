@@ -12,6 +12,12 @@ semigroup S_sigma.  This gives an existence check for rank-one sheaf
 data that is independent of the subspace criterion used by the
 stability module: the two are compared against each other in tests and
 by the `oracle` command, never merged.
+
+``rank_one_exists`` tests only the charts of a cover whose cones reach
+every ray: a section of the locally free TX on the normal X that is
+regular in codimension one is regular (Hartshorne, *Algebraic Geometry*,
+Prop. II.6.3A), and the torus and the generic point of each D_rho lie in
+a cover chart.
 """
 
 from __future__ import annotations
@@ -110,8 +116,17 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     """Direction line of a rank-one sheaf realizing the data, or None.
 
     Tries each ray line (those carrying a -1 first) and, when no entry
-    is -1, a generic line.  A line witnesses the data when on every
-    maximal cone the pinned weight makes the derivation regular.  A raw
+    is -1, a generic line, each once and built only when tried.  A line v
+    witnesses the data when chi(u) d_v, with u the pinned weight, is
+    regular on the chart of every cone of a cover: in cone order, each
+    cone that holds a ray no earlier kept cone holds, at most
+    ``rays - n + 1`` of them.  That is the answer of every chart.  On
+    U_sigma ⊃ U_rho, for each ray rho of a kept sigma, chi(u_sigma)
+    generates the rank-one sheaf, as chi(u_tau) does for any tau through
+    rho (they differ by a unit on U_rho); on the torus chi(u) d_v is
+    regular anyway.  TX is locally free and X normal, so a map from the
+    rank-one sheaf to TX that is regular in codimension one is regular
+    everywhere (Hartshorne, *Algebraic Geometry*, Prop. II.6.3A).  A raw
     fan is validated here, once (InvalidFan when it is not smooth and
     complete).
     """
@@ -120,27 +135,28 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)
-    negative = [i for i, l in enumerate(lam) if l == -1]
-    order = negative + [i for i in range(len(f.rays)) if lam[i] != -1]
-    lines: list[Vector] = []
-    for i in order:
-        line = _line_of(f.rays[i])
-        if line not in lines:
-            lines.append(line)
-    if not negative:
-        generic = _line_of((1,) * f.dim)
-        if generic not in lines:
-            lines.append(generic)
-    # Per chart: its rays, its duals and the pinned weight u = sum_i lam_i m_i,
-    # the one solution of <u, ray_i> = lam_i on the cone's rays.
+    # Per chart of the cover: its pinned weight u = sum_i lam_i m_i, the one
+    # solution of <u, ray_i> = lam_i on the cone's rays, its rays and duals.
     charts = []
+    reached: set[int] = set()
     for c, dual in zip(f.max_cones, f.duals):
+        if reached.issuperset(c):
+            continue
+        reached.update(c)
         u = (0,) * f.dim
         for i, m in zip(c, dual):
             if lam[i]:
                 u = tuple(x + lam[i] * y for x, y in zip(u, m))
         charts.append((u, cone_rays(f, c), dual))
-    for v in lines:
+    negative = [i for i, l in enumerate(lam) if l == -1]
+    others = [i for i, l in enumerate(lam) if l != -1]
+    generic = [] if negative else [(1,) * f.dim]
+    tried: set[Vector] = set()
+    for w in [f.rays[i] for i in negative + others] + generic:
+        v = _line_of(w)
+        if v in tried:
+            continue
+        tried.add(v)
         if all(_regular(u, v, rays, dual) for u, rays, dual in charts):
             return v
     return None

@@ -319,7 +319,11 @@ def validate_fan(f: Fan) -> Fan:
                     violations.append(("BadIntersection", detail))
         if violations:
             raise InvalidFan(violations)
-    return Fan(n, rays, cones, tuple(duals), pairings, tuple(adjacent))
+    # The gate checked and sorted f's fields when f was built: keep them past it.
+    g = object.__new__(Fan)
+    g.__dict__.update(dim=n, rays=rays, max_cones=cones, duals=tuple(duals),
+                      pairings=pairings, walls=tuple(adjacent))
+    return g
 
 
 def _pair_face_violation(rays, ca, cb, duals_a, duals_b):

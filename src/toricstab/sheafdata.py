@@ -46,10 +46,11 @@ class JumpData:
 
     The one gate for jump data: ``per_ray`` may be any iterable of pair
     iterables.  Repeated levels are merged and the pairs sorted, and the
-    defining constraints hold or InvalidJumpData is raised: integer levels
-    >= -1, positive integer multiplicities, at most a simple jump at level
-    -1, and at least one ray.  Every ray's multiplicities sum to one rank
-    >= 1 (InconsistentRank when they differ), as filtrations of one space.
+    defining constraints hold or InvalidJumpData is raised: two entries to
+    a pair, integer levels >= -1, positive integer multiplicities, at most
+    a simple jump at level -1, and at least one ray.  Every ray's
+    multiplicities sum to one rank >= 1 (InconsistentRank when they
+    differ), as filtrations of one space.
     """
 
     per_ray: tuple[JumpPairs, ...]
@@ -58,7 +59,11 @@ class JumpData:
         rays = []
         for ri, pairs in enumerate(self.per_ray):
             merged: dict[int, int] = {}
-            for lam, e in pairs:
+            for pair in pairs:
+                try:
+                    lam, e = pair
+                except (TypeError, ValueError):
+                    raise InvalidJumpData(f"ray {ri}: {pair!r} is not a pair") from None
                 if type(lam) is not int or type(e) is not int:
                     raise InvalidJumpData(f"ray {ri}: non-integer pair ({lam!r}, {e!r})")
                 if lam < -1:
@@ -151,9 +156,12 @@ def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
         if col.count(-1) > 1:
             problems.append(f"column {jdx} carries -1 more than once")
     # A ray set spans a cone iff some maximal cone holds it, so only the
-    # (r+1)-subsets inside one maximal cone are candidates.
+    # (r+1)-subsets inside one maximal cone are candidates; a row with at
+    # most r carriers of -1 has none.
     for i in range(r):
         carriers = {jdx for jdx in range(p) if rows[i][jdx] == -1}
+        if len(carriers) <= r:
+            continue
         spanning = set()
         for cone in f.max_cones:
             held = sorted(carriers.intersection(cone))

@@ -16,9 +16,11 @@ use too); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
 Fano manifold (Wang and Zhu, 2004).  ``cone_carrier_problems`` is the
 scan of every (r+1)-subset of a row's -1 rays that
 ``sheafdata.validate_lambda_matrix`` once ran, with ``is_cone`` as its
-face test.  ``rank_one_by_charts`` is ``charts.rank_one_exists`` line by
-line through the public chart objects, and ``skewed_products`` are the
-product fans the ``oracle`` benchmark draws from.
+face test.  ``rank_one_by_charts`` is the all-charts reference for
+``charts.rank_one_exists``, which tests only the charts of a cover: it
+tries the same lines through the public chart objects on every maximal
+cone.  ``skewed_products`` are the product fans the ``oracle`` benchmark
+draws from.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +34,16 @@ from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
     construct_proj_split,
+    construct_product,
     construct_projective_space,
     make_fan,
     validate_fan,
 )
 from toricstab.lattice import dot, hermite_canonical
 from toricstab.sheafdata import tangent_jump_data, validate_lambda_matrix
-from toricstab.testkit import fuzz_lambda, random_polarized, random_unimodular, transform_fan
+from toricstab.testkit import (
+    fuzz_lambda, fuzz_lambda_matrix, random_polarized, random_unimodular, transform_fan,
+)
 
 B5 = construct_proj_split(1, (1, 0, 0))
 F1 = construct_hirzebruch(1)
@@ -275,17 +279,45 @@ class TestRankOneExists:
 
     def test_matches_the_per_line_reference(self):
         fans = [f for _, f in catalog_fano4()] + [validate_fan(f) for f in skewed_products()]
+        fans += [random_polarized(seed)[0] for seed in range(50)]
         outcomes = set()
         for i, f in enumerate(fans):
-            stream = fuzz_lambda(f, 900 + i)
-            for _ in range(60):
-                lam = next(stream)
+            lams = islice(fuzz_lambda(f, 900 + i), 60 if i < 15 else 20)
+            rows = (mat[0] for mat in islice(fuzz_lambda_matrix(f, 1, 1300 + i), 20))
+            for lam in chain(lams, rows):
                 witness = rank_one_exists(f, lam)
                 assert witness == rank_one_by_charts(f, lam), (i, lam)
                 outcomes.add(witness is None)
         assert outcomes == {True, False}
         assert rank_one_exists(B5, (0, 0, 0, 0, -1, -1)) is None
         assert rank_one_by_charts(B5, (0, 0, 0, 0, -1, -1)) is None
+
+    @pytest.mark.parametrize("build, kept", [
+        (lambda: reduce(construct_product, [construct_projective_space(1)] * 8), 9),
+        (lambda: validate_fan(skewed_products()[4]), 7),
+    ], ids=["P1^8", "skewed-F1^3"])
+    def test_only_the_charts_of_a_cover_are_tested(self, count_calls, build, kept):
+        f = build()
+        calls = count_calls(charts, "_regular")
+        # The first line, that of ray 0, witnesses data without poles, so
+        # each kept chart is tested once.
+        assert rank_one_exists(f, (0,) * len(f.rays)) == charts._line_of(f.rays[0])
+        assert len(calls) == kept <= len(f.rays) - f.dim + 1
+        assert {ray for _, _, rays, _ in calls for ray in rays} == set(f.rays)
+
+    def test_a_cover_must_reach_every_ray(self):
+        # The charts of the cones through ray 0 reach rays 0, 1 and 3 of F1,
+        # and accept the horizontal line; the chart of (1, 2) rejects it.
+        lam = (-1, 0, -1, 0)
+
+        def accepts(sigma):
+            c = chart_of(F1, sigma)
+            u = tuple(sum(lam[i] * m[k] for i, m in zip(c.cone, c.dual)) for k in range(2))
+            return is_regular(D(u, (1, 0)), c)
+
+        assert accepts((0, 1)) and accepts((0, 3))
+        assert not accepts((1, 2))
+        assert rank_one_exists(F1, lam) is None
 
     def test_agrees_with_span_criterion(self):
         rng = random.Random(20260816)

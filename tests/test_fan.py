@@ -1,6 +1,7 @@
 """Fan validation and the standard constructors."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 
 from oracles import fraction_vertices, is_cone, skewed_products
 from toricstab import fan, lattice
+from toricstab.cli import load_fan_file
 from toricstab.errors import BadDimension, BadTwist, InvalidFan
 from toricstab.fan import (
     Fan,
@@ -792,6 +794,32 @@ class TestMakeFanGate:
             with pytest.raises(TypeError) as ei:
                 build(dim, rays, cones)
             assert str(ei.value) == f"{what} {value!r} is not an integer"
+
+    def test_the_gate_runs_once_per_fan_built(self, monkeypatch, tmp_path):
+        # validate_fan keeps the fields the gate checked; it never re-enters it.
+        p1, p2 = construct_projective_space(1), construct_projective_space(2)
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps({"dim": 2, "rays": P2_RAYS, "max_cones": P2_CONES}))
+        gate, calls = Fan.__post_init__, []
+
+        def counting(self):
+            calls.append(self)
+            gate(self)
+
+        monkeypatch.setattr(Fan, "__post_init__", counting)
+        for build in (
+            lambda: load_fan_file(str(path)),
+            lambda: construct_projective_space(3),
+            lambda: construct_hirzebruch(1),
+            lambda: construct_proj_split(1, (1, 0, 0)),
+            lambda: construct_p1_bundle(4, 2),
+            lambda: construct_product(p2, p1),
+        ):
+            calls.clear()
+            f = build()
+            assert f.validated and len(calls) == 1
+            raw = calls[0]
+            assert f == raw and hash(f) == hash(raw) and repr(f) == repr(raw)
 
 
 class TestConstructorsTakeOnlyInts:

@@ -41,7 +41,10 @@ FAN_ARGS = st.tuples(
 TABLE_ARGS = st.tuples(
     entries(st.integers(1, 3)), rows(entries(st.integers(1, 5)), 3), entries(st.integers(1, 5)),
 )
-PAIRS = st.lists(st.tuples(entries(st.integers(-1, 2)), entries(st.integers(1, 2))), max_size=3)
+LEVEL, MULTIPLICITY = entries(st.integers(-1, 2)), entries(st.integers(1, 2))
+# Pairs, and junk in their place: one or three entries, or a bare number.
+PAIRS = st.lists(st.one_of(st.tuples(LEVEL, MULTIPLICITY), st.tuples(LEVEL),
+                           st.tuples(LEVEL, MULTIPLICITY, MULTIPLICITY), LEVEL), max_size=3)
 
 
 # The message of the one builtin error a gate raises: Fan's TypeError.

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import re
 from itertools import islice
 from math import factorial
 
@@ -95,6 +96,11 @@ class TestJumpData:
     def test_bool_pairs_rejected(self, pair):
         with pytest.raises(InvalidJumpData, match="non-integer"):
             JumpData([[pair]])
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 5], ids=repr)
+    def test_a_pair_of_the_wrong_shape_is_rejected(self, pair):
+        with pytest.raises(InvalidJumpData, match=rf"ray 1: {re.escape(repr(pair))} is not a pair"):
+            JumpData([[(0, 1)], [pair]])
 
     @pytest.mark.parametrize("per_ray", [
         (((-2, 1),), ((0, 1),), ((0, 1),)),
