@@ -55,10 +55,9 @@ class MonomialDerivation:
 
 def chart_of(f: Fan, sigma) -> Chart:
     """The chart of the maximal cone ``sigma`` (``int`` indices in any order),
-    its duals read off the validated fan; a raw fan is validated here, once
+    its duals read off ``f``, which is validated in place, once per fan
     (InvalidFan when it is not smooth and complete)."""
-    if not f.validated:
-        f = validate_fan(f)
+    validate_fan(f)
     cone = tuple(sigma)
     key = tuple(sorted(cone)) if all(type(i) is int for i in cone) else None
     if key not in f.max_cones:
@@ -126,12 +125,11 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     rho (they differ by a unit on U_rho); on the torus chi(u) d_v is
     regular anyway.  TX is locally free and X normal, so a map from the
     rank-one sheaf to TX that is regular in codimension one is regular
-    everywhere (Hartshorne, *Algebraic Geometry*, Prop. II.6.3A).  A raw
-    fan is validated here, once (InvalidFan when it is not smooth and
-    complete).
+    everywhere (Hartshorne, *Algebraic Geometry*, Prop. II.6.3A).  ``f``
+    is validated in place, once per fan (InvalidFan when it is not smooth
+    and complete).
     """
-    if not f.validated:
-        f = validate_fan(f)
+    validate_fan(f)
     ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)

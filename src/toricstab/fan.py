@@ -98,26 +98,30 @@ class Fan:
 
     The one gate for fan input: ``dim``, each ray entry and each cone index
     is an exact ``int`` (TypeError otherwise, bools included), and rays and
-    cones are kept as tuples, each cone sorted.  The rest is set by
-    ``validate_fan`` alone, never participates in equality, and marks the
-    fan validated: ``duals[s]``, the dual basis of maximal cone s;
-    ``pairings[s][k]``, its k-th dual paired with the covering count's
-    moment-curve vector, never 0; ``walls``, each wall once as ``(s, k, t)``:
-    the face of cone s without its k-th ray, with cone t across it.
+    cones are kept as tuples, each cone sorted.  No constructor sets the
+    rest: ``validate_fan`` stores it on the fan in place, once, outside
+    equality, and it marks the fan validated: ``duals[s]``, the dual basis
+    of maximal cone s; ``pairings[s][k]``, its k-th dual paired with the
+    covering count's moment-curve vector, never 0; ``walls``, each wall
+    once as ``(s, k, t)``: the face of cone s without its k-th ray, with
+    cone t across it.
 
     Whatever depends on the fan alone and is needed again at every
-    polarization is derived on first use and kept in the instance dict,
-    never as a dataclass field, so it dies with the fan and takes no part
-    in equality, hashing or repr: ``flats``, ``cone_factors`` and the
-    bases ``flat_basis`` returns.
+    polarization is derived on first use, from the validated fan, and kept
+    in the instance dict, never as a dataclass field, so it dies with the
+    fan and takes no part in equality, hashing or repr: ``flats``,
+    ``cone_factors`` and the bases ``flat_basis`` returns.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
-    duals: tuple[tuple[Vector, ...], ...] | None = field(default=None, compare=False, repr=False)
-    pairings: tuple[Vector, ...] | None = field(default=None, compare=False, repr=False)
-    walls: tuple[tuple[int, int, int], ...] | None = field(default=None, compare=False, repr=False)
+    duals: tuple[tuple[Vector, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
+    pairings: tuple[Vector, ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
+    walls: tuple[tuple[int, int, int], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rays = tuple(map(tuple, self.rays))
@@ -138,14 +142,14 @@ class Fan:
     def flats(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(rank, rays_in)`` of every proper nonempty flat of the ray
         matroid, sorted; grown on first use and kept with the fan."""
-        return proper_flats(self.rays, self.dim)
+        return proper_flats(validate_fan(self).rays, self.dim)
 
     @cached_property
     def cone_factors(self) -> tuple[int, tuple[int, ...]]:
         """``(L, factors)`` for the vertex formula of ``facet_volumes``: with
         ``P_s = prod(-x for x in pairings[s])``, L is the lcm of the ``|P_s|``
-        and ``factors[s] = L // P_s``.  Needs a validated fan."""
-        products = [prod(-x for x in row) for row in self.pairings]
+        and ``factors[s] = L // P_s``."""
+        products = [prod(-x for x in row) for row in validate_fan(self).pairings]
         common = lcm(*products)
         return common, tuple(common // p for p in products)
 
@@ -155,7 +159,7 @@ class Fan:
         bases = self.__dict__.setdefault("_flat_bases", {})
         key = tuple(rays_in)
         if key not in bases:
-            bases[key] = hermite_canonical([self.rays[i] for i in key])
+            bases[key] = hermite_canonical(cone_rays(validate_fan(self), key))
         return bases[key]
 
 
@@ -173,7 +177,8 @@ def cone_rays(f: Fan, cone) -> tuple[Vector, ...]:
 
 
 def validate_fan(f: Fan) -> Fan:
-    """Check all fan invariants; return the fan marked validated.
+    """Check all fan invariants of ``f``, keep its duals, pairings and walls
+    on ``f`` in place and return ``f``; a validated fan is returned at once.
 
     Raises InvalidFan carrying ``violations``: one ``(code, detail)`` pair
     per broken invariant.  Codes: BadDimension, BadRay, NonPrimitiveRay,
@@ -181,6 +186,8 @@ def validate_fan(f: Fan) -> Fan:
     NotComplete, BadIntersection.  Structural problems are reported before
     the geometric stages that depend on them.
     """
+    if f.validated:
+        return f
     violations: list[tuple[str, str]] = []
     if f.dim < 1:
         raise InvalidFan([("BadDimension", f"dim = {f.dim!r}")])
@@ -319,11 +326,9 @@ def validate_fan(f: Fan) -> Fan:
                     violations.append(("BadIntersection", detail))
         if violations:
             raise InvalidFan(violations)
-    # The gate checked and sorted f's fields when f was built: keep them past it.
-    g = object.__new__(Fan)
-    g.__dict__.update(dim=n, rays=rays, max_cones=cones, duals=tuple(duals),
-                      pairings=pairings, walls=tuple(adjacent))
-    return g
+    # Duals last: they mark the fan validated.
+    f.__dict__.update(pairings=pairings, walls=tuple(adjacent), duals=tuple(duals))
+    return f
 
 
 def _pair_face_violation(rays, ca, cb, duals_a, duals_b):

@@ -18,11 +18,11 @@ off the pairings of the dual bases with the ``generic_vector`` of the
 moment curve; ``validate_fan`` counts covering cones from those pairings
 and keeps them on the fan.
 
-Every input and output is an integer vector, never converted here
-(``Fan`` is the one integer gate).  A subspace is its canonical basis
-tuple, so equal subspaces compare equal as values.  The brute-force hull
-volume, the rational inverse and the other test oracles live in
-``tests/oracles.py``.
+Every input and output is an integer vector, never converted here and
+shape-checked only by ``dot`` and ``dual_basis`` (``Fan`` and
+``validate_fan`` are the gates).  A subspace is its canonical basis tuple,
+so equal subspaces compare equal as values.  The brute-force hull volume,
+the rational inverse and the other test oracles live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,11 +67,8 @@ def row_hermite(rows) -> tuple[Vector, ...]:
     mat = [list(r) for r in rows]
     if not mat:
         return ()
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise DimMismatch("rows of unequal length")
     r = 0
-    for col in range(ncols):
+    for col in range(len(mat[0])):
         live = [i for i in range(r, len(mat)) if mat[i][col] != 0]
         if not live:
             continue
@@ -112,12 +109,7 @@ def integer_kernel(rows) -> tuple[Vector, ...]:
     form.  ``rows`` must be nonempty so the ambient dimension is known.
     """
     rows = list(rows)
-    if not rows:
-        raise ZeroSpan("integer_kernel needs at least one row")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimMismatch("rows of unequal length")
-    m = len(rows)
+    n, m = len(rows[0]), len(rows)
     h = row_hermite([col + e for col, e in zip(zip(*rows), identity_rows(n))])
     return tuple(row[m:] for row in h if not any(row[:m]))
 
@@ -201,8 +193,6 @@ def hermite_canonical(vectors) -> tuple[Vector, ...]:
     if not vecs:
         raise ZeroSpan("empty spanning set")
     n = len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise DimMismatch("spanning vectors of unequal length")
     nonzero = [v for v in vecs if any(v)]
     if not nonzero:
         raise ZeroSpan("spanning set contains only zero vectors")

@@ -29,7 +29,7 @@ facet volume becomes a ``Fraction`` only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -44,8 +44,8 @@ class ToricDivisor:
     The one gate for a divisor: ``coeffs`` may be any iterable with one
     coefficient per ray of ``fan`` (DimMismatch otherwise), each an exact
     ``int`` or a ``Fraction`` (BadCoefficient otherwise, bools included),
-    and is kept as a tuple of ``Fraction``; a raw fan is then validated
-    here, once (InvalidFan when it is not smooth and complete).
+    and is kept as a tuple of ``Fraction``; ``fan`` is then validated in
+    place, once per fan (InvalidFan when it is not smooth and complete).
     """
 
     fan: Fan
@@ -59,8 +59,7 @@ class ToricDivisor:
         if len(cs) != len(self.fan.rays):
             raise DimMismatch(f"{len(cs)} coefficients for {len(self.fan.rays)} rays")
         object.__setattr__(self, "coeffs", tuple(map(Fraction, cs)))
-        if not self.fan.validated:
-            object.__setattr__(self, "fan", validate_fan(self.fan))
+        validate_fan(self.fan)
 
 
 def divisor(f: Fan, coeffs) -> ToricDivisor:
@@ -78,17 +77,26 @@ def anticanonical(f: Fan) -> ToricDivisor:
 class Polytope:
     """A divisor's polytope as one integer height per maximal cone.
 
-    ``scale`` is the common denominator q of the divisor's coefficients,
+    No constructor takes ``scale`` or ``heights``; both come from
+    ``divisor``: ``scale`` is the common denominator q of its coefficients,
     and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring); the cone
-    points u_s themselves are never solved.  The fan is validated, and
-    moving along the k-th of its ``duals[s]`` keeps every equality of cone
-    s but that of its k-th ray: for an ample divisor these are the edges at
-    u_s.
+    points u_s themselves are never solved.  Moving along the k-th of the
+    fan's ``duals[s]`` keeps every equality of cone s but that of its k-th
+    ray: for an ample divisor these are the edges at u_s.
     """
 
     divisor: ToricDivisor
-    scale: int
-    heights: tuple[int, ...]
+    scale: int = field(init=False)
+    heights: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        f, coeffs = self.divisor.fan, self.divisor.coeffs
+        q = lcm(*(c.denominator for c in coeffs))
+        cs = tuple(c.numerator * (q // c.denominator) for c in coeffs)
+        object.__setattr__(self, "scale", q)
+        object.__setattr__(self, "heights", tuple(
+            -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
+        ))
 
 
 @dataclass(frozen=True)
@@ -123,14 +131,8 @@ class VolumeTable:
 
 
 def polytope_from_divisor(d: ToricDivisor) -> Polytope:
-    """Each maximal cone s's height ``-sum_k q*a_{s[k]} * pairings[s][k]``."""
-    f = d.fan
-    q = lcm(*(c.denominator for c in d.coeffs))
-    cs = tuple(c.numerator * (q // c.denominator) for c in d.coeffs)
-    heights = tuple(
-        -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
-    )
-    return Polytope(d, q, heights)
+    """The polytope of ``d``: one height per maximal cone."""
+    return Polytope(d)
 
 
 def is_ample(p: Polytope) -> bool:

@@ -56,8 +56,12 @@ class JumpData:
     per_ray: tuple[JumpPairs, ...]
 
     def __post_init__(self):
+        try:
+            per_ray = [list(pairs) for pairs in self.per_ray]
+        except TypeError:
+            raise InvalidJumpData(f"{self.per_ray!r} is not an iterable of pair iterables") from None
         rays = []
-        for ri, pairs in enumerate(self.per_ray):
+        for ri, pairs in enumerate(per_ray):
             merged: dict[int, int] = {}
             for pair in pairs:
                 try:

@@ -175,8 +175,8 @@ def admissible_slope_bound(f: Fan, r: int, vols: VolumeTable) -> Fraction:
     by a realizable subsheaf.
     """
     n = f.dim
-    if not 1 <= r < n:
-        raise BadRank(f"rank must lie strictly between 0 and {n}, got {r}")
+    if type(r) is not int or not 1 <= r < n:
+        raise BadRank(f"rank must be an int strictly between 0 and {n}, got {r!r}")
     if vols.dim != n or len(vols.weights) != len(f.rays):
         raise DimMismatch(f"volume table for dimension {vols.dim} and {len(vols.weights)} "
                           f"rays, expected {n} and {len(f.rays)}")

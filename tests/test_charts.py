@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_one_by_charts, skewed_products
-from toricstab import charts, fan
+from toricstab import charts, lattice
 from toricstab.charts import (
     Chart,
     MonomialDerivation,
@@ -97,10 +97,11 @@ class TestChartOf:
 
     def test_raw_fan_reads_the_validated_duals(self, count_calls):
         raw = make_fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
-        validations = count_calls(fan, "validate_fan")
+        walks = count_calls(lattice, "dual_basis")
         for sigma in P2.max_cones:
             assert chart_of(raw, sigma) == chart_of(P2, sigma)
-        assert validations == [(raw,)] * len(P2.max_cones)
+        # One walk validates raw in place, whatever the number of charts.
+        assert len(walks) == 1 and raw.validated
 
     def test_duality_pairing_is_identity(self):
         for _, f in catalog_fano4():
@@ -257,12 +258,13 @@ class TestRankOneExists:
 
     def test_raw_fan_is_validated_once(self, count_calls):
         raw = transform_fan(F1, random_unimodular(2, random.Random(3)))
-        f = validate_fan(raw)
-        validations = count_calls(fan, "validate_fan")
+        f = validate_fan(transform_fan(F1, random_unimodular(2, random.Random(3))))
+        walks = count_calls(lattice, "dual_basis")
         for lam in ((0, -1, 0, -1), (-1, 0, -1, 0), (0, 1, 0, 2)):
             assert rank_one_exists(raw, lam) == rank_one_exists(f, lam)
-        # One per request on the raw fan, none on the validated one.
-        assert len(validations) == 3
+        # One walk for the raw fan however many requests, none for the
+        # validated one.
+        assert len(walks) == 1
         assert rank_one_exists(raw, (0, -1, 0, -1)) is not None
 
     def test_incomplete_raw_fan_is_rejected(self):

@@ -236,6 +236,15 @@ class TestAnalyze:
         assert code == 4
         assert main(["analyze", f2_path]) == 4
 
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"dim": 2, "rays": [[1, 0]]}'],
+                             ids=["not-an-object", "no-max_cones"])
+    def test_fan_file_without_the_keys_exits_4(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert main(["analyze", str(bad), "--anticanonical"]) == 4
+        assert capsys.readouterr() == (
+            "", 'error: fan file needs keys "dim", "rays", "max_cones"\n')
+
     def test_not_json_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
         bad.write_text("not json at all")
@@ -286,6 +295,17 @@ class TestConstruct:
             construct_projective_space(1), construct_projective_space(3)
         )
         assert got == fan_to_dict(expected)
+
+    def test_product_with_a_hirzebruch_factor(self, capsys):
+        assert main(["construct", "product", "pn:1", "hirzebruch:1"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        expected = construct_product(construct_projective_space(1), construct_hirzebruch(1))
+        assert got == fan_to_dict(expected)
+
+    def test_hirzebruch_takes_one_twist(self, capsys):
+        assert main(["construct", "hirzebruch", "1", "2"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: hirzebruch takes exactly one parameter: the twist\n")
 
     def test_construct_feeds_analyze(self, tmp_path, capsys):
         out = tmp_path / "c1.json"

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import fraction_vertices, is_cone, skewed_products
 from toricstab import fan, lattice
+from toricstab.charts import chart_of, rank_one_exists
 from toricstab.cli import load_fan_file
 from toricstab.errors import BadDimension, BadTwist, InvalidFan
 from toricstab.fan import (
@@ -25,7 +26,9 @@ from toricstab.fan import (
     validate_fan,
 )
 from toricstab.lattice import dot, dual_basis, generic_vector
-from toricstab.polytope import ToricDivisor, divisor, facet_volumes, polytope_from_divisor
+from toricstab.polytope import (
+    ToricDivisor, anticanonical, divisor, facet_volumes, polytope_from_divisor,
+)
 from toricstab.stability import Stability, decide
 from toricstab.testkit import (
     build_case_fan,
@@ -567,13 +570,48 @@ class TestPreparedFan:
     def test_divisor_validates_a_raw_fan_once(self, count_calls):
         f = construct_hirzebruch(1)
         raw = transform_fan(f, random_unimodular(2, random.Random(7)))
-        validations = count_calls(fan, "validate_fan")
+        walks = count_calls(lattice, "dual_basis")
         d = ToricDivisor(raw, (Fraction(1),) * 4)
-        assert d.fan.validated and d.fan == raw and len(validations) == 1
+        assert d.fan.validated and d.fan is raw and len(walks) == 1
         polytope_from_divisor(d)
-        assert len(validations) == 1
+        assert len(walks) == 1
         # A validated fan is kept as it is, with whatever it has derived.
-        assert divisor(f, (1, 0, 0, 4)).fan is f and len(validations) == 1
+        assert divisor(f, (1, 0, 0, 4)).fan is f and len(walks) == 1
+
+    def test_no_constructor_sets_the_validated_fields(self):
+        # Three rays in one half-plane cannot borrow P2's duals, pairings
+        # and walls to pass as validated.
+        p2 = construct_projective_space(2)
+        with pytest.raises(TypeError, match="duals"):
+            Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)),
+                duals=p2.duals, pairings=p2.pairings, walls=p2.walls)
+
+    @pytest.mark.parametrize("rays", [
+        ((1, 0), (0, 1, 5), (-1, -1)),
+        ((1, 0), (0, 1), (1, 1)),
+    ], ids=["ragged", "half-plane"])
+    def test_derived_data_needs_a_valid_fan(self, rays):
+        f = make_fan(2, rays, ((0, 1), (1, 2), (0, 2)))
+        for derive in (lambda: f.flats, lambda: f.cone_factors, lambda: f.flat_basis((0,))):
+            with pytest.raises(InvalidFan):
+                derive()
+        assert not f.validated and not {"flats", "cone_factors"} & set(vars(f))
+
+    def test_cone_factors_of_a_raw_fan_validate_it(self):
+        b5 = dict(catalog_fano4())["B5"]
+        raw = make_fan(b5.dim, b5.rays, b5.max_cones)
+        assert raw.cone_factors == b5.cone_factors and raw.validated
+
+    def test_one_walk_per_fan_object(self, count_calls):
+        b5 = dict(catalog_fano4())["B5"]
+        raw = transform_fan(b5, random_unimodular(4, random.Random(11)))
+        walks = count_calls(lattice, "dual_basis")
+        d1, d2 = anticanonical(raw), divisor(raw, (1, 1, 1, 1, 3, 1))
+        assert d1.fan is raw and d2.fan is raw
+        assert decide(raw, d1).mu_tx == 128 and decide(raw, d2).mu_tx == 224
+        assert [chart_of(raw, sigma).dual for sigma in raw.max_cones] == list(raw.duals)
+        assert rank_one_exists(raw, (0,) * len(raw.rays)) is not None
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("name", ["overlapping_cones", "not_smooth"])
     def test_divisor_on_an_invalid_fan_raises(self, name):

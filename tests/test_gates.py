@@ -45,6 +45,8 @@ LEVEL, MULTIPLICITY = entries(st.integers(-1, 2)), entries(st.integers(1, 2))
 # Pairs, and junk in their place: one or three entries, or a bare number.
 PAIRS = st.lists(st.one_of(st.tuples(LEVEL, MULTIPLICITY), st.tuples(LEVEL),
                            st.tuples(LEVEL, MULTIPLICITY, MULTIPLICITY), LEVEL), max_size=3)
+# Per-ray pair lists, a bare number in place of one, or in place of them all.
+PER_RAY = st.one_of(st.lists(st.one_of(PAIRS, LEVEL), min_size=2, max_size=4), LEVEL)
 
 
 # The message of the one builtin error a gate raises: Fan's TypeError.
@@ -62,7 +64,7 @@ def check(call):
 
 
 @settings(max_examples=300, deadline=None)
-@given(FAN_ARGS, TABLE_ARGS, st.lists(PAIRS, min_size=2, max_size=4),
+@given(FAN_ARGS, TABLE_ARGS, PER_RAY,
        rows(entries(st.integers(1, 3)), 3), rows(entries(st.integers(0, 3)), 2))
 def test_junk_raises_only_typed_errors(fan_args, table_args, per_ray, coeffs, sigma):
     build, dim, rays, cones = fan_args

@@ -34,6 +34,7 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
+    Polytope,
     ToricDivisor,
     VolumeTable,
     anticanonical,
@@ -136,6 +137,16 @@ class TestVertices:
         f = construct_projective_space(2)
         with pytest.raises(error):
             decide(f, ToricDivisor(f, coeffs))
+
+    def test_a_polytope_derives_its_scale_and_heights(self):
+        # Given heights would misstate the volumes: 3x them are those of 3D,
+        # and scale 7 divides them by 7.
+        d = divisor(construct_hirzebruch(1), (1, 0, 0, 1))
+        p = polytope_from_divisor(d)
+        assert Polytope(d) == p and p.scale == 1 and facet_volumes(p).values == (1, 1, 1, 2)
+        for scale, heights in ((1, tuple(3 * h for h in p.heights)), (7, p.heights)):
+            with pytest.raises(TypeError):
+                Polytope(d, scale, heights)
 
     def test_a_divisor_built_directly_equals_divisor(self):
         f = construct_projective_space(2)

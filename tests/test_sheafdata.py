@@ -102,6 +102,11 @@ class TestJumpData:
         with pytest.raises(InvalidJumpData, match=rf"ray 1: {re.escape(repr(pair))} is not a pair"):
             JumpData([[(0, 1)], [pair]])
 
+    @pytest.mark.parametrize("per_ray", [[5], [None], 5, [[(0, 1)], 5]], ids=repr)
+    def test_data_that_is_not_pairs_per_ray_is_rejected(self, per_ray):
+        with pytest.raises(InvalidJumpData, match="is not an iterable of pair iterables"):
+            JumpData(per_ray)
+
     @pytest.mark.parametrize("per_ray", [
         (((-2, 1),), ((0, 1),), ((0, 1),)),
         (((-1, 2),), ((0, 2),), ((0, 2),)),
@@ -309,6 +314,9 @@ class TestLambdaMatrixValidation:
         ok, probs = validate_lambda_matrix(F1, ((0, 0),))
         assert not ok
 
+    def test_no_rows(self):
+        assert validate_lambda_matrix(F1, ()) == (False, ("matrix needs at least one row",))
+
     def test_cone_rule_matches_the_subset_scan(self):
         # Fuzzed admissible matrices, then corrupted copies: -1 put on top of
         # random columns (columns stay sorted), a lower row turned all -1
@@ -416,6 +424,12 @@ class TestDegreeMonotonicity:
             degree_monotonicity_check(
                 tangent_jump_data(F1), lambda_matrix_to_jump(((0, 0, 0, 0),)), vols
             )
+
+    def test_different_ray_counts(self):
+        with pytest.raises(DimMismatch, match="different ray counts"):
+            degree_monotonicity_check(tangent_jump_data(F1),
+                                      tangent_jump_data(construct_projective_space(2)),
+                                      volumes_of(F1))
 
     def test_incomparable_rejected(self):
         vols = volumes_of(F1)

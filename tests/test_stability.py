@@ -649,8 +649,9 @@ class TestAdmissibleBound:
                 assert admissible_slope_bound(f, r, vols) == factorial(f.dim - 1) * best / r
 
     def test_bad_rank(self):
+        # True and 1.5 lie in range: only the type test rejects them.
         vols = volumes_of(F1)
-        for r in (0, 2, 7):
+        for r in (0, 2, 7, True, 1.5):
             with pytest.raises(BadRank):
                 admissible_slope_bound(F1, r, vols)
 
