@@ -14,11 +14,9 @@ from .charts import (
     MonomialDerivation,
     chart_of,
     expand_in_chart,
-    in_semigroup,
     is_regular,
     rank_one_exists,
     reexpand,
-    weight_space_dim,
 )
 from .errors import (
     BadCoefficient,
@@ -97,10 +95,9 @@ __all__ = [
     "construct_proj_split", "construct_projective_space", "decide",
     "degree_monotonicity_check", "degree_of", "divisor",
     "expand_in_chart", "facet_volumes",
-    "in_semigroup", "is_ample", "is_reflexive", "is_regular",
+    "is_ample", "is_reflexive", "is_regular",
     "lambda_matrix_to_jump", "make_fan", "polytope_from_divisor",
     "rank_of", "rank_one_exists", "reexpand",
     "tangent_jump_data", "validate_fan",
     "validate_lambda_matrix",
-    "weight_space_dim",
 ]

@@ -54,21 +54,19 @@ class MonomialDerivation:
 
 
 def chart_of(f: Fan, sigma) -> Chart:
-    """The chart of the maximal cone ``sigma`` (``int`` indices in any order),
-    its duals read off ``f``, which is validated in place, once per fan
-    (InvalidFan when it is not smooth and complete)."""
+    """The chart of the maximal cone ``sigma`` (``int`` indices in any order;
+    NotMaximal for anything else, a bare number included), its duals read
+    off ``f``, which is validated in place, once per fan (InvalidFan when it
+    is not smooth and complete)."""
     validate_fan(f)
-    cone = tuple(sigma)
-    key = tuple(sorted(cone)) if all(type(i) is int for i in cone) else None
-    if key not in f.max_cones:
-        raise NotMaximal(f"{cone} is not a maximal cone of the fan")
-    ci = f.max_cones.index(key)
+    cone = sigma
+    try:
+        cone = tuple(sigma)
+        key = tuple(sorted(cone)) if all(type(i) is int for i in cone) else None
+        ci = f.max_cones.index(key)
+    except (TypeError, ValueError):
+        raise NotMaximal(f"{cone} is not a maximal cone of the fan") from None
     return Chart(cone=f.max_cones[ci], rays=cone_rays(f, key), dual=f.duals[ci])
-
-
-def in_semigroup(c: Chart, u) -> bool:
-    """Membership of the weight u in S_sigma = sigma^v ∩ M."""
-    return all(dot(u, ray) >= 0 for ray in c.rays)
 
 
 def expand_in_chart(d: MonomialDerivation, c: Chart):
@@ -95,14 +93,6 @@ def _regular(u, v, rays, dual) -> bool:
             if any(dot(e, ray) < 0 for ray in rays):
                 return False
     return True
-
-
-def weight_space_dim(f: Fan, sigma, u) -> int:
-    """Dimension of the weight-u piece of the tangent sections on sigma's chart."""
-    if len(u) != f.dim:
-        raise DimMismatch(f"weight of length {len(u)} in dimension {f.dim}")
-    c = chart_of(f, sigma)
-    return sum(1 for m in c.dual if in_semigroup(c, tuple(x + y for x, y in zip(u, m))))
 
 
 def _line_of(v) -> Vector:

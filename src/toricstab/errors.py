@@ -106,7 +106,8 @@ class TooManyRays(ToricStabError, ValueError):
 
 
 class BadCoefficient(ToricStabError, TypeError):
-    """A divisor coefficient is neither an exact ``int`` nor a ``Fraction``."""
+    """A divisor coefficient is neither an exact ``int`` nor a ``Fraction``, or
+    the coefficients are not an iterable."""
 
 
 class ParseError(ToricStabError):

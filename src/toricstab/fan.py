@@ -97,9 +97,10 @@ class Fan:
     """Rays and maximal cones of a simplicial fan in Z^dim.
 
     The one gate for fan input: ``dim``, each ray entry and each cone index
-    is an exact ``int`` (TypeError otherwise, bools included), and rays and
-    cones are kept as tuples, each cone sorted.  No constructor sets the
-    rest: ``validate_fan`` stores it on the fan in place, once, outside
+    is an exact ``int`` and the ray and cone lists are iterables of rows
+    (TypeError otherwise, bools included), and rays and cones are kept as
+    tuples, each cone sorted.  No constructor sets the rest:
+    ``validate_fan`` stores it on the fan in place, once, outside
     equality, and it marks the fan validated: ``duals[s]``, the dual basis
     of maximal cone s; ``pairings[s][k]``, its k-th dual paired with the
     covering count's moment-curve vector, never 0; ``walls``, each wall
@@ -124,8 +125,13 @@ class Fan:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rays = tuple(map(tuple, self.rays))
-        cones = tuple(map(tuple, self.max_cones))
+        kept = []
+        for what, value in (("ray list", self.rays), ("cone list", self.max_cones)):
+            try:
+                kept.append(tuple(map(tuple, value)))
+            except TypeError:
+                raise TypeError(f"{what} {value!r} is not an iterable of rows") from None
+        rays, cones = kept
         for what, rows in (("dim", ((self.dim,),)), ("ray entry", rays), ("cone index", cones)):
             for row in rows:
                 for x in row:

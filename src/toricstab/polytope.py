@@ -42,17 +42,21 @@ class ToricDivisor:
     """``sum(coeffs[i] * D_i)`` on a validated fan.
 
     The one gate for a divisor: ``coeffs`` may be any iterable with one
-    coefficient per ray of ``fan`` (DimMismatch otherwise), each an exact
-    ``int`` or a ``Fraction`` (BadCoefficient otherwise, bools included),
-    and is kept as a tuple of ``Fraction``; ``fan`` is then validated in
-    place, once per fan (InvalidFan when it is not smooth and complete).
+    coefficient per ray of ``fan`` (BadCoefficient for a non-iterable,
+    DimMismatch for another count), each an exact ``int`` or a ``Fraction``
+    (BadCoefficient otherwise, bools included), and is kept as a tuple of
+    ``Fraction``; ``fan`` is then validated in place, once per fan
+    (InvalidFan when it is not smooth and complete).
     """
 
     fan: Fan
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = tuple(self.coeffs)
+        try:
+            cs = tuple(self.coeffs)
+        except TypeError:
+            raise BadCoefficient(f"coefficients {self.coeffs!r} are not an iterable") from None
         for c in cs:
             if type(c) not in (int, Fraction):
                 raise BadCoefficient(f"coefficient {c!r} is not an int or a Fraction")
@@ -104,10 +108,11 @@ class VolumeTable:
     """Per-ray normalized facet volumes of an ample polytope, in integers.
 
     ``weights[i] / den`` is ``(dim-1)!`` times the volume of the facet of
-    ray i.  The table is its own gate: exact ``int``s, ``dim`` and ``den``
-    at least 1 (BadVolumeTable), weights at least 1 (NonAmple), divided by
-    ``gcd(den, *weights)``, so equal tables mean equal volumes.  ``values``
-    is the one view of the volumes as fractions; the table is not a sequence.
+    ray i.  The table is its own gate: exact ``int``s, the weights an
+    iterable of them, ``dim`` and ``den`` at least 1 (BadVolumeTable),
+    weights at least 1 (NonAmple), divided by ``gcd(den, *weights)``, so
+    equal tables mean equal volumes.  ``values`` is the one view of the
+    volumes as fractions; the table is not a sequence.
     """
 
     dim: int
@@ -115,7 +120,10 @@ class VolumeTable:
     den: int
 
     def __post_init__(self):
-        dim, ws, den = self.dim, tuple(self.weights), self.den
+        try:
+            dim, ws, den = self.dim, tuple(self.weights), self.den
+        except TypeError:
+            raise BadVolumeTable(f"weights {self.weights!r} are not an iterable") from None
         if not all(type(x) is int for x in (dim, den, *ws)) or dim < 1 or den < 1:
             raise BadVolumeTable(f"dim {dim!r}, den {den!r} must be ints >= 1, weights {ws!r} ints")
         if any(w < 1 for w in ws):

@@ -96,14 +96,6 @@ class Certificate:
     slope: Fraction
 
 
-def _status_against(best, mu: Fraction) -> Stability:
-    if best is None or best.slope < mu:
-        return Stability.STABLE
-    if best.slope == mu:
-        return Stability.SEMISTABLE
-    return Stability.UNSTABLE
-
-
 def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdict:
     """Stability of the tangent sheaf with respect to the ample divisor `a`
     on ``f``, read off the validated fan ``a`` carries."""
@@ -128,7 +120,8 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     best = best_rays and SubsheafCandidate(
         best_rank, best_rays, Fraction(best_total, den * best_rank))
     return StabilityVerdict(
-        status=_status_against(best, mu),
+        status=(Stability.STABLE if best is None or best.slope < mu else
+                Stability.SEMISTABLE if best.slope == mu else Stability.UNSTABLE),
         mu_tx=mu,
         best=best,
         notes=(SCOPE_NOTE, GENERIC_NOTE),

@@ -1,5 +1,4 @@
-"""Shared fixtures: golden cases, fuzzers, random fan generators, and the
-Hirzebruch closed-form oracle."""
+"""Shared fixtures: golden cases, fuzzers and random fan generators."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .errors import BadTwist
 from .fan import (
     Fan,
     construct_hirzebruch,
@@ -21,23 +19,9 @@ from .fan import (
     make_fan,
     validate_fan,
 )
-from .polytope import (
-    VolumeTable,
-    anticanonical,
-    divisor,
-    is_ample,
-    polytope_from_divisor,
-)
+from .polytope import anticanonical, divisor, is_ample, polytope_from_divisor
 from .sheafdata import validate_lambda_matrix
-from .stability import (
-    GENERIC_NOTE,
-    SCOPE_NOTE,
-    StabilityVerdict,
-    SubsheafCandidate,
-    _status_against,
-    certificate,
-    decide,
-)
+from .stability import certificate, decide
 
 
 @dataclass(frozen=True)
@@ -264,38 +248,3 @@ def random_polarized(seed: int):
             return f, d
     k = rng.randint(1, 4)
     return f, divisor(f, tuple(k * c for c in fallback))
-
-
-def hirzebruch_lines(m: int, a: int, b: int) -> tuple[SubsheafCandidate, ...]:
-    """The ray-spanned lines of the twisted surface in ``Fan.flats`` order,
-    with slopes b, 2a + m*b and b, or 2b and 2a when m = 0."""
-    if m == 0:
-        slopes = {(0, 2): 2 * b, (1, 3): 2 * a}
-    else:
-        slopes = {(0,): b, (1, 3): 2 * a + m * b, (2,): b}
-    return tuple(SubsheafCandidate(1, s, Fraction(x)) for s, x in slopes.items())
-
-
-def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:
-    """Closed-form verdict for the twisted surface, independent of decide().
-
-    With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
-    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the maximizer is the
-    first line of ``hirzebruch_lines(m, a, b)`` of highest slope.  With
-    m >= 0 the table's gate raises NonAmple exactly when a or b is not > 0.
-    """
-    if m < 0:
-        raise BadTwist(f"twist must be nonnegative, got {m}")
-    a = a1 + a3 - m * a2
-    b = a2 + a4
-    vols = VolumeTable(2, (b, a, b, a + m * b), 1)
-    mu = Fraction(2 * a + (m + 2) * b, 2)
-    best = min(hirzebruch_lines(m, a, b), key=lambda c: (-c.slope, c.rank, c.rays_in))
-    return StabilityVerdict(
-        status=_status_against(best, mu),
-        mu_tx=mu,
-        best=best,
-        notes=(SCOPE_NOTE, GENERIC_NOTE),
-        volumes=vols,
-        fan=construct_hirzebruch(m),
-    )

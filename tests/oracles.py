@@ -19,8 +19,13 @@ scan of every (r+1)-subset of a row's -1 rays that
 face test.  ``rank_one_by_charts`` is the all-charts reference for
 ``charts.rank_one_exists``, which tests only the charts of a cover: it
 tries the same lines through the public chart objects on every maximal
-cone.  ``skewed_products`` are the product fans the ``oracle`` benchmark
-draws from.
+cone; ``in_semigroup`` tests a weight against a chart's rays, and
+``weight_space_dim`` counts the tangent sections of one weight on a chart
+by it.  ``skewed_products`` are the product fans the ``oracle`` benchmark
+draws from.  ``hirzebruch_lines`` lists the ray-spanned lines of a twisted
+surface F_m with their slopes in closed form, and ``hirzebruch_closed_form``
+decides F_m's verdict from them, comparing the best slope with mu(TX)
+itself rather than by the rule ``decide`` applies.
 """
 
 from __future__ import annotations
@@ -34,9 +39,13 @@ from random import Random
 
 from toricstab import lattice
 from toricstab.charts import MonomialDerivation, chart_of, is_regular
-from toricstab.errors import DimMismatch, ToricStabError, ZeroSpan, ZeroVector
+from toricstab.errors import BadTwist, DimMismatch, ToricStabError, ZeroSpan, ZeroVector
 from toricstab.fan import construct_hirzebruch, construct_product, construct_projective_space
 from toricstab.lattice import Vector, dot, integer_kernel
+from toricstab.polytope import VolumeTable
+from toricstab.stability import (
+    GENERIC_NOTE, SCOPE_NOTE, Stability, StabilityVerdict, SubsheafCandidate,
+)
 from toricstab.testkit import random_unimodular, transform_fan
 
 
@@ -423,6 +432,22 @@ def rank_one_by_charts(f, lam):
     return None
 
 
+def in_semigroup(c, u) -> bool:
+    """Membership of the weight u in S_sigma = sigma^v ∩ M, for the chart
+    ``c`` of sigma: u pairs >= 0 with each of its rays."""
+    return all(dot(u, ray) >= 0 for ray in c.rays)
+
+
+def weight_space_dim(f, sigma, u) -> int:
+    """Dimension of the weight-u piece of the tangent sections on sigma's
+    chart: the duals m_i with u + m_i in the semigroup, one section
+    chi(u) d_{ray_i} each."""
+    if len(u) != f.dim:
+        raise DimMismatch(f"weight of length {len(u)} in dimension {f.dim}")
+    c = chart_of(f, sigma)
+    return sum(1 for m in c.dual if in_semigroup(c, tuple(x + y for x, y in zip(u, m))))
+
+
 def skewed_products():
     """The five product fans the ``oracle`` benchmark draws from (P2^2,
     P1^4, P2^3, P2 x F1 x P1^2 and F1^3, with 9 to 64 cones), each raw in a
@@ -438,4 +463,50 @@ def skewed_products():
     )
     return tuple(
         transform_fan(f, random_unimodular(f.dim, Random(400 + i))) for i, f in enumerate(bases)
+    )
+
+
+# ---------------------------------------------------------------------------
+# The twisted surfaces F_m in closed form
+
+
+def hirzebruch_lines(m: int, a: int, b: int) -> tuple[SubsheafCandidate, ...]:
+    """The ray-spanned lines of the twisted surface in ``Fan.flats`` order,
+    with slopes b, 2a + m*b and b, or 2b and 2a when m = 0."""
+    if m == 0:
+        slopes = {(0, 2): 2 * b, (1, 3): 2 * a}
+    else:
+        slopes = {(0,): b, (1, 3): 2 * a + m * b, (2,): b}
+    return tuple(SubsheafCandidate(1, s, Fraction(x)) for s, x in slopes.items())
+
+
+def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> StabilityVerdict:
+    """Closed-form verdict for the twisted surface, independent of decide().
+
+    With a = a1 + a3 - m*a2 and b = a2 + a4 the facet volumes are
+    (b, a, b, a + m*b), mu(TX) = a + (m+2)b/2, and the maximizer is the
+    first line of ``hirzebruch_lines(m, a, b)`` of highest slope, which
+    the verdict compares with mu(TX) here.  With m >= 0 the table's gate
+    raises NonAmple exactly when a or b is not > 0.
+    """
+    if m < 0:
+        raise BadTwist(f"twist must be nonnegative, got {m}")
+    a = a1 + a3 - m * a2
+    b = a2 + a4
+    vols = VolumeTable(2, (b, a, b, a + m * b), 1)
+    mu = Fraction(2 * a + (m + 2) * b, 2)
+    best = min(hirzebruch_lines(m, a, b), key=lambda c: (-c.slope, c.rank, c.rays_in))
+    if best.slope > mu:
+        status = Stability.UNSTABLE
+    elif best.slope == mu:
+        status = Stability.SEMISTABLE
+    else:
+        status = Stability.STABLE
+    return StabilityVerdict(
+        status=status,
+        mu_tx=mu,
+        best=best,
+        notes=(SCOPE_NOTE, GENERIC_NOTE),
+        volumes=vols,
+        fan=construct_hirzebruch(m),
     )

@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_one_by_charts, skewed_products
+from oracles import in_semigroup, rank_one_by_charts, skewed_products, weight_space_dim
 from toricstab import charts, lattice
 from toricstab.charts import (
     Chart,
     MonomialDerivation,
     chart_of,
     expand_in_chart,
-    in_semigroup,
     is_regular,
     rank_one_exists,
     reexpand,
-    weight_space_dim,
 )
 from toricstab.errors import (
     DimMismatch,

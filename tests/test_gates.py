@@ -1,17 +1,18 @@
-"""The gates where input enters: junk in well-shaped arguments raises a
-package error (or the fan gate's TypeError), never a builtin error from a
-later layer."""
+"""The gates where input enters: junk in the arguments, a bare number or
+None in place of a list included, raises a package error (or the fan
+gate's TypeError), never a builtin error from a later layer."""
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricstab.charts import chart_of
-from toricstab.errors import ToricStabError
+from toricstab.errors import BadCoefficient, BadVolumeTable, NotMaximal, ToricStabError
 from toricstab.fan import Fan, construct_projective_space, make_fan, validate_fan
 from toricstab.polytope import (
-    ToricDivisor, VolumeTable, anticanonical, facet_volumes, polytope_from_divisor,
+    ToricDivisor, VolumeTable, anticanonical, divisor, facet_volumes, polytope_from_divisor,
 )
 from toricstab.sheafdata import JumpData, degree_of, rank_of, tangent_jump_data
 from toricstab.stability import admissible_slope_bound, decide
@@ -27,16 +28,25 @@ def entries(good):
     return st.one_of(good, *junk)
 
 
+# A bare number or None where a list belongs.
+BARE = st.one_of(st.integers(-3, 5), st.none())
+
+
 def rows(entry, n):
-    """Rows of ``n`` entries, and of one too few or one too many."""
-    return st.lists(entry, min_size=n - 1, max_size=n + 1)
+    """Rows of ``n`` entries, of one too few or one too many, or a bare number or None."""
+    return st.one_of(st.lists(entry, min_size=n - 1, max_size=n + 1), BARE)
+
+
+def row_lists(entry, n):
+    """Lists of such rows, or a bare number or None in place of the list."""
+    return st.one_of(st.lists(rows(entry, n), min_size=1, max_size=4), BARE)
 
 
 FAN_ARGS = st.tuples(
     st.sampled_from([make_fan, Fan]),
     entries(st.integers(1, 3)),
-    st.lists(rows(entries(st.integers(-1, 1)), 2), min_size=1, max_size=4),
-    st.lists(rows(entries(st.integers(0, 2)), 2), min_size=1, max_size=4),
+    row_lists(entries(st.integers(-1, 1)), 2),
+    row_lists(entries(st.integers(0, 2)), 2),
 )
 TABLE_ARGS = st.tuples(
     entries(st.integers(1, 3)), rows(entries(st.integers(1, 5)), 3), entries(st.integers(1, 5)),
@@ -49,8 +59,9 @@ PAIRS = st.lists(st.one_of(st.tuples(LEVEL, MULTIPLICITY), st.tuples(LEVEL),
 PER_RAY = st.one_of(st.lists(st.one_of(PAIRS, LEVEL), min_size=2, max_size=4), LEVEL)
 
 
-# The message of the one builtin error a gate raises: Fan's TypeError.
-FAN_GATE = re.compile(r"(dim|ray entry|cone index) .* is not an integer")
+# The messages of the one builtin error a gate raises: Fan's TypeError.
+FAN_GATE = re.compile(r"(dim|ray entry|cone index) .* is not an integer"
+                      r"|(ray|cone) list .* is not an iterable of rows")
 
 
 def check(call):
@@ -74,3 +85,32 @@ def test_junk_raises_only_typed_errors(fan_args, table_args, per_ray, coeffs, si
     check(lambda: (rank_of(JumpData(per_ray)), degree_of(JumpData(per_ray), P2_VOLUMES)))
     check(lambda: decide(P2, ToricDivisor(P2, coeffs)))
     check(lambda: chart_of(P2, sigma))
+
+
+# A bare number or None in place of a list raises the gate's own error, not
+# the builtin "'int' object is not iterable" of its tuple() call.
+@pytest.mark.parametrize("bare", [5, None], ids=repr)
+class TestBareScalars:
+    def test_volume_table_weights(self, bare):
+        with pytest.raises(BadVolumeTable, match="weights .* are not an iterable"):
+            VolumeTable(2, bare, 1)
+
+    def test_divisor_coefficients(self, bare):
+        with pytest.raises(BadCoefficient, match="coefficients .* are not an iterable"):
+            divisor(P2, bare)
+
+    def test_chart_cone(self, bare):
+        with pytest.raises(NotMaximal, match=f"{bare} is not a maximal cone of the fan"):
+            chart_of(P2, bare)
+
+    def test_fan_rays_and_cones(self, bare):
+        rays, cones = list(P2.rays), list(P2.max_cones)
+        for args, what in (
+            ((bare, cones), "ray list"),
+            (([bare] + rays[1:], cones), "ray list"),
+            ((rays, bare), "cone list"),
+            ((rays, [bare] + cones[1:]), "cone list"),
+        ):
+            for build in (make_fan, Fan):
+                with pytest.raises(TypeError, match=f"{what} .* is not an iterable of rows"):
+                    build(2, *args)

@@ -26,6 +26,8 @@ REMOVED = (
     "NotSmoothCone",
     "jump_data",
     "lambda_vector_to_jump",
+    "in_semigroup",
+    "weight_space_dim",
 )
 
 
@@ -101,6 +103,37 @@ def test_every_top_level_definition_is_reachable():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (mod, name) not in reached
     )
     assert unreached == []
+
+
+def _private_imports(source):
+    """``_``-prefixed names imported from a module of the package (a
+    relative or ``toricstab`` import), as ``(line, name)`` pairs.  Such a
+    name is its module's own: a second module that imports it shares a
+    rule the tests should check it against, not reuse."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "toricstab"
+        ):
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    snippet = (
+        "from __future__ import annotations\n"
+        "from .stability import _status_against, decide\n"
+        "from toricstab.fan import _walls\n"
+        "from . import _helpers\n"
+        "from os import _exit\n"
+    )
+    assert _private_imports(snippet) == [(2, "_status_against"), (3, "_walls"), (4, "_helpers")]
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := _private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def _float_uses(source):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import barycenter_is_origin, chow_volumes, subspace_contains
+from oracles import (
+    barycenter_is_origin,
+    chow_volumes,
+    hirzebruch_closed_form,
+    hirzebruch_lines,
+    subspace_contains,
+)
 from toricstab import fan, lattice, sheafdata
 from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
@@ -50,8 +56,6 @@ from toricstab.stability import (
 from toricstab.testkit import (
     build_case_fan,
     golden_suite,
-    hirzebruch_closed_form,
-    hirzebruch_lines,
     random_polarized,
     random_unimodular,
     transform_fan,
