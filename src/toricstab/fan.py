@@ -58,7 +58,7 @@ and then its duals are p*m_k (for rho') and m_l - <m_l, rho'> p*m_k, which
 pair to delta with its rays (a dual basis is unique).  p < 0 says that
 rho_k and rho' lie on opposite sides of the wall, and for two unimodular
 cones p has the same sign from either side.  So one walk does three jobs:
-it records p as the side of each wall it first reaches, crosses only the
+it takes p as the side of each wall it first reaches, crosses only the
 walls with p = -1, and needs one Hermite reduction (``dual_basis``) per
 component of the cones connected through opposite-side walls, plus one per
 non-smooth cone.  A smooth fan is connected exactly when one start
@@ -74,6 +74,15 @@ t = 2 over all the duals.  Walls are keyed by one integer each, the
 cone's ray bitmask with the omitted ray cleared, and are sorted only to
 name them in violations.
 
+A wall first reached when sigma' already carries duals takes its side
+from the two carried pairings, not from a dot product.  m_k and m' (the
+dual of sigma' for rho') both vanish on the wall's n-1 rays, so
+m' = c*m_k, and pairing with rho' gives 1 = c*p; as sigma' is unimodular,
+|p| = 1, so m' = p*m_k and <v, m'> = p*<v, m_k>.  Hence <m_k, rho'> is
+taken only at a wall into a cone without duals (the crossing test) or
+where the carried pairing <v, m_k> is 0: a smooth complete fan of c cones
+costs n dot products at its start and n per crossing, n*c in all.
+
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
 Fano fourfolds with b_2 <= 2 live here as well.
@@ -84,6 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import neg
 
 from .errors import BadDimension, BadTwist, InvalidFan, NotSmoothCone
 from .lattice import (
@@ -220,6 +230,9 @@ def validate_fan(f: Fan) -> Fan:
     used: set[int] = set()
     masks: dict[int, int] = {}  # ray bitmask -> first cone with those rays
     keys = []  # per cone, the key of each wall: its bitmask without that ray
+    # Every wall, keyed by its ray bitmask, with the cones holding it and the
+    # position in each of the ray it omits.
+    walls: dict[int, list[tuple[int, int]]] = {}
     bad_cone = False
     for ci, c in enumerate(cones):
         if len(c) != n or len(set(c)) != n or c[0] < 0 or c[-1] >= len(rays):
@@ -230,7 +243,10 @@ def validate_fan(f: Fan) -> Fan:
         if mask in masks:
             violations.append(("DuplicateCone", f"cones {masks[mask]} and {ci} are both {c}"))
         masks[mask] = ci
-        keys.append(tuple(mask ^ (1 << i) for i in c))
+        cone_keys = tuple(mask ^ (1 << i) for i in c)
+        keys.append(cone_keys)
+        for k, key in enumerate(cone_keys):
+            walls.setdefault(key, []).append((ci, k))
         used.update(c)
     if violations and (bad_cone or not cones or not rays):
         raise InvalidFan(violations)
@@ -240,19 +256,14 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
 
-    # Every wall (a cone minus one ray), keyed by its ray bitmask, with the
-    # cones holding it and the position in each of the ray it omits.
-    walls: dict[int, list[tuple[int, int]]] = {}
-    for ci, cone_keys in enumerate(keys):
-        for k, key in enumerate(cone_keys):
-            walls.setdefault(key, []).append((ci, k))
-
     # Smoothness, wall sides, connectivity and the pairings with
     # v = (1, 2, ..., 2^(n-1)) in one walk: a Hermite reduction and n dot
     # products for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
-    # records p = <m_k, new ray> and the wall as (cone, k, other cone); only
-    # p = -1 (opposite sides) is crossed, carrying duals and pairings over.
+    # records it as (cone, k, other cone) and its side p: the sign of
+    # pairings[cj][kj] / pk when the other cone carries duals and pk != 0,
+    # else p = <m_k, new ray>.  Only p = -1 (opposite sides) into a cone
+    # without duals is crossed, carrying duals and pairings over.
     v = tuple(1 << j for j in range(n))
     duals: list = [None] * len(cones)
     pairings: list = [None] * len(cones)
@@ -274,23 +285,30 @@ def validate_fan(f: Fan) -> Fan:
             ci = stack.pop()
             ms, ps = duals[ci], pairings[ci]
             for k, key in enumerate(keys[ci]):
+                if key in side:
+                    continue
                 members = walls[key]
-                if len(members) != 2 or key in side:
+                if len(members) != 2:
                     continue
                 cj, kj = members[members[0][0] == ci]  # the other cone, its new ray's place
+                adjacent.append((ci, k, cj))
+                pk = ps[k]
+                if duals[cj] is not None and pk:
+                    side[key] = -1 if pairings[cj][kj] == -pk else 1
+                    continue
                 new = rays[cones[cj][kj]]
                 mk = ms[k]
                 side[key] = p = dot(mk, new)
-                adjacent.append((ci, k, cj))
                 if p != -1 or duals[cj] is not None:
                     continue
-                pk = ps[k]
-                crossed, paired = [], []
-                for m, pm in zip(ms[:k] + ms[k + 1:], ps[:k] + ps[k + 1:]):
+                crossed, paired = list(ms), list(ps)
+                del crossed[k], paired[k]
+                for j, m in enumerate(crossed):
                     q = dot(m, new)
-                    crossed.append(tuple(x + q * y for x, y in zip(m, mk)) if q else m)
-                    paired.append(pm + q * pk)
-                crossed.insert(kj, tuple(-x for x in mk))
+                    if q:
+                        crossed[j] = tuple(x + q * y for x, y in zip(m, mk))
+                        paired[j] += q * pk
+                crossed.insert(kj, tuple(map(neg, mk)))
                 paired.insert(kj, -pk)
                 duals[cj], pairings[cj] = tuple(crossed), tuple(paired)
                 stack.append(cj)

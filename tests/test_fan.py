@@ -65,6 +65,10 @@ def bad_intersection(a, b, common):
     )
 
 
+CARRIED_RAYS = [(-1, 0, 1), (0, 0, -1), (0, 1, 2), (1, 0, 0), (2, -1, -2), (2, 1, 1)]
+CARRIED_CONES = [(0, 1, 5), (3, 4, 5), (0, 2, 3), (1, 2, 3), (1, 3, 5), (0, 3, 4), (0, 1, 4)]
+
+
 # Every fan the tests below reject, by the test that rejects it.
 INVALID_FANS = {
     "nonprimitive_ray": make_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
@@ -96,6 +100,14 @@ INVALID_FANS = {
     "two_components": make_fan(
         2, [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
         [(0, 2), (3, 5), (1, 2), (4, 5)],
+    ),
+    # The walk reaches the one-sided walls (1, 3) and (3, 5) only after both
+    # of their cones carry duals, so it reads their sides off the pairings.
+    "one_side_of_a_carried_wall": make_fan(3, CARRIED_RAYS, CARRIED_CONES),
+    # The same rays mapped by a unimodular map: there the carried pairings
+    # on walls (1, 3) and (3, 5) are 0, and their sides take a dot product.
+    "one_side_of_a_carried_wall_skewed": transform_fan(
+        make_fan(3, CARRIED_RAYS, CARRIED_CONES), ((1, 0, 0), (2, 1, 0), (4, 0, 1))
     ),
 }
 
@@ -466,24 +478,28 @@ class TestCoveringCount:
 
     def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
         # B5 has 8 cones and 16 walls: the start cone's 4 duals paired with
-        # v, one pairing per wall for its side, on the walk's first visit,
-        # and 3 more per crossing into the 7 cones after the first (the
-        # omitted ray's dual was paired for the side).  Each crossing carries
-        # the pairings with v over, so no other dual is paired with v.
+        # v, then one pairing for the side of each of the 7 walls the walk
+        # crosses, and 3 more per crossing into the 7 cones after the first
+        # (the omitted ray's dual was paired for the side).  The other 9
+        # walls are reached with both cones carrying duals, and their sides
+        # come from the carried pairings, none of them 0.  Each crossing
+        # carries the pairings with v over, so no other dual is paired with v.
         b5 = construct_proj_split(1, (1, 0, 0))
         dots = count_calls(lattice, "dot")
         validate_fan(make_fan(b5.dim, b5.rays, b5.max_cones))
-        assert len(dots) == 4 + 16 + 7 * 3
+        assert len(dots) == 4 + 7 + 7 * 3
 
     def test_pairings_ride_along_on_a_product_of_eight_lines(self, count_calls):
-        # P1^8: 256 cones, 1024 walls; 8 start pairings, one per wall, 7 per
-        # crossing into the other 255 cones.  Every dual is +-e_i, so t = 2
-        # is generic and the search never runs.
+        # P1^8: 256 cones, 1024 walls; 8 start pairings, then for each of
+        # the 255 crossings one for its wall's side and 7 for the duals it
+        # carries.  The other 769 walls take their sides from the carried
+        # pairings.  Every dual is +-e_i, so t = 2 is generic and the search
+        # never runs.
         f = _power(construct_projective_space(1), 8)
         dots = count_calls(lattice, "dot")
         searches = count_calls(lattice, "generic_vector")
         validate_fan(make_fan(f.dim, f.rays, f.max_cones))
-        assert len(dots) == 8 + 1024 + 255 * 7
+        assert len(dots) == 8 + 255 + 255 * 7
         assert not searches
 
     def test_pairwise_check_only_runs_as_fallback(self, count_calls):
@@ -630,6 +646,22 @@ def not_complete(wall):
     return ("NotComplete", f"wall {wall} lies in 1 maximal cone(s)")
 
 
+CARRIED_VIOLATIONS = (
+    not_complete((0, 2)),
+    not_complete((0, 5)),
+    not_complete((1, 2)),
+    ("NotComplete", "cones (1, 2, 3) and (1, 3, 5) lie on one side of wall (1, 3)"),
+    not_complete((1, 4)),
+    ("NotComplete", "cones (3, 4, 5) and (1, 3, 5) lie on one side of wall (3, 5)"),
+    not_complete((4, 5)),
+    bad_intersection((0, 1, 5), (0, 2, 3), (0,)),
+    bad_intersection((0, 1, 5), (1, 2, 3), (1,)),
+    bad_intersection((3, 4, 5), (1, 2, 3), (3,)),
+    bad_intersection((3, 4, 5), (1, 3, 5), (3, 5)),
+    bad_intersection((1, 2, 3), (1, 3, 5), (1, 3)),
+)
+
+
 # The violations of every INVALID_FANS fixture except the two winding fans,
 # whose violations TestCoveringCount pins.
 VIOLATIONS = {
@@ -676,6 +708,8 @@ VIOLATIONS = {
         not_complete((4,)),
         ("NotComplete", "maximal cones are not connected through walls"),
     ),
+    "one_side_of_a_carried_wall": CARRIED_VIOLATIONS,
+    "one_side_of_a_carried_wall_skewed": CARRIED_VIOLATIONS,
 }
 
 
@@ -711,6 +745,18 @@ class TestWallCrossing:
             assert f.duals == tuple(dual_basis(cone_rays(f, c)) for c in f.max_cones), name
         # The search past t = 2 runs on some of them.
         assert sum(_zero_at_two(f) for _, f in crossed) == 33
+
+    def test_duals_and_pairings_flip_across_each_wall(self, crossed):
+        # Both duals omitting the wall's rays vanish on its n - 1 rays, and
+        # the two cones lie on opposite sides, so they are negatives.
+        walls = 0
+        for name, f in crossed:
+            for s, k, t in f.walls:
+                kt = next(j for j, i in enumerate(f.max_cones[t]) if i not in f.max_cones[s])
+                assert f.duals[t][kt] == tuple(-x for x in f.duals[s][k]), (name, s, k, t)
+                assert f.pairings[t][kt] == -f.pairings[s][k], (name, s, k, t)
+                walls += 1
+        assert walls == 2852
 
     def test_walls_are_unchanged(self, crossed):
         # SHA-256 over repr(f.walls) of every fan, a line each, in order, as
