@@ -75,13 +75,13 @@ cone's ray bitmask with the omitted ray cleared, and are sorted only to
 name them in violations.
 
 A wall first reached when sigma' already carries duals takes its side
-from the two carried pairings, not from a dot product.  m_k and m' (the
-dual of sigma' for rho') both vanish on the wall's n-1 rays, so
-m' = c*m_k, and pairing with rho' gives 1 = c*p; as sigma' is unimodular,
-|p| = 1, so m' = p*m_k and <v, m'> = p*<v, m_k>.  Hence <m_k, rho'> is
-taken only at a wall into a cone without duals (the crossing test) or
-where the carried pairing <v, m_k> is 0: a smooth complete fan of c cones
-costs n dot products at its start and n per crossing, n*c in all.
+from the two carried duals, not from a dot product.  m_k and m' (the dual
+of sigma' for rho') both vanish on the wall's n-1 rays, so m' = c*m_k,
+and pairing with rho' gives 1 = c*p; as sigma' is unimodular, |p| = 1,
+so m' = p*m_k: p = 1 if m' = m_k, else -1.  Hence <m_k, rho'> is taken
+only at a wall into a cone without duals (the crossing test): a smooth
+complete fan of c cones costs n dot products at its start and n per
+crossing, n*c in all.
 
 Constructors for the standard families (projective spaces, Hirzebruch
 surfaces, projectivized split bundles, products) and the ten smooth toric
@@ -260,10 +260,10 @@ def validate_fan(f: Fan) -> Fan:
     # v = (1, 2, ..., 2^(n-1)) in one walk: a Hermite reduction and n dot
     # products for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
-    # records it as (cone, k, other cone) and its side p: the sign of
-    # pairings[cj][kj] / pk when the other cone carries duals and pk != 0,
-    # else p = <m_k, new ray>.  Only p = -1 (opposite sides) into a cone
-    # without duals is crossed, carrying duals and pairings over.
+    # records it as (cone, k, other cone) and its side p: 1 if the other
+    # cone carries duals and its dual for the new ray is m_k, -1 if it
+    # carries others, else p = <m_k, new ray>.  Only p = -1 (opposite
+    # sides) is crossed, carrying duals and pairings over.
     v = tuple(1 << j for j in range(n))
     duals: list = [None] * len(cones)
     pairings: list = [None] * len(cones)
@@ -292,15 +292,15 @@ def validate_fan(f: Fan) -> Fan:
                     continue
                 cj, kj = members[members[0][0] == ci]  # the other cone, its new ray's place
                 adjacent.append((ci, k, cj))
-                pk = ps[k]
-                if duals[cj] is not None and pk:
-                    side[key] = -1 if pairings[cj][kj] == -pk else 1
+                mk = ms[k]
+                if duals[cj] is not None:
+                    side[key] = 1 if duals[cj][kj] == mk else -1
                     continue
                 new = rays[cones[cj][kj]]
-                mk = ms[k]
                 side[key] = p = dot(mk, new)
-                if p != -1 or duals[cj] is not None:
+                if p != -1:
                     continue
+                pk = ps[k]
                 crossed, paired = list(ms), list(ps)
                 del crossed[k], paired[k]
                 for j, m in enumerate(crossed):

@@ -1,13 +1,13 @@
 """Compare two checkouts on the benchmark in alternating pairs.
 
     python3 tools/ab_pairs.py BASE CHANGE [--workloads analyze,sweep,oracle]
-        [--pairs 10] [--seed 1000]
+        [--seed 1000]
 
 BASE and CHANGE are the roots of two source checkouts.  For each workload,
-pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` once
-in each checkout, S the ``run_seconds`` of CHANGE's BENCHMARK.json, BASE
-first on even pairs and CHANGE first on odd ones, so a drift in machine
-speed falls on both sides alike.  Each pair must give equal
+pair i of ``PAIRS`` runs ``perfbench/run.py --workload W --seed SEED+i
+--seconds S`` once in each checkout, S the ``run_seconds`` of CHANGE's
+BENCHMARK.json, BASE first on even pairs and CHANGE first on odd ones, so
+a drift in machine speed falls on both sides alike.  Each pair must give equal
 ``digest sha256=`` lines and 0 failed ops on both sides; a pair that does
 not is reported and the script exits 1.
 
@@ -25,6 +25,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workloads", default="analyze,sweep,oracle")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     args = parser.parse_args(argv)
 
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
     ok = True
     for workload in args.workloads.split(","):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             order = [("base", args.base), ("change", args.change)]
             if i % 2:
