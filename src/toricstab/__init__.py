@@ -21,7 +21,6 @@ from .charts import (
 from .errors import (
     BadCoefficient,
     BadDimension,
-    BadRank,
     BadTwist,
     BadVolumeTable,
     DimMismatch,
@@ -75,7 +74,6 @@ from .stability import (
     Stability,
     StabilityVerdict,
     SubsheafCandidate,
-    admissible_slope_bound,
     certificate,
     decide,
 )
@@ -83,13 +81,13 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadCoefficient", "BadDimension", "BadRank", "BadTwist", "BadVolumeTable",
+    "BadCoefficient", "BadDimension", "BadTwist", "BadVolumeTable",
     "Certificate", "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank",
     "InvalidFan", "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
     "NonAmple", "NotMaximal", "ParseError", "Polytope",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
     "ToricDivisor", "ToricStabError", "TooManyRays", "VolumeTable", "ZeroVector",
-    "admissible_slope_bound", "anticanonical",
+    "anticanonical",
     "catalog_fano4", "certificate", "chart_of", "cone_rays",
     "construct_hirzebruch", "construct_p1_bundle", "construct_product",
     "construct_proj_split", "construct_projective_space", "decide",

@@ -78,10 +78,6 @@ class RankMismatch(ToricStabError):
     """Two jump datasets that must share a rank do not."""
 
 
-class BadRank(ToricStabError):
-    """A rank argument lies outside the meaningful range 1 <= r < dim."""
-
-
 class InvalidJumpData(ToricStabError):
     """Jump pairs violate the defining constraints (lambda >= -1, e(-1) <= 1)."""
 

@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadRank, DimMismatch, TooManyRays
+from .errors import DimMismatch, TooManyRays
 from .fan import Fan
 from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
 
@@ -152,48 +152,3 @@ def certificate(v: StabilityVerdict) -> Certificate | None:
         subspace_basis=v.fan.flat_basis(c.rays_in),
         slope=c.slope,
     )
-
-
-def admissible_slope_bound(f: Fan, r: int, vols: VolumeTable) -> Fraction:
-    """Largest slope any admissible rank-r data with -1s in one row allows.
-
-    Maximizes ``sum(w_i for i in S) / (den * r)`` over the integer weights
-    ``w_i`` and denominator ``den`` of ``vols`` (``w_i / den`` is (n-1)!
-    times the facet volume of ray i) and over ray sets S in which no
-    (r+1)-subset spans a cone.  A ray set spans a cone exactly when a
-    maximal cone contains it, so a ray joins S only when no maximal cone
-    holds it and r rays of S already.  This bounds every rank-r candidate
-    (its rays lie in an r-dimensional space, so r+1 of them are never the
-    linearly independent generators of a cone) but is not always attained
-    by a realizable subsheaf.
-    """
-    n = f.dim
-    if type(r) is not int or not 1 <= r < n:
-        raise BadRank(f"rank must be an int strictly between 0 and {n}, got {r!r}")
-    if vols.dim != n or len(vols.weights) != len(f.rays):
-        raise DimMismatch(f"volume table for dimension {vols.dim} and {len(vols.weights)} "
-                          f"rays, expected {n} and {len(f.rays)}")
-    weights = vols.weights
-    order = sorted(range(len(f.rays)), key=lambda i: (-weights[i], i))
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[order[i]]
-    best = 0
-    chosen: list[int] = []
-
-    def grow(pos: int, total: int) -> None:
-        nonlocal best
-        if total > best:
-            best = total
-        for i in range(pos, len(order)):
-            if total + suffix[i] <= best:
-                return
-            ray = order[i]
-            if any(ray in c and sum(j in c for j in chosen) >= r for c in f.max_cones):
-                continue
-            chosen.append(ray)
-            grow(i + 1, total + weights[ray])
-            chosen.pop()
-
-    grow(0, 0)
-    return Fraction(best, vols.den * r)

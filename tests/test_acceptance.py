@@ -50,7 +50,6 @@ from toricstab.sheafdata import (
 )
 from toricstab.stability import (
     Stability,
-    admissible_slope_bound,
     certificate,
     decide,
 )
@@ -104,9 +103,7 @@ def test_criterion_1_b5_reproduction():
     assert max(c.slope for c in by_rank[2]) == 112 < 128
     forced = next(c for c in by_rank[2] if c.rays_in == (0, 4, 5))
     assert forced.slope == 88
-    assert admissible_slope_bound(B5, 1, vols) == 128
-    assert admissible_slope_bound(B5, 2, vols) == 120 < 128
-    assert admissible_slope_bound(B5, 3, vols) == 128
+    assert max(c.slope for c in by_rank[3]) == 128
 
 
 @criterion(2, "high-twist Hirzebruch instability")

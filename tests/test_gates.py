@@ -15,7 +15,7 @@ from toricstab.polytope import (
     ToricDivisor, VolumeTable, anticanonical, divisor, facet_volumes, polytope_from_divisor,
 )
 from toricstab.sheafdata import JumpData, degree_of, rank_of, tangent_jump_data
-from toricstab.stability import admissible_slope_bound, decide
+from toricstab.stability import decide
 
 P2 = construct_projective_space(2)
 P2_VOLUMES = facet_volumes(polytope_from_divisor(anticanonical(P2)))
@@ -81,7 +81,6 @@ def test_junk_raises_only_typed_errors(fan_args, table_args, per_ray, coeffs, si
     build, dim, rays, cones = fan_args
     check(lambda: validate_fan(build(dim, rays, cones)))
     check(lambda: degree_of(tangent_jump_data(P2), VolumeTable(*table_args)))
-    check(lambda: admissible_slope_bound(P2, 1, VolumeTable(*table_args)))
     check(lambda: (rank_of(JumpData(per_ray)), degree_of(JumpData(per_ray), P2_VOLUMES)))
     check(lambda: decide(P2, ToricDivisor(P2, coeffs)))
     check(lambda: chart_of(P2, sigma))

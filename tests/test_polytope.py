@@ -45,7 +45,7 @@ from toricstab.polytope import (
     polytope_from_divisor,
 )
 from toricstab.sheafdata import degree_of, tangent_jump_data
-from toricstab.stability import admissible_slope_bound, decide
+from toricstab.stability import decide
 from toricstab.testkit import (
     build_case_fan,
     golden_suite,
@@ -413,7 +413,7 @@ class TestVolumeTable:
     @pytest.mark.parametrize("read", [
         lambda p2: degree_of(tangent_jump_data(p2), VolumeTable(2, (1, 1, 1), 0)),
         lambda p2: degree_of(tangent_jump_data(p2), VolumeTable(2, (1, 1, 1), -1)),
-        lambda p2: admissible_slope_bound(p2, 1, VolumeTable(2, (0.5, 1, 1), 1)),
+        lambda p2: degree_of(tangent_jump_data(p2), VolumeTable(2, (0.5, 1, 1), 1)),
         lambda p2: VolumeTable(2, (True, 1, 1), 1),
         lambda p2: VolumeTable(0, (1, 1, 1), 1),
     ], ids=["den-zero", "den-negative", "float-weight", "bool-weight", "dim-zero"])
@@ -422,6 +422,10 @@ class TestVolumeTable:
         # that is not one.
         with pytest.raises(BadVolumeTable):
             read(construct_projective_space(2))
+
+    def test_a_non_positive_weight_is_not_ample(self):
+        with pytest.raises(NonAmple):
+            VolumeTable(2, (1, 0, 1, 1), 1)
 
     def test_equal_volumes_make_equal_tables(self):
         assert VolumeTable(2, (2, 2, 2), 2) == VolumeTable(2, (1, 1, 1), 1)

@@ -16,10 +16,11 @@ from oracles import (
     chow_volumes,
     hirzebruch_closed_form,
     hirzebruch_lines,
+    rank,
     subspace_contains,
 )
 from toricstab import fan, lattice, sheafdata
-from toricstab.errors import BadRank, BadTwist, DimMismatch, NonAmple
+from toricstab.errors import BadTwist, DimMismatch, NonAmple
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
@@ -32,7 +33,6 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, hermite_canonical, integer_kernel
 from toricstab.polytope import (
-    VolumeTable,
     anticanonical,
     divisor,
     facet_volumes,
@@ -48,7 +48,6 @@ from toricstab.sheafdata import (
 )
 from toricstab.stability import (
     Stability,
-    admissible_slope_bound,
     SubsheafCandidate,
     certificate,
     decide,
@@ -607,31 +606,13 @@ class TestScaleInvariance:
         assert scaled.best.slope == k * base.best.slope
 
 
-class TestAdmissibleBound:
-    def test_fourfold_bundle_bounds(self):
-        vols = volumes_of(B5)
-        assert admissible_slope_bound(B5, 1, vols) == 128
-        assert admissible_slope_bound(B5, 2, vols) == 120
-        assert admissible_slope_bound(B5, 3, vols) == 128
-
-    def test_surface_bound_attained(self):
-        vols = volumes_of(F2, (1, 1, 3, 1))
-        assert admissible_slope_bound(F2, 1, vols) == 8
-
-    def test_dominates_every_candidate(self):
-        for _, f in catalog_fano4():
-            vols = volumes_of(f)
-            bounds = {}
-            for c in decide(f, anticanonical(f)).candidates:
-                b = bounds.setdefault(
-                    c.rank, admissible_slope_bound(f, c.rank, vols)
-                )
-                assert reference_slope(c, vols, f.dim) <= b
-
-    def test_equals_brute_force_over_ray_sets(self):
-        # The maximum over every ray set S with no r+1 rays in one maximal
-        # cone, without the search's order or pruning, over volumes from the
-        # Chow ring rather than the table.
+class TestRankMaxima:
+    def test_largest_slope_of_each_rank_equals_brute_force_over_ray_sets(self):
+        # The largest rank-r candidate slope is (n-1)! max w(S) / r over
+        # every ray set S spanning at most r dimensions: S closes to a flat of
+        # rank <= r, which lies in a rank-r flat, and weights are positive.
+        # Ranks come from the oracle's elimination and volumes from the Chow
+        # ring, not from the flats or the table.
         polarized = []
         for _, f in catalog_fano4():
             polarized += [(f, [1] * len(f.rays)), (f, [2] * len(f.rays))]
@@ -640,36 +621,18 @@ class TestAdmissibleBound:
             polarized += [(f, (1, 1, m + 1, 1)), (f, (2, 2, 2 * m + 2, 2))]
         for f, coeffs in polarized:
             f = validate_fan(f)
-            vols = volumes_of(f, coeffs)
+            v = decide(f, divisor(f, coeffs))
             chow = chow_volumes(f, coeffs)
-            cones = [set(c) for c in f.max_cones]
+            spans = {
+                s: rank([f.rays[i] for i in s])
+                for size in range(len(f.rays) + 1)
+                for s in combinations(range(len(f.rays)), size)
+            }
             for r in range(1, f.dim):
-                best = max(
-                    sum((chow[i] for i in s), Fraction(0))
-                    for size in range(len(f.rays) + 1)
-                    for s in combinations(range(len(f.rays)), size)
-                    if not any(set(t) <= c for t in combinations(s, r + 1) for c in cones)
-                )
-                assert admissible_slope_bound(f, r, vols) == factorial(f.dim - 1) * best / r
-
-    def test_bad_rank(self):
-        # True and 1.5 lie in range: only the type test rejects them.
-        vols = volumes_of(F1)
-        for r in (0, 2, 7, True, 1.5):
-            with pytest.raises(BadRank):
-                admissible_slope_bound(F1, r, vols)
-
-    def test_non_positive_weight(self):
-        with pytest.raises(NonAmple):
-            admissible_slope_bound(F1, 1, VolumeTable(2, (1, 0, 1, 1), 1))
-
-    def test_table_of_another_dimension(self):
-        with pytest.raises(DimMismatch):
-            admissible_slope_bound(F1, 1, VolumeTable(3, (1, 1, 1, 1), 1))
-
-    def test_table_of_another_ray_count(self):
-        with pytest.raises(DimMismatch):
-            admissible_slope_bound(F1, 1, VolumeTable(2, (1, 1, 1), 1))
+                best = max(sum((chow[i] for i in s), Fraction(0))
+                           for s, k in spans.items() if k <= r)
+                top = max(c.slope for c in v.candidates if c.rank == r)
+                assert top == factorial(f.dim - 1) * best / r, (f, coeffs, r)
 
 
 class TestClosedForm:
