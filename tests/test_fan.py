@@ -109,6 +109,15 @@ INVALID_FANS = {
     "one_side_of_a_carried_wall_skewed": transform_fan(
         make_fan(3, CARRIED_RAYS, CARRIED_CONES), ((1, 0, 0), (2, 1, 0), (4, 0, 1))
     ),
+    # Wall (0,) lies in cones (0, 1), (0, 3) and (0, 4).
+    "wall_in_three_cones": make_fan(
+        2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
+    ),
+    # Wall (0, 1) lies in cones (0, 1, 2), (0, 1, 3) and (0, 1, 4).
+    "wall_in_three_cones_3d": make_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, -1)],
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)],
+    ),
 }
 
 
@@ -642,8 +651,8 @@ class TestPreparedFan:
             polytope_from_divisor(divisor(f, [1] * len(f.rays)))
 
 
-def not_complete(wall):
-    return ("NotComplete", f"wall {wall} lies in 1 maximal cone(s)")
+def not_complete(wall, cones=1):
+    return ("NotComplete", f"wall {wall} lies in {cones} maximal cone(s)")
 
 
 CARRIED_VIOLATIONS = (
@@ -710,6 +719,19 @@ VIOLATIONS = {
     ),
     "one_side_of_a_carried_wall": CARRIED_VIOLATIONS,
     "one_side_of_a_carried_wall_skewed": CARRIED_VIOLATIONS,
+    "wall_in_three_cones": (
+        not_complete((0,), 3),
+        not_complete((4,)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+        bad_intersection((0, 3), (0, 4), (0,)),
+    ),
+    "wall_in_three_cones_3d": (
+        not_complete((0, 1), 3),
+        not_complete((0, 4)),
+        not_complete((1, 4)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+        bad_intersection((0, 1, 3), (0, 1, 4), (0, 1)),
+    ),
 }
 
 
@@ -798,6 +820,22 @@ class TestWallCrossing:
         f = validate_fan(make_fan(12, rays, cones))
         for ci in random.Random(12).sample(range(4096), 64):
             assert f.duals[ci] == dual_basis(cone_rays(f, f.max_cones[ci])), ci
+
+    def test_cone_order_is_not_an_input_to_the_walk(self):
+        def by_cone(f):
+            f = validate_fan(f)
+            cones = f.max_cones
+            per_cone = dict(zip(cones, zip(f.duals, f.pairings)))
+            return per_cone, {frozenset((cones[s], cones[t])) for s, _, t in f.walls}
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            polarized = random_polarized(seed)[0]
+            f = transform_fan(polarized, random_unimodular(polarized.dim, rng))
+            shuffled = list(f.max_cones)
+            while shuffled == list(f.max_cones):
+                rng.shuffle(shuffled)
+            assert by_cone(make_fan(f.dim, f.rays, shuffled)) == by_cone(f), seed
 
     def test_invalid_fixtures_keep_their_violations(self):
         assert set(VIOLATIONS) == set(INVALID_FANS) - {"winding", "winding_suspension"}
