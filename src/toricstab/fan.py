@@ -70,9 +70,11 @@ duals of sigma' pair with v to -<v, m_k> (for rho') and
 computes anyway.  So only the duals of each start cone are paired with
 v = (1, 2, ..., 2^(n-1)) by dot products.  Only when a carried pairing is
 0, t = 2 is not generic for the fan, and ``generic_vector`` searches from
-t = 2 over all the duals.  Walls are keyed by one integer each, the
-cone's ray bitmask with the omitted ray cleared, and are sorted only to
-name them in violations.
+t = 2 over all the duals.  Walls are paired as the cones are read: slot
+c*n + k, cone c without its k-th ray, is keyed by the cone's ray bitmask
+with that ray cleared; a key's second slot and its first point at each
+other in a partner table, which the walk reads by index, and a third
+unpairs them.  Walls are named and sorted only to report violations.
 
 A wall first reached when sigma' already carries duals takes its side
 from the two carried duals, not from a dot product.  m_k and m' (the dual
@@ -227,32 +229,45 @@ def validate_fan(f: Fan) -> Fan:
 
     if not cones:
         violations.append(("NotComplete", "no maximal cones"))
-    used: set[int] = set()
+    used = 0  # bitmask of the rays in some maximal cone
     masks: dict[int, int] = {}  # ray bitmask -> first cone with those rays
-    keys = []  # per cone, the key of each wall: its bitmask without that ray
-    # Every wall, keyed by its ray bitmask, with the cones holding it and the
-    # position in each of the ray it omits.
-    walls: dict[int, list[tuple[int, int]]] = {}
+    # Slot ci*n + k is the wall of cone ci without its k-th ray, keyed by the
+    # cone's ray bitmask with that ray cleared.  ``first`` maps a key to its
+    # first slot, and its second slot pairs the two in ``partner``; a wall in
+    # three or more cones is unpaired and set aside in ``crowded`` with its count.
+    first: dict[int, int] = {}
+    partner = [-1] * (n * len(cones))
+    crowded: dict[int, int] = {}
+    bits = [1 << i for i in range(len(rays))]
     bad_cone = False
     for ci, c in enumerate(cones):
-        if len(c) != n or len(set(c)) != n or c[0] < 0 or c[-1] >= len(rays):
+        cone_bits = [bits[i] for i in c] if len(c) == n and 0 <= c[0] <= c[-1] < len(rays) else []
+        mask = sum(cone_bits)
+        if mask.bit_count() != n:  # an index out of range or repeated
             violations.append(("BadIndex", f"cone {ci} = {c!r}"))
             bad_cone = True
             continue
-        mask = sum(1 << i for i in c)
         if mask in masks:
             violations.append(("DuplicateCone", f"cones {masks[mask]} and {ci} are both {c}"))
         masks[mask] = ci
-        cone_keys = tuple(mask ^ (1 << i) for i in c)
-        keys.append(cone_keys)
-        for k, key in enumerate(cone_keys):
-            walls.setdefault(key, []).append((ci, k))
-        used.update(c)
+        used |= mask
+        for slot, b in enumerate(cone_bits, ci * n):
+            key = mask ^ b
+            s = first.setdefault(key, slot)
+            if s != slot:
+                if key in crowded:
+                    crowded[key] += 1
+                elif partner[s] < 0:
+                    partner[s], partner[slot] = slot, s
+                else:  # its third cone: unpair the first two
+                    crowded[key] = 3
+                    partner[partner[s]] = partner[s] = -1
     if violations and (bad_cone or not cones or not rays):
         raise InvalidFan(violations)
 
-    for i in sorted(set(range(len(rays))) - used):
-        violations.append(("UnusedRay", f"ray {i} = {rays[i]} is in no maximal cone"))
+    for i, r in enumerate(rays):
+        if not used >> i & 1:
+            violations.append(("UnusedRay", f"ray {i} = {r} is in no maximal cone"))
     if violations:
         raise InvalidFan(violations)
 
@@ -260,15 +275,16 @@ def validate_fan(f: Fan) -> Fan:
     # v = (1, 2, ..., 2^(n-1)) in one walk: a Hermite reduction and n dot
     # products for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
-    # records it as (cone, k, other cone) and its side p: 1 if the other
-    # cone carries duals and its dual for the new ray is m_k, -1 if it
-    # carries others, else p = <m_k, new ray>.  Only p = -1 (opposite
-    # sides) is crossed, carrying duals and pairings over.
+    # records it as (cone, k, other cone) and its side p at both its slots:
+    # 1 if the other cone carries duals and its dual for the new ray is m_k,
+    # -1 if it carries others, else p = <m_k, new ray>.  Only p = -1
+    # (opposite sides) is crossed, carrying duals and pairings over.
     v = tuple(1 << j for j in range(n))
     duals: list = [None] * len(cones)
     pairings: list = [None] * len(cones)
-    side: dict[int, int] = {}
+    side = [0] * len(partner)  # 0 until the walk reaches the slot's wall
     adjacent: list[tuple[int, int, int]] = []
+    one_sided = False
     starts = 0
     for start, c in enumerate(cones):
         if duals[start] is not None:
@@ -284,30 +300,32 @@ def validate_fan(f: Fan) -> Fan:
         while stack:
             ci = stack.pop()
             ms, ps = duals[ci], pairings[ci]
-            for k, key in enumerate(keys[ci]):
-                if key in side:
+            base = ci * n
+            for k in range(n):
+                slot = base + k
+                j = partner[slot]
+                if j < 0 or side[slot]:
                     continue
-                members = walls[key]
-                if len(members) != 2:
-                    continue
-                cj, kj = members[members[0][0] == ci]  # the other cone, its new ray's place
+                cj, kj = divmod(j, n)  # the other cone, its new ray's place
                 adjacent.append((ci, k, cj))
                 mk = ms[k]
-                if duals[cj] is not None:
-                    side[key] = 1 if duals[cj][kj] == mk else -1
-                    continue
-                new = rays[cones[cj][kj]]
-                side[key] = p = dot(mk, new)
-                if p != -1:
+                if duals[cj] is None:
+                    new = rays[cones[cj][kj]]
+                    p = dot(mk, new)
+                else:
+                    p = 1 if duals[cj][kj] == mk else -1
+                side[slot] = side[j] = p
+                if p != -1 or duals[cj] is not None:
+                    one_sided |= p > 0
                     continue
                 pk = ps[k]
                 crossed, paired = list(ms), list(ps)
                 del crossed[k], paired[k]
-                for j, m in enumerate(crossed):
+                for l, m in enumerate(crossed):
                     q = dot(m, new)
                     if q:
-                        crossed[j] = tuple(x + q * y for x, y in zip(m, mk))
-                        paired[j] += q * pk
+                        crossed[l] = tuple([x + q * y for x, y in zip(m, mk)])
+                        paired[l] += q * pk
                 crossed.insert(kj, tuple(map(neg, mk)))
                 paired.insert(kj, -pk)
                 duals[cj], pairings[cj] = tuple(crossed), tuple(paired)
@@ -319,24 +337,18 @@ def validate_fan(f: Fan) -> Fan:
 
     # Wall pairing and orientation, read off the sides the walk recorded.
     # With every cone smooth |p| = 1, and p has one sign from either side.
-    # Every two-cone wall has a side, so fewer sides than walls means a
-    # wall in one cone or in three or more.
-    if len(side) < len(walls) or max(side.values()) >= 0:
-        named = []
-        for key, members in walls.items():
-            ci, k = members[0]
-            named.append((cones[ci][:k] + cones[ci][k + 1:], key))
-        for wall, key in sorted(named):
-            members = walls[key]
-            if len(members) != 2:
-                violations.append(
-                    ("NotComplete", f"wall {wall} lies in {len(members)} maximal cone(s)")
-                )
-            elif side[key] >= 0:
-                c1, c2 = (cones[ci] for ci, _ in members)
-                violations.append(
-                    ("NotComplete", f"cones {c1} and {c2} lie on one side of wall {wall}")
-                )
+    # The walk reaches every two-cone wall, so fewer walls reached than
+    # keyed means a wall in one cone or in three or more.
+    if one_sided or len(adjacent) < len(first):
+        for wall, s, key in sorted((cones[s // n][:s % n] + cones[s // n][s % n + 1:], s, key)
+                                   for key, s in first.items()):
+            if partner[s] < 0:
+                count = crowded.get(key, 1)
+                violations.append(("NotComplete", f"wall {wall} lies in {count} maximal cone(s)"))
+            elif side[s] > 0:
+                c1, c2 = cones[s // n], cones[partner[s] // n]
+                violations.append(("NotComplete",
+                                   f"cones {c1} and {c2} lie on one side of wall {wall}"))
     # The walk crosses exactly the opposite-side walls, so one start reached
     # every cone exactly when they are connected through them.
     if starts != 1:
@@ -435,24 +447,12 @@ def construct_proj_split(base_dim: int, twists) -> Fan:
     ts = tuple(twists)
     if not ts or not all(type(t) is int for t in ts):
         raise BadTwist(f"twists must be a nonempty tuple of integers, got {twists!r}")
-    k = len(ts)
-    d = base_dim
-    n = d + k
-    units = identity_rows(n)
-    fiber = [*units[:k], (-1,) * k + (0,) * d]
-    base = list(units[k:])
-    last = [ts[j] if j < k else 0 for j in range(n)]
-    for j in range(k, n):
-        last[j] -= 1
-    base.append(tuple(last))
-    rays = fiber + base
-    cones = []
-    for i in range(k + 1):
-        for j in range(d + 1):
-            cone = [p for p in range(k + 1) if p != i]
-            cone += [k + 1 + q for q in range(d + 1) if q != j]
-            cones.append(cone)
-    return validate_fan(make_fan(n, rays, cones))
+    k, d = len(ts), base_dim
+    units = identity_rows(d + k)
+    rays = [*units[:k], (-1,) * k + (0,) * d, *units[k:], ts + (-1,) * d]
+    cones = [[p for p in range(k + 1) if p != i] + [k + 1 + q for q in range(d + 1) if q != j]
+             for i in range(k + 1) for j in range(d + 1)]
+    return validate_fan(make_fan(d + k, rays, cones))
 
 
 def construct_p1_bundle(dim: int, twist: int) -> Fan:
