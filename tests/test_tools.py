@@ -47,3 +47,31 @@ def test_a_pair_needs_equal_digests_and_no_failed_ops():
     assert ab_pairs.pair_problems(run(1, 1), run(1, 1, failed=3)) == ["change failed 3 ops"]
     assert ab_pairs.pair_problems(run(1, 1, digest=None), run(1, 1, digest=None)) == [
         "digests differ: None != None"]
+
+
+def test_a_gain_wins_nine_pairs_in_ten_by_more_than_the_base_spread():
+    base = [1.8, 1.9, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.1, 2.2]
+    change = [b - 0.4 for b in base[:9]] + [2.3]
+    (p90,) = ab_pairs.summarize([(run(1, b), run(1, c)) for b, c in zip(base, change)],
+                                METRICS[1:])
+    assert p90["wins"] == 9 and p90["verdict"] == "gain"
+    # One more lost pair is no gain, however far the medians lie apart.
+    change[0] = 2.5
+    (p90,) = ab_pairs.summarize([(run(1, b), run(1, c)) for b, c in zip(base, change)],
+                                METRICS[1:])
+    assert p90["wins"] == 8 and p90["verdict"] == "no gain"
+
+
+def test_a_gain_inside_the_base_spread_is_no_gain_or_unresolved():
+    # ops_per_s: every pair won, by less than the base quartile spread.
+    base = [90.0, 95.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 105.0, 110.0]
+    pairs = [(run(b, 2.0), run(b + 1, 2.0)) for b in base]
+    (ops,) = ab_pairs.summarize(pairs, METRICS[:1])
+    assert ops["wins"] == 10 and ops["change_median"] - ops["base_median"] == 1
+    assert ops["base_q3"] - ops["base_q1"] > 1 and ops["verdict"] == "no gain"
+    # Base runs spread by more than the 0.2 bound around their median.
+    wide = [60.0, 70.0, 80.0, 100.0, 100.0, 100.0, 100.0, 120.0, 130.0, 140.0]
+    pairs = [(run(b, 2.0), run(b + 1, 2.0)) for b in wide]
+    (ops,) = ab_pairs.summarize(pairs, METRICS[:1])
+    spread = (ops["base_q3"] - ops["base_q1"]) / ops["base_median"]
+    assert ops["wins"] == 10 and spread > 0.2 and ops["verdict"] == "unresolved"

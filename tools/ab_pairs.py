@@ -14,7 +14,12 @@ not is reported and the script exits 1.
 For each workload and each end-to-end metric of CHANGE's BENCHMARK.json it
 prints BASE's median and quartiles, CHANGE's median, the change of the
 median relative to BASE's, the gap between the medians over BASE's
-interquartile range, and in how many pairs CHANGE was better.
+interquartile range, in how many pairs CHANGE was better, and a verdict:
+``gain`` when CHANGE was better in at least 9 of 10 pairs and its median
+is better than BASE's by more than BASE's interquartile range;
+``unresolved`` when it is not a gain and BASE's interquartile range,
+relative to BASE's median, is wider than the metric's bound; else
+``no gain``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,21 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+GAIN_WINS = 0.9  # the share of pairs a gain must win
+
+
+def verdict(row: dict, lower: bool) -> str:
+    """``gain``, ``unresolved`` or ``no gain`` for one ``summarize`` row."""
+    iqr = row["base_q3"] - row["base_q1"]
+    better = row["base_median"] - row["change_median"]
+    if not lower:
+        better = -better
+    if row["wins"] >= GAIN_WINS * row["pairs"] and better > iqr:
+        return "gain"
+    bound, median = row["bound"], row["base_median"]
+    if bound is not None and median and iqr / abs(median) > bound:
+        return "unresolved"
+    return "no gain"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -57,7 +77,8 @@ def pair_problems(base: dict, change: dict) -> list[str]:
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
-    """Per metric: both medians, BASE's quartiles and CHANGE's wins.
+    """Per metric: both medians, BASE's quartiles, CHANGE's wins and the
+    verdict.
 
     ``pairs`` holds (base, change) runs as ``run_once`` returns them;
     ``metrics`` the ``end_to_end`` entries of BENCHMARK.json.
@@ -70,11 +91,12 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         q1, median, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         change_median = statistics.median(change)
-        rows.append({"metric": name, "base_median": median, "base_q1": q1, "base_q3": q3,
-                     "change_median": change_median,
-                     "rel": change_median / median - 1 if median else 0.0,
-                     "gap_over_iqr": abs(change_median - median) / (q3 - q1) if q3 > q1 else None,
-                     "wins": wins, "pairs": len(pairs), "bound": metric.get("bound")})
+        row = {"metric": name, "base_median": median, "base_q1": q1, "base_q3": q3,
+               "change_median": change_median,
+               "rel": change_median / median - 1 if median else 0.0,
+               "gap_over_iqr": abs(change_median - median) / (q3 - q1) if q3 > q1 else None,
+               "wins": wins, "pairs": len(pairs), "bound": metric.get("bound")}
+        rows.append({**row, "verdict": verdict(row, lower)})
     return rows
 
 
@@ -85,7 +107,7 @@ def format_rows(workload: str, rows: list[dict]) -> str:
         out.append(f"  {r['metric']:<14} base {r['base_median']:.6g} "
                    f"[{r['base_q1']:.6g}-{r['base_q3']:.6g}] change {r['change_median']:.6g} "
                    f"({r['rel']:+.1%}, bound {r['bound']}) gap/IQR {gap} "
-                   f"wins {r['wins']}/{r['pairs']}")
+                   f"wins {r['wins']}/{r['pairs']} {r['verdict']}")
     return "\n".join(out)
 
 
