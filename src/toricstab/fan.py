@@ -70,11 +70,9 @@ duals of sigma' pair with v to -<v, m_k> (for rho') and
 computes anyway.  So only the duals of each start cone are paired with
 v = (1, 2, ..., 2^(n-1)) by dot products.  Only when a carried pairing is
 0, t = 2 is not generic for the fan, and ``generic_vector`` searches from
-t = 2 over all the duals.  Walls are paired as the cones are read: slot
-c*n + k, cone c without its k-th ray, is keyed by the cone's ray bitmask
-with that ray cleared; a key's second slot and its first point at each
-other in a partner table, which the walk reads by index, and a third
-unpairs them.  Walls are named and sorted only to report violations.
+t = 2 over all the duals.  Walls are paired as the cones are read, in a
+table of partner slots (cone, omitted ray) that the walk reads by index,
+and are named and sorted only to report violations.
 
 A wall first reached when sigma' already carries duals takes its side
 from the two carried duals, not from a dot product.  m_k and m' (the dual
@@ -231,21 +229,17 @@ def validate_fan(f: Fan) -> Fan:
         violations.append(("NotComplete", "no maximal cones"))
     used = 0  # bitmask of the rays in some maximal cone
     masks: dict[int, int] = {}  # ray bitmask -> first cone with those rays
-    # Slot ci*n + k is the wall of cone ci without its k-th ray, keyed by the
-    # cone's ray bitmask with that ray cleared.  ``first`` maps a key to its
-    # first slot, and its second slot pairs the two in ``partner``; a wall in
-    # three or more cones is unpaired and set aside in ``crowded`` with its count.
+    # Slot ci*n + k is cone ci's wall without its k-th ray, keyed by the cone's
+    # ray bitmask without that ray.  A key's second slot pairs with its first in
+    # ``partner``; a third unpairs them, and ``crowded`` counts the key's cones.
     first: dict[int, int] = {}
     partner = [-1] * (n * len(cones))
     crowded: dict[int, int] = {}
-    bits = [1 << i for i in range(len(rays))]
-    bad_cone = False
     for ci, c in enumerate(cones):
-        cone_bits = [bits[i] for i in c] if len(c) == n and 0 <= c[0] <= c[-1] < len(rays) else []
+        cone_bits = [1 << i for i in c] if len(c) == n and 0 <= c[0] <= c[-1] < len(rays) else []
         mask = sum(cone_bits)
         if mask.bit_count() != n:  # an index out of range or repeated
             violations.append(("BadIndex", f"cone {ci} = {c!r}"))
-            bad_cone = True
             continue
         if mask in masks:
             violations.append(("DuplicateCone", f"cones {masks[mask]} and {ci} are both {c}"))
@@ -262,12 +256,11 @@ def validate_fan(f: Fan) -> Fan:
                 else:  # its third cone: unpair the first two
                     crowded[key] = 3
                     partner[partner[s]] = partner[s] = -1
-    if violations and (bad_cone or not cones or not rays):
+    if violations and (not cones or any(code == "BadIndex" for code, _ in violations)):
         raise InvalidFan(violations)
 
-    for i, r in enumerate(rays):
-        if not used >> i & 1:
-            violations.append(("UnusedRay", f"ray {i} = {r} is in no maximal cone"))
+    violations += [("UnusedRay", f"ray {i} = {r} is in no maximal cone")
+                   for i, r in enumerate(rays) if not used >> i & 1]
     if violations:
         raise InvalidFan(violations)
 
@@ -275,16 +268,14 @@ def validate_fan(f: Fan) -> Fan:
     # v = (1, 2, ..., 2^(n-1)) in one walk: a Hermite reduction and n dot
     # products for each cone no crossing from a smooth cone has reached
     # (module docstring), in cone order.  The first visit to a two-cone wall
-    # records it as (cone, k, other cone) and its side p at both its slots:
-    # 1 if the other cone carries duals and its dual for the new ray is m_k,
-    # -1 if it carries others, else p = <m_k, new ray>.  Only p = -1
-    # (opposite sides) is crossed, carrying duals and pairings over.
+    # records it as (cone, k, other cone) and its side p at both slots: 1 if
+    # the other cone carries duals and its dual for the new ray is m_k, -1 if
+    # it carries others, else p = <m_k, new ray>.  Only p = -1 is crossed.
     v = tuple(1 << j for j in range(n))
     duals: list = [None] * len(cones)
     pairings: list = [None] * len(cones)
     side = [0] * len(partner)  # 0 until the walk reaches the slot's wall
     adjacent: list[tuple[int, int, int]] = []
-    one_sided = False
     starts = 0
     for start, c in enumerate(cones):
         if duals[start] is not None:
@@ -309,14 +300,12 @@ def validate_fan(f: Fan) -> Fan:
                 cj, kj = divmod(j, n)  # the other cone, its new ray's place
                 adjacent.append((ci, k, cj))
                 mk = ms[k]
-                if duals[cj] is None:
-                    new = rays[cones[cj][kj]]
-                    p = dot(mk, new)
-                else:
-                    p = 1 if duals[cj][kj] == mk else -1
-                side[slot] = side[j] = p
-                if p != -1 or duals[cj] is not None:
-                    one_sided |= p > 0
+                if duals[cj] is not None:
+                    side[slot] = side[j] = 1 if duals[cj][kj] == mk else -1
+                    continue
+                new = rays[cones[cj][kj]]
+                side[slot] = side[j] = p = dot(mk, new)
+                if p != -1:
                     continue
                 pk = ps[k]
                 crossed, paired = list(ms), list(ps)
@@ -335,11 +324,10 @@ def validate_fan(f: Fan) -> Fan:
     # A zero pairing means t = 2 is not generic: search on from t = 2.
     pairings = tuple(pairings) if all(map(all, pairings)) else generic_vector(n, duals)[1]
 
-    # Wall pairing and orientation, read off the sides the walk recorded.
-    # With every cone smooth |p| = 1, and p has one sign from either side.
-    # The walk reaches every two-cone wall, so fewer walls reached than
-    # keyed means a wall in one cone or in three or more.
-    if one_sided or len(adjacent) < len(first):
+    # Wall pairing and orientation, read off the walk.  With every cone smooth
+    # |p| = 1, of one sign from either side; the walk reaches every two-cone
+    # wall, so fewer walls reached than keyed means one in 1 or 3+ cones.
+    if len(adjacent) < len(first) or 1 in side:
         for wall, s, key in sorted((cones[s // n][:s % n] + cones[s // n][s % n + 1:], s, key)
                                    for key, s in first.items()):
             if partner[s] < 0:
@@ -447,12 +435,24 @@ def construct_proj_split(base_dim: int, twists) -> Fan:
     ts = tuple(twists)
     if not ts or not all(type(t) is int for t in ts):
         raise BadTwist(f"twists must be a nonempty tuple of integers, got {twists!r}")
-    k, d = len(ts), base_dim
-    units = identity_rows(d + k)
-    rays = [*units[:k], (-1,) * k + (0,) * d, *units[k:], ts + (-1,) * d]
-    cones = [[p for p in range(k + 1) if p != i] + [k + 1 + q for q in range(d + 1) if q != j]
-             for i in range(k + 1) for j in range(d + 1)]
-    return validate_fan(make_fan(d + k, rays, cones))
+    k = len(ts)
+    d = base_dim
+    n = d + k
+    units = identity_rows(n)
+    fiber = [*units[:k], (-1,) * k + (0,) * d]
+    base = list(units[k:])
+    last = [ts[j] if j < k else 0 for j in range(n)]
+    for j in range(k, n):
+        last[j] -= 1
+    base.append(tuple(last))
+    rays = fiber + base
+    cones = []
+    for i in range(k + 1):
+        for j in range(d + 1):
+            cone = [p for p in range(k + 1) if p != i]
+            cone += [k + 1 + q for q in range(d + 1) if q != j]
+            cones.append(cone)
+    return validate_fan(make_fan(n, rays, cones))
 
 
 def construct_p1_bundle(dim: int, twist: int) -> Fan:
