@@ -28,7 +28,7 @@ from operator import add
 
 from .errors import DimMismatch, InvalidLambda, NotMaximal, ZeroVector
 from .fan import Fan, cone_rays, validate_fan
-from .lattice import Vector, dot, pivot_of, primitive_vector
+from .lattice import Vector, dot, line_of
 from .sheafdata import validate_lambda_matrix
 
 
@@ -95,12 +95,6 @@ def _regular(u, v, rays, dual) -> bool:
     return True
 
 
-def _line_of(v) -> Vector:
-    """Hermite-canonical generator of the line: primitive, first nonzero entry > 0."""
-    p = primitive_vector(v)
-    return p if p[pivot_of(p)] > 0 else tuple(-x for x in p)
-
-
 def rank_one_exists(f: Fan, lam) -> Vector | None:
     """Direction line of a rank-one sheaf realizing the data, or None.
 
@@ -141,7 +135,7 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     generic = [] if negative else [(1,) * f.dim]
     tried: set[Vector] = set()
     for w in [f.rays[i] for i in negative + others] + generic:
-        v = _line_of(w)
+        v = line_of(w)
         if v in tried:
             continue
         tried.add(v)

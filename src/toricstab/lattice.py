@@ -8,11 +8,11 @@ bases, ranks (the length of the form), kernels (read off the Hermite form
 of ``[A | I]``) and dual bases (one per wall-connected component of a fan;
 ``fan`` crosses walls to the other cones).  The fraction-free
 ``eliminate`` serves one purpose: it grows the ray-matroid flats
-(``proper_flats``) that ``Fan.flats`` keeps.  Each flat
-is grown once, from its canonical parent: the closure of all but the last
-ray of its greedy basis by ray index.  An extension of any other flat
-that reaches it is cut off at the first smaller ray it closes over, so
-no flat is built twice and no set of seen flats is kept.  Facet
+(``proper_flats``) that ``Fan.flats`` keeps: the covers of a flat F are
+F plus the rays whose residues modulo span F share one line
+(``line_of``), so one dict pass groups them.  Each flat is grown once,
+from its canonical parent, the closure of all but the last ray of its
+greedy basis by ray index, and no set of seen flats is kept.  Facet
 volumes need nothing more: the vertex formula in ``polytope`` reads them
 off the pairings of the dual bases with the ``generic_vector`` of the
 moment curve; ``validate_fan`` counts covering cones from those pairings
@@ -114,67 +114,75 @@ def integer_kernel(rows) -> tuple[Vector, ...]:
     return tuple(row[m:] for row in h if not any(row[:m]))
 
 
-def pivot_of(v) -> int:
-    """Index of the first nonzero entry of ``v``."""
-    return next(i for i, x in enumerate(v) if x)
+def line_of(v) -> Vector:
+    """Hermite-canonical generator of the line of the nonzero integer vector
+    ``v``: primitive, first nonzero entry > 0 (ZeroVector for a zero ``v``)."""
+    for x in v:
+        if x:
+            g = gcd(*v) if x > 0 else -gcd(*v)
+            return tuple([y // g for y in v]) if g != 1 else tuple(v)
+    raise ZeroVector(f"no line along {tuple(v)!r}")
 
 
 def eliminate(v: Vector, pivot: int, row: Vector) -> Vector:
-    """``row[pivot]*v - v[pivot]*row`` divided by its content, or ``v`` when
-    ``v[pivot]`` is 0: zero at ``pivot``, and with ``row`` the same span."""
-    c = v[pivot]
-    if not c:
-        return v
-    a = row[pivot]
-    w = [a * x - c * y for x, y in zip(v, row)]
-    g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
+    """The line (``line_of``) of ``row[pivot]*v - v[pivot]*row``, which is
+    zero at ``pivot`` and spans with ``row`` what ``v`` does.  Both pivot
+    entries must be nonzero and ``v`` not parallel to ``row``."""
+    a, c = row[pivot], v[pivot]
+    return line_of([a * x - c * y for x, y in zip(v, row)])
 
 
 def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``(rank, indices)`` of every flat of rank 1 to n-1 of the matroid of
     the nonzero integer ``vectors`` (the rays) in Z^n, sorted.
 
+    The flats that cover a flat F are F plus one parallel class of the
+    contraction M/F: two rays outside F close F to one flat exactly when
+    their residues modulo span F are parallel.  A level entry keeps its
+    classes as a dict from the line (``line_of``) of their residue to
+    their sorted rays.  Residues are zero at the pivots of F's echelon
+    rows, each row zero at the pivots before its own, so they lie in a
+    complement of span F, where parallel residues have equal lines.
+
     Each flat is grown exactly once, from its canonical parent, in the
     manner of reverse search (Avis and Fukuda, 1996).  A flat C of rank r
     has a greedy basis b_1 < ... < b_r, each b_k the first ray outside the
     closure of the earlier ones; its parent is the closure F of b_1 ..
     b_(r-1), and b_r is the least ray of C outside F.  So a flat F created
-    by ray g (-1 for the empty flat) is extended only by rays i > g, and
-    the closure C of F + i is kept only when no ray j < i lies in C
-    outside F; otherwise C belongs to another parent.  Rays already in a
-    kept closure of F give that closure again and are skipped.  No set of
-    seen flats is needed, and no flat is built twice.
+    by ray g (-1 for the empty flat) keeps only the covers whose class has
+    its least ray above g, and no set of seen flats is needed.
 
-    Each level entry carries the residues of the rays outside its flat
-    modulo its span.  Adding ray i makes its residue one more echelon row,
-    so one elimination per residue gives the closure and the residues
-    modulo it.  Flats of rank n-1 are not extended, since every extension
-    has full rank.
+    A kept cover of rank below n-1 makes its class's line d one more
+    echelon row: each other line nonzero at d's pivot is eliminated
+    against d, the rest are kept as they are, and classes whose lines
+    become equal merge.  Flats of rank n-1 are not extended.
     """
+    if n < 2:
+        return ()
+    classes: dict[Vector, tuple[int, ...]] = {}
+    for i, v in enumerate(vectors):
+        d = line_of(v)
+        classes[d] = classes.get(d, ()) + (i,)
     flats = []
-    level = [((), -1, dict(enumerate(vectors)))]
+    level = [((), -1, classes)]
     for rank in range(1, n):
         grown = []
-        for flat, g, residues in level:
-            taken = set()
-            for i, row in residues.items():
-                if i <= g or i in taken:
+        for flat, g, classes in level:
+            for d, cls in classes.items():
+                if cls[0] < g:
                     continue
-                pivot = pivot_of(row)
-                added, rest = [], {}
-                for j, res in residues.items():
-                    res = eliminate(res, pivot, row)
-                    if any(res):
-                        rest[j] = res
-                    elif j < i:
-                        break
-                    else:
-                        added.append(j)
-                else:
-                    taken.update(added)
-                    grown.append((tuple(sorted(flat + tuple(added))), i, rest))
-        flats += ((rank, flat) for flat, _, _ in grown)
+                child = tuple(sorted(flat + cls))
+                flats.append((rank, child))
+                if rank < n - 1:
+                    for p, x in enumerate(d):
+                        if x:
+                            break
+                    rest = {}
+                    for e, rays in classes.items():
+                        if e is not d:
+                            e = eliminate(e, p, d) if e[p] else e
+                            rest[e] = tuple(sorted(rest[e] + rays)) if e in rest else rays
+                    grown.append((child, cls[0], rest))
         level = grown
     return tuple(sorted(flats))
 

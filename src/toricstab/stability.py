@@ -9,7 +9,7 @@ rays.  Subspaces containing no ray have degree zero and never compete.
 All arithmetic is exact.
 
 The ray-spanned subspaces are the proper nonempty flats (closed ray
-sets) of the ray matroid, grown by fraction-free integer elimination,
+sets) of the ray matroid, grown as classes of rays with parallel residues,
 each exactly once from its canonical parent (``lattice.proper_flats``).  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The

@@ -37,7 +37,7 @@ from toricstab.fan import (
     make_fan,
     validate_fan,
 )
-from toricstab.lattice import dot, hermite_canonical
+from toricstab.lattice import dot, hermite_canonical, line_of
 from toricstab.sheafdata import tangent_jump_data, validate_lambda_matrix
 from toricstab.testkit import (
     fuzz_lambda, fuzz_lambda_matrix, random_polarized, random_unimodular, transform_fan,
@@ -301,7 +301,7 @@ class TestRankOneExists:
         calls = count_calls(charts, "_regular")
         # The first line, that of ray 0, witnesses data without poles, so
         # each kept chart is tested once.
-        assert rank_one_exists(f, (0,) * len(f.rays)) == charts._line_of(f.rays[0])
+        assert rank_one_exists(f, (0,) * len(f.rays)) == line_of(f.rays[0])
         assert len(calls) == kept <= len(f.rays) - f.dim + 1
         assert {ray for _, _, rays, _ in calls for ray in rays} == set(f.rays)
 
@@ -355,7 +355,7 @@ class TestRankOneExists:
         for seed in range(300):
             vectors += random_polarized(seed)[0].rays
         for v in vectors:
-            assert charts._line_of(v) == hermite_canonical([v])[0], v
+            assert line_of(v) == hermite_canonical([v])[0], v
 
 
 def _normalized(terms):
