@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab_pairs = importlib.util.module_from_spec(_SPEC)
@@ -75,3 +77,14 @@ def test_a_gain_inside_the_base_spread_is_no_gain_or_unresolved():
     (ops,) = ab_pairs.summarize(pairs, METRICS[:1])
     spread = (ops["base_q3"] - ops["base_q1"]) / ops["base_median"]
     assert ops["wins"] == 10 and spread > 0.2 and ops["verdict"] == "unresolved"
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 20, "workloads": [{"name": "analyze"}, {"name": "sweep"}]}')
+    runs = []
+    monkeypatch.setattr(ab_pairs, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_:
+        ab_pairs.main([str(tmp_path), str(tmp_path), "--workloads", "analyze,nope"])
+    assert exit_.value.code == 2 and runs == []
+    assert "unknown workloads nope" in capsys.readouterr().err

@@ -3,13 +3,15 @@
     python3 tools/ab_pairs.py BASE CHANGE [--workloads analyze,sweep,oracle]
         [--seed 1000]
 
-BASE and CHANGE are the roots of two source checkouts.  For each workload,
-pair i of ``PAIRS`` runs ``perfbench/run.py --workload W --seed SEED+i
---seconds S`` once in each checkout, S the ``run_seconds`` of CHANGE's
-BENCHMARK.json, BASE first on even pairs and CHANGE first on odd ones, so
-a drift in machine speed falls on both sides alike.  Each pair must give equal
-``digest sha256=`` lines and 0 failed ops on both sides; a pair that does
-not is reported and the script exits 1.
+BASE and CHANGE are the roots of two source checkouts.  Every name in
+``--workloads`` must be a workload of CHANGE's BENCHMARK.json (exit 2
+otherwise, before any run).  For each workload, pair i of ``PAIRS`` runs
+``perfbench/run.py --workload W --seed SEED+i --seconds S`` once in each
+checkout, S the ``run_seconds`` of CHANGE's BENCHMARK.json, BASE first on
+even pairs and CHANGE first on odd ones, so a drift in machine speed falls
+on both sides alike.  Each pair must give equal ``digest sha256=`` lines
+and 0 failed ops on both sides; a pair that does not is reported and the
+script exits 1.
 
 For each workload and each end-to-end metric of CHANGE's BENCHMARK.json it
 prints BASE's median and quartiles, CHANGE's median, the change of the
@@ -120,9 +122,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workloads.split(",")
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workloads {','.join(unknown)}: CHANGE's BENCHMARK.json "
+                     f"has {','.join(known)}")
     seconds = spec["run_seconds"]
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         pairs = []
         for i in range(PAIRS):
             seed = args.seed + i
