@@ -232,8 +232,10 @@ def validate_fan(f: Fan) -> Fan:
     # Slot ci*n + k is cone ci's wall without its k-th ray, keyed by the cone's
     # ray bitmask without that ray.  A key's second slot pairs with its first in
     # ``partner``; a third unpairs them, and ``crowded`` counts the key's cones.
+    # A row of another length than n is a BadIndex, which leaves the walls
+    # unread: the table is made only when the cone rows bound its size.
     first: dict[int, int] = {}
-    partner = [-1] * (n * len(cones))
+    partner = [-1] * (n * len(cones)) if all(len(c) == n for c in cones) else []
     crowded: dict[int, int] = {}
     for ci, c in enumerate(cones):
         cone_bits = [1 << i for i in c] if len(c) == n and 0 <= c[0] <= c[-1] < len(rays) else []
@@ -245,6 +247,8 @@ def validate_fan(f: Fan) -> Fan:
             violations.append(("DuplicateCone", f"cones {masks[mask]} and {ci} are both {c}"))
         masks[mask] = ci
         used |= mask
+        if not partner:
+            continue
         for slot, b in enumerate(cone_bits, ci * n):
             key = mask ^ b
             s = first.setdefault(key, slot)

@@ -12,7 +12,7 @@ of ``[A | I]``) and dual bases (one per wall-connected component of a fan;
 F plus the rays whose residues modulo span F share one line
 (``line_of``), so one dict pass groups them.  Each flat is grown once,
 from its canonical parent, the closure of all but the last ray of its
-greedy basis by ray index, and no set of seen flats is kept.  Facet
+greedy basis by ray index, depth first, and no seen set is kept.  Facet
 volumes need nothing more: the vertex formula in ``polytope`` reads them
 off the pairings of the dual bases with the ``generic_vector`` of the
 moment curve; ``validate_fan`` counts covering cones from those pairings
@@ -138,24 +138,24 @@ def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
     The flats that cover a flat F are F plus one parallel class of the
     contraction M/F: two rays outside F close F to one flat exactly when
-    their residues modulo span F are parallel.  A level entry keeps its
+    their residues modulo span F are parallel.  A stack entry keeps F's
     classes as a dict from the line (``line_of``) of their residue to
     their sorted rays.  Residues are zero at the pivots of F's echelon
     rows, each row zero at the pivots before its own, so they lie in a
     complement of span F, where parallel residues have equal lines.
 
-    Each flat is grown exactly once, from its canonical parent, in the
-    manner of reverse search (Avis and Fukuda, 1996).  A flat C of rank r
+    Each flat is grown exactly once, from its canonical parent, by reverse
+    search (Avis and Fukuda, 1996), depth first.  A flat C of rank r
     has a greedy basis b_1 < ... < b_r, each b_k the first ray outside the
     closure of the earlier ones; its parent is the closure F of b_1 ..
     b_(r-1), and b_r is the least ray of C outside F.  So a flat F created
     by ray g (-1 for the empty flat) keeps only the covers whose class has
     its least ray above g, and no set of seen flats is needed.
 
-    A kept cover of rank below n-1 makes its class's line d one more
-    echelon row: each other line nonzero at d's pivot is eliminated
-    against d, the rest are kept as they are, and classes whose lines
-    become equal merge.  Flats of rank n-1 are not extended.
+    A kept cover of rank below n-1 is pushed with its class's line d as
+    one more echelon row: each other line nonzero at d's pivot is
+    eliminated against d, the rest are kept as they are, and classes whose
+    lines become equal merge.
     """
     if n < 2:
         return ()
@@ -164,26 +164,24 @@ def proper_flats(vectors, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         d = line_of(v)
         classes[d] = classes.get(d, ()) + (i,)
     flats = []
-    level = [((), -1, classes)]
-    for rank in range(1, n):
-        grown = []
-        for flat, g, classes in level:
-            for d, cls in classes.items():
-                if cls[0] < g:
-                    continue
-                child = tuple(sorted(flat + cls))
-                flats.append((rank, child))
-                if rank < n - 1:
-                    for p, x in enumerate(d):
-                        if x:
-                            break
-                    rest = {}
-                    for e, rays in classes.items():
-                        if e is not d:
-                            e = eliminate(e, p, d) if e[p] else e
-                            rest[e] = tuple(sorted(rest[e] + rays)) if e in rest else rays
-                    grown.append((child, cls[0], rest))
-        level = grown
+    stack = [(1, (), -1, classes)]
+    while stack:
+        rank, flat, g, classes = stack.pop()
+        for d, cls in classes.items():
+            if cls[0] < g:
+                continue
+            child = tuple(sorted(flat + cls))
+            flats.append((rank, child))
+            if rank < n - 1:
+                for p, x in enumerate(d):
+                    if x:
+                        break
+                rest = {}
+                for e, rays in classes.items():
+                    if e is not d:
+                        e = eliminate(e, p, d) if e[p] else e
+                        rest[e] = tuple(sorted(rest[e] + rays)) if e in rest else rays
+                stack.append((rank + 1, child, cls[0], rest))
     return tuple(sorted(flats))
 
 

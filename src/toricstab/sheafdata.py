@@ -119,7 +119,10 @@ def lambda_matrix_to_jump(mat) -> JumpData:
     """Jump data with one level of multiplicity one per row in each column;
     ``JumpData`` rejects the entries that are not integer levels and a
     matrix without columns.  Rank-one data is the one-row matrix ``(lam,)``."""
-    rows = tuple(tuple(row) for row in mat)
+    try:
+        rows = tuple(tuple(row) for row in mat)
+    except TypeError:
+        raise InvalidJumpData(f"{mat!r} is not an iterable of rows") from None
     if len({len(row) for row in rows}) > 1:
         raise InvalidJumpData(f"rows of unequal lengths {[len(row) for row in rows]}")
     return JumpData([(v, 1) for v in col] for col in zip(*rows))
@@ -128,14 +131,17 @@ def lambda_matrix_to_jump(mat) -> JumpData:
 def validate_lambda_matrix(f: Fan, mat) -> tuple[bool, tuple[str, ...]]:
     """Admissibility of rank-r matrix data, one column per ray.
 
-    Checks: rectangular shape with one column per ray; integer entries
-    >= -1; each column sorted ascending; at most one -1 per column; and
-    for every row, no r+1 of the rays carrying -1 in that row may span a
-    cone of the fan.  Necessary conditions only -- a passing matrix need
-    not be realizable by a sheaf.
+    Checks: an iterable of rows, of rectangular shape with one column per
+    ray; integer entries >= -1; each column sorted ascending; at most one
+    -1 per column; and for every row, no r+1 of the rays carrying -1 in
+    that row may span a cone of the fan.  Necessary conditions only -- a
+    passing matrix need not be realizable by a sheaf.
     """
     problems: list[str] = []
-    rows = tuple(tuple(row) for row in mat)
+    try:
+        rows = tuple(tuple(row) for row in mat)
+    except TypeError:
+        return (False, (f"{mat!r} is not an iterable of rows",))
     if not rows:
         return (False, ("matrix needs at least one row",))
     r = len(rows)

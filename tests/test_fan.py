@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -338,6 +339,21 @@ class TestValidateFan:
         with pytest.raises(InvalidFan) as ei:
             validate_fan(INVALID_FANS["bad_cone_index"])
         assert "BadIndex" in codes_of(ei)
+
+    def test_bad_rows_allocate_no_wall_table(self):
+        # One ray of 2000 entries and 2000 one-index cones: a table of
+        # dim * cones wall slots would take 32 MB before any row is read.
+        n = 2000
+        f = Fan(n, [(1,) + (0,) * (n - 1)], [(0,)] * n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidFan) as ei:
+                validate_fan(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.violations == tuple(("BadIndex", f"cone {ci} = (0,)") for ci in range(n))
+        assert peak < 2_000_000
 
     def test_duplicate_cone(self):
         with pytest.raises(InvalidFan) as ei:

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab.charts import chart_of
-from toricstab.errors import BadCoefficient, BadVolumeTable, NotMaximal, ToricStabError
+from toricstab.charts import chart_of, rank_one_exists
+from toricstab.errors import (
+    BadCoefficient, BadVolumeTable, InvalidJumpData, InvalidLambda, NotMaximal, ToricStabError,
+)
 from toricstab.fan import Fan, construct_projective_space, make_fan, validate_fan
 from toricstab.polytope import (
     ToricDivisor, VolumeTable, anticanonical, divisor, facet_volumes, polytope_from_divisor,
 )
-from toricstab.sheafdata import JumpData, degree_of, rank_of, tangent_jump_data
+from toricstab.sheafdata import (
+    JumpData, degree_of, lambda_matrix_to_jump, rank_of, tangent_jump_data, validate_lambda_matrix,
+)
 from toricstab.stability import decide
 
 P2 = construct_projective_space(2)
@@ -76,14 +80,18 @@ def check(call):
 
 @settings(max_examples=300, deadline=None)
 @given(FAN_ARGS, TABLE_ARGS, PER_RAY,
-       rows(entries(st.integers(1, 3)), 3), rows(entries(st.integers(0, 3)), 2))
-def test_junk_raises_only_typed_errors(fan_args, table_args, per_ray, coeffs, sigma):
+       rows(entries(st.integers(1, 3)), 3), rows(entries(st.integers(0, 3)), 2),
+       row_lists(entries(st.integers(-1, 2)), 3), rows(entries(st.integers(-1, 2)), 3))
+def test_junk_raises_only_typed_errors(fan_args, table_args, per_ray, coeffs, sigma, mat, lam):
     build, dim, rays, cones = fan_args
     check(lambda: validate_fan(build(dim, rays, cones)))
     check(lambda: degree_of(tangent_jump_data(P2), VolumeTable(*table_args)))
     check(lambda: (rank_of(JumpData(per_ray)), degree_of(JumpData(per_ray), P2_VOLUMES)))
     check(lambda: decide(P2, ToricDivisor(P2, coeffs)))
     check(lambda: chart_of(P2, sigma))
+    check(lambda: validate_lambda_matrix(P2, mat))
+    check(lambda: lambda_matrix_to_jump(mat))
+    check(lambda: rank_one_exists(P2, lam))
 
 
 # A bare number or None in place of a list raises the gate's own error, not
@@ -97,6 +105,20 @@ class TestBareScalars:
     def test_divisor_coefficients(self, bare):
         with pytest.raises(BadCoefficient, match="coefficients .* are not an iterable"):
             divisor(P2, bare)
+
+    def test_lambda_matrix(self, bare):
+        for mat in (bare, (bare,)):
+            assert validate_lambda_matrix(P2, mat) == (
+                False, (f"{mat!r} is not an iterable of rows",))
+
+    def test_lambda_matrix_to_jump(self, bare):
+        for mat in (bare, (bare,)):
+            with pytest.raises(InvalidJumpData, match="is not an iterable of rows"):
+                lambda_matrix_to_jump(mat)
+
+    def test_rank_one_lambda(self, bare):
+        with pytest.raises(InvalidLambda, match="is not an iterable of rows"):
+            rank_one_exists(P2, bare)
 
     def test_chart_cone(self, bare):
         with pytest.raises(NotMaximal, match=f"{bare} is not a maximal cone of the fan"):

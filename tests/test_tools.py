@@ -79,6 +79,21 @@ def test_a_gain_inside_the_base_spread_is_no_gain_or_unresolved():
     assert ops["wins"] == 10 and spread > 0.2 and ops["verdict"] == "unresolved"
 
 
+def test_a_median_worse_by_more_than_the_bound_is_a_regression():
+    base = [1.8, 1.9, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.1, 2.2]
+    # latency_p90_s: a median 0.5 above 2.0 is worse by 25%, past the 0.2 bound.
+    (p90,) = ab_pairs.summarize([(run(1, b), run(1, b + 0.5)) for b in base], METRICS[1:])
+    assert p90["rel"] == 0.25 and p90["verdict"] == "regression"
+    # 0.3 above is 15%, inside the bound.
+    (p90,) = ab_pairs.summarize([(run(1, b), run(1, b + 0.3)) for b in base], METRICS[1:])
+    assert p90["verdict"] == "no gain"
+    # ops_per_s: fewer is worse; 25% fewer is a regression even when the
+    # base runs spread wider than the bound.
+    wide = [60.0, 70.0, 80.0, 100.0, 100.0, 100.0, 100.0, 120.0, 130.0, 140.0]
+    (ops,) = ab_pairs.summarize([(run(b, 2.0), run(b - 25, 2.0)) for b in wide], METRICS[:1])
+    assert ops["change_median"] == 75 and ops["verdict"] == "regression"
+
+
 def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 20, "workloads": [{"name": "analyze"}, {"name": "sweep"}]}')

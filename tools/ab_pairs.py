@@ -19,9 +19,10 @@ median relative to BASE's, the gap between the medians over BASE's
 interquartile range, in how many pairs CHANGE was better, and a verdict:
 ``gain`` when CHANGE was better in at least 9 of 10 pairs and its median
 is better than BASE's by more than BASE's interquartile range;
-``unresolved`` when it is not a gain and BASE's interquartile range,
-relative to BASE's median, is wider than the metric's bound; else
-``no gain``.
+``regression`` when CHANGE's median is worse than BASE's by more than the
+metric's bound times BASE's median; ``unresolved`` when it is neither and
+BASE's interquartile range, relative to BASE's median, is wider than the
+metric's bound; else ``no gain``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ GAIN_WINS = 0.9  # the share of pairs a gain must win
 
 
 def verdict(row: dict, lower: bool) -> str:
-    """``gain``, ``unresolved`` or ``no gain`` for one ``summarize`` row."""
+    """``gain``, ``regression``, ``unresolved`` or ``no gain`` for one
+    ``summarize`` row."""
     iqr = row["base_q3"] - row["base_q1"]
     better = row["base_median"] - row["change_median"]
     if not lower:
@@ -46,6 +48,8 @@ def verdict(row: dict, lower: bool) -> str:
     if row["wins"] >= GAIN_WINS * row["pairs"] and better > iqr:
         return "gain"
     bound, median = row["bound"], row["base_median"]
+    if bound is not None and -better > bound * abs(median):
+        return "regression"
     if bound is not None and median and iqr / abs(median) > bound:
         return "unresolved"
     return "no gain"
