@@ -114,6 +114,10 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     and complete).
     """
     validate_fan(f)
+    try:
+        lam = tuple(lam)  # read once: it may be a one-shot iterator
+    except TypeError:
+        pass  # a bare number or None, which the check below names
     ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)

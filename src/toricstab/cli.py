@@ -59,8 +59,7 @@ def _decimal(x: int) -> str:
         raise ParseError(str(e)) from None
 
 
-def _frac_str(x) -> str:
-    q = Fraction(x)
+def _frac_str(q) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 

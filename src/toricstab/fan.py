@@ -157,8 +157,13 @@ class Fan:
     @cached_property
     def flats(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(rank, rays_in)`` of every proper nonempty flat of the ray
-        matroid, sorted; grown on first use and kept with the fan."""
-        return proper_flats(validate_fan(self).rays, self.dim)
+        matroid, sorted; grown on first use, from the rays' coordinates
+        ``<m_k, ray>`` in the duals m_k of the first maximal cone, and kept.
+        That cone is unimodular, so the map is an automorphism of Z^n: it keeps
+        linear dependence, and so the flats.  A change of basis g sends m_k to
+        g^-T m_k, so the coordinates and every elimination are basis-free."""
+        duals = validate_fan(self).duals[0]
+        return proper_flats([tuple(dot(m, r) for m in duals) for r in self.rays], self.dim)
 
     @cached_property
     def cone_factors(self) -> tuple[int, tuple[int, ...]]:

@@ -8,7 +8,8 @@ bases, ranks (the length of the form), kernels (read off the Hermite form
 of ``[A | I]``) and dual bases (one per wall-connected component of a fan;
 ``fan`` crosses walls to the other cones).  The fraction-free
 ``eliminate`` serves one purpose: it grows the ray-matroid flats
-(``proper_flats``) that ``Fan.flats`` keeps: the covers of a flat F are
+(``proper_flats``) that ``Fan.flats`` keeps, from the rays' coordinates in
+the first cone's duals, which are basis-free: the covers of a flat F are
 F plus the rays whose residues modulo span F share one line
 (``line_of``), so one dict pass groups them.  Each flat is grown once,
 from its canonical parent, the closure of all but the last ray of its

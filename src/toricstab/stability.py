@@ -10,7 +10,9 @@ All arithmetic is exact.
 
 The ray-spanned subspaces are the proper nonempty flats (closed ray
 sets) of the ray matroid, grown as classes of rays with parallel residues,
-each exactly once from its canonical parent (``lattice.proper_flats``).  A
+each exactly once from its canonical parent (``lattice.proper_flats``),
+from the rays' coordinates in the duals of the fan's first maximal cone,
+which are the same in every basis of the fan (``Fan.flats``).  A
 flat's ray set and rank decide its slope; its lattice basis and jump data
 are derived only for the maximizer, when a certificate is rendered.  The
 flats and each maximizer's basis depend on the fan alone, so the fan keeps

@@ -135,3 +135,9 @@ class TestBareScalars:
             for build in (make_fan, Fan):
                 with pytest.raises(TypeError, match=f"{what} .* is not an iterable of rows"):
                     build(2, *args)
+
+
+def test_rank_one_lambda_may_be_a_one_shot_iterator():
+    # The lambda vector is read once: checked and then indexed, an iterator
+    # would be spent before its entries were read.
+    assert rank_one_exists(P2, iter([0, 0, 0])) == rank_one_exists(P2, [0, 0, 0]) == (1, 0)

@@ -323,6 +323,26 @@ class TestProperFlats:
             assert len(proper_flats(f.rays, f.dim)) == flats
             assert len(calls) == work
 
+    def test_fan_flats_growth_is_the_same_in_every_basis(self, count_calls):
+        # Fan.flats grows the flats from the rays' coordinates in the duals
+        # of the first maximal cone, so the same flats come out with the same
+        # eliminations in every basis of the fan.  From the rays as written,
+        # a skewed P6 took 267 eliminations against 98 in the standard basis.
+        # B5 takes 29 here: its first cone's coordinates are not its raw rays,
+        # on which the pin above counts 26.
+        calls = count_calls(lattice, "eliminate")
+        for f, work in (
+            (construct_projective_space(4), 15),
+            (construct_proj_split(1, (1, 0, 0)), 29),
+            (construct_projective_space(6), 98),
+        ):
+            flats = f.flats
+            for seed in range(5):
+                g = transform_fan(f, random_unimodular(f.dim, random.Random(seed)))
+                calls.clear()
+                assert g.flats == flats
+                assert len(calls) == work, (f, seed)
+
     @given(configurations())
     @settings(max_examples=300, deadline=None)
     def test_grown_flats_match_the_closure_oracle(self, vectors):
