@@ -327,7 +327,7 @@ class TestProperFlats:
         # Fan.flats grows the flats from the rays' coordinates in the duals
         # of the first maximal cone, so the same flats come out with the same
         # eliminations in every basis of the fan.  From the rays as written,
-        # a skewed P6 took 267 eliminations against 98 in the standard basis.
+        # these bases took 45, 33, 26, 32 and 46 on P4 and 247 to 286 on P6.
         # B5 takes 29 here: its first cone's coordinates are not its raw rays,
         # on which the pin above counts 26.
         calls = count_calls(lattice, "eliminate")
