@@ -9,10 +9,10 @@ checks the full package of invariants exactly:
 * completeness: every wall (codimension-one face) lies in exactly two
   maximal cones which sit on opposite sides of it, the cones are
   connected through such walls, and exactly one maximal cone contains the
-  generic vector ``v`` (the covering count).  Only when a check fails or
-  the count is not one does the pairwise test run, that any two maximal
-  cones intersect exactly in the cone spanned by their common rays; it
-  names the offending pairs in the violations.
+  generic vector ``v`` (the covering count).  The count is the one overlap
+  test: ``v`` lies in the interior of every cone it counts, so each such
+  cone after the first makes with the first a pair of overlapping cones,
+  reported as a BadIntersection that names the two cones and ``v``.
 
 Why the covering count suffices (Ewald, *Combinatorial Convexity and
 Algebraic Geometry*, 1996, ch. III).  Let the walls pair up with their
@@ -45,10 +45,12 @@ For n = 1 the sphere is two points and none of this is needed: the one
 wall, the origin, lies in every cone, so the wall pairing alone leaves the
 two cones on opposite sides, the rays (1) and (-1).
 
-Conversely, a count d >= 2 means two cones overlap, and then the pairwise
-test names them.  The count costs O(cones * n^2), read off the pairings
-that accept ``v``, which the fan keeps; the pairwise test stays as the
-fallback that reports violations, and as a test oracle.
+Conversely, a count d >= 2 means two cones overlap, and the witness
+rule names them: the first cone that holds ``v`` and each later one.
+The rule holds whether or not a wall check failed (a failed wall is
+named as NotComplete), and with the walls passed the count is never 0,
+so the accepted fans are exactly those of the pairwise condition.  The
+count is read off the pairings that accept ``v``, which the fan keeps.
 
 Cone duals come by wall crossing (Oda, *Convex Bodies and Algebraic
 Geometry*, 1988).  Let sigma' = sigma - rho_k + rho' share a wall with
@@ -97,8 +99,7 @@ from operator import neg
 
 from .errors import BadDimension, BadTwist, InvalidFan, NotSmoothCone
 from .lattice import (
-    Vector, dot, dual_basis, generic_vector, hermite_canonical, identity_rows, primitive_vector,
-    proper_flats,
+    Vector, dot, dual_basis, generic_vector, hermite_canonical, identity_rows, proper_flats,
 )
 
 
@@ -205,7 +206,10 @@ def validate_fan(f: Fan) -> Fan:
     per broken invariant.  Codes: BadDimension, BadRay, NonPrimitiveRay,
     DuplicateRay, BadIndex, DuplicateCone, UnusedRay, NotSmooth,
     NotComplete, BadIntersection.  Structural problems are reported before
-    the geometric stages that depend on them.
+    the geometric stages that depend on them.  A BadIntersection names the
+    first cone that contains the generic vector v of the kept pairings and
+    one later cone that contains it too, once per later cone, wall checks
+    passed or not: v lies in the interior of both.
     """
     if f.validated:
         return f
@@ -331,7 +335,10 @@ def validate_fan(f: Fan) -> Fan:
     if violations:
         raise InvalidFan(violations)
     # A zero pairing means t = 2 is not generic: search on from t = 2.
-    pairings = tuple(pairings) if all(map(all, pairings)) else generic_vector(n, duals)[1]
+    if all(map(all, pairings)):
+        pairings = tuple(pairings)
+    else:
+        v, pairings = generic_vector(n, duals)
 
     # Wall pairing and orientation, read off the walk.  With every cone smooth
     # |p| = 1, of one sign from either side; the walk reaches every two-cone
@@ -351,57 +358,17 @@ def validate_fan(f: Fan) -> Fan:
     if starts != 1:
         violations.append(("NotComplete", "maximal cones are not connected through walls"))
 
-    if violations or sum(min(row) > 0 for row in pairings) != 1:
-        for a in range(len(cones)):
-            for b in range(a + 1, len(cones)):
-                detail = _pair_face_violation(rays, cones[a], cones[b], duals[a], duals[b])
-                if detail is not None:
-                    violations.append(("BadIntersection", detail))
-        if violations:
-            raise InvalidFan(violations)
+    # v lies in the interior of each cone whose pairings are all positive:
+    # each such cone after the first overlaps the first (module docstring).
+    covering = [c for c, row in zip(cones, pairings) if min(row) > 0]
+    violations += [("BadIntersection",
+                    f"cones {covering[0]} and {b} both contain the generic vector {v}")
+                   for b in covering[1:]]
+    if violations:
+        raise InvalidFan(violations)
     # Duals last: they mark the fan validated.
     f.__dict__.update(pairings=pairings, walls=tuple(adjacent), duals=tuple(duals))
     return f
-
-
-def _pair_face_violation(rays, ca, cb, duals_a, duals_b):
-    """Check cone(ca) ∩ cone(cb) == cone(common rays); return detail or None.
-
-    The intersection is computed by slicing cone(ca) with the dual
-    halfspaces of cone(cb): a standard double-description pass that keeps a
-    generating set at every step (adjacency bookkeeping is unnecessary for
-    a containment test, redundant generators are harmless).
-    """
-    common = set(ca) & set(cb)
-    gens = [rays[i] for i in ca]
-    for m in duals_b:
-        vals = [dot(m, g) for g in gens]
-        nxt = [g for g, val in zip(gens, vals) if val >= 0]
-        positive = [(g, val) for g, val in zip(gens, vals) if val > 0]
-        negative = [(g, val) for g, val in zip(gens, vals) if val < 0]
-        for gp, vp in positive:
-            for gn, vn in negative:
-                w = tuple(-vn * a + vp * b for a, b in zip(gp, gn))
-                if any(w):
-                    nxt.append(primitive_vector(w))
-        gens = []
-        seen = set()
-        for g in nxt:
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-        if not gens:
-            return None  # intersection is the origin
-    for g in gens:
-        coords = [dot(m, g) for m in duals_a]
-        assert all(c >= 0 for c in coords)  # g was built inside cone(ca)
-        for pos, ray_idx in enumerate(ca):
-            if ray_idx not in common and coords[pos] != 0:
-                return (
-                    f"cones {ca} and {cb} intersect outside the face spanned by "
-                    f"their common rays {tuple(sorted(common))}"
-                )
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers.
 
 Everything in this package reduces to a handful of lattice computations:
-primitive generators, Hermite-canonical bases of saturated sublattices,
+lines (``line_of``), Hermite-canonical bases of saturated sublattices,
 dual bases of unimodular cones and span membership, all in integer
 arithmetic.  One Hermite reduction, ``row_hermite``, gives canonical
 bases, ranks (the length of the form), kernels (read off the Hermite form
@@ -40,17 +40,6 @@ def dot(u, v) -> int:
     if len(u) != len(v):
         raise DimMismatch(f"dot of lengths {len(u)} and {len(v)}")
     return sum(map(mul, u, v))
-
-
-def primitive_vector(v) -> Vector:
-    """Primitive integer vector on the same ray as the integer vector ``v``:
-    its entries over their gcd.  Raises ZeroVector when ``v`` is zero or
-    empty.
-    """
-    g = gcd(*v)
-    if not g:
-        raise ZeroVector(f"no primitive vector along {tuple(v)!r}")
-    return tuple(x // g for x in v)
 
 
 # ---------------------------------------------------------------------------

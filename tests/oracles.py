@@ -16,7 +16,10 @@ use too); ``barycenter_is_origin`` is the Kähler–Einstein test of a toric
 Fano manifold (Wang and Zhu, 2004).  ``cone_carrier_problems`` is the
 scan of every (r+1)-subset of a row's -1 rays that
 ``sheafdata.validate_lambda_matrix`` once ran, with ``is_cone`` as its
-face test.  ``rank_one_by_charts`` is the all-charts reference for
+face test.  ``_pair_face_violation`` is the pairwise intersection test, by
+double description, that ``fan.validate_fan`` once ran on every pair of
+cones of a fan that failed a check: the reference for its covering count
+and for the pairs of cones that count names.  ``rank_one_by_charts`` is the all-charts reference for
 ``charts.rank_one_exists``, which tests only the charts of a cover: it
 tries the same lines through the public chart objects on every maximal
 cone; ``in_semigroup`` tests a weight against a chart's rays, and
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from itertools import product as iproduct
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from random import Random
 
 from toricstab import lattice
@@ -68,7 +71,11 @@ def primitive_vector(v) -> Vector:
     """
     vals = [Fraction(x) for x in v]
     mult = lcm(*(x.denominator for x in vals))
-    return lattice.primitive_vector(tuple(int(x * mult) for x in vals))
+    ints = [int(x * mult) for x in vals]
+    g = gcd(*ints)
+    if not g:
+        raise ZeroVector(f"no primitive vector along {tuple(v)!r}")
+    return tuple(x // g for x in ints)
 
 
 def subspace_contains(basis, v) -> bool:
@@ -333,6 +340,50 @@ def closure_flats(rays, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         }
         flats |= {(r, flat) for flat in level}
     return tuple(sorted(flats))
+
+
+# ---------------------------------------------------------------------------
+# Pairwise cone intersections by double description
+
+
+def _pair_face_violation(rays, ca, cb, duals_a, duals_b):
+    """Check cone(ca) ∩ cone(cb) == cone(common rays); return detail or None.
+
+    The intersection is computed by slicing cone(ca) with the dual
+    halfspaces of cone(cb): a standard double-description pass that keeps a
+    generating set at every step (adjacency bookkeeping is unnecessary for
+    a containment test, redundant generators are harmless).
+    """
+    common = set(ca) & set(cb)
+    gens = [rays[i] for i in ca]
+    for m in duals_b:
+        vals = [dot(m, g) for g in gens]
+        nxt = [g for g, val in zip(gens, vals) if val >= 0]
+        positive = [(g, val) for g, val in zip(gens, vals) if val > 0]
+        negative = [(g, val) for g, val in zip(gens, vals) if val < 0]
+        for gp, vp in positive:
+            for gn, vn in negative:
+                w = tuple(-vn * a + vp * b for a, b in zip(gp, gn))
+                if any(w):
+                    nxt.append(primitive_vector(w))
+        gens = []
+        seen = set()
+        for g in nxt:
+            if g not in seen:
+                seen.add(g)
+                gens.append(g)
+        if not gens:
+            return None  # intersection is the origin
+    for g in gens:
+        coords = [dot(m, g) for m in duals_a]
+        assert all(c >= 0 for c in coords)  # g was built inside cone(ca)
+        for pos, ray_idx in enumerate(ca):
+            if ray_idx not in common and coords[pos] != 0:
+                return (
+                    f"cones {ca} and {cb} intersect outside the face spanned by "
+                    f"their common rays {tuple(sorted(common))}"
+                )
+    return None
 
 
 # ---------------------------------------------------------------------------

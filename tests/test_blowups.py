@@ -1,6 +1,7 @@
 """The blow-up generator of ``tests/blowups.py``, and the flat growth on
 its connected fans."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from toricstab.fan import construct_projective_space
 from toricstab.polytope import anticanonical
 
 SEEDS = range(50)
+
+BLOWUPS_DIGEST = "172c87a91de1c51ba269834531a785ac67990e9ec79d0246d444726da0302582"
 
 
 @pytest.mark.parametrize("sigma", [(0, 1), (1, 3), (0, 2, 3), (0, 1, 2)])
@@ -50,3 +53,13 @@ def test_fan_flats_match_the_closure_oracle_on_blowups():
     for seed in SEEDS:
         f, _ = random_blowup(seed)
         assert f.flats == closure_flats(f.rays, f.dim), seed
+
+
+def test_the_stream_of_fans_is_unchanged():
+    # SHA-256 over repr((dim, rays, max_cones)) of the fans of seeds 0-19, a
+    # line each, in order.
+    h = hashlib.sha256()
+    for seed in range(20):
+        f, _ = random_blowup(seed)
+        h.update(repr((f.dim, f.rays, f.max_cones)).encode() + b"\n")
+    assert h.hexdigest() == BLOWUPS_DIGEST

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowups import random_blowup
 from oracles import in_semigroup, rank_one_by_charts, skewed_products, weight_space_dim
 from toricstab import charts, lattice
 from toricstab.charts import (
@@ -291,6 +292,16 @@ class TestRankOneExists:
         assert outcomes == {True, False}
         assert rank_one_exists(B5, (0, 0, 0, 0, -1, -1)) is None
         assert rank_one_by_charts(B5, (0, 0, 0, 0, -1, -1)) is None
+
+    def test_matches_the_per_line_reference_on_blowups(self):
+        outcomes = set()
+        for seed in range(50):
+            f = random_blowup(seed)[0]
+            for lam in islice(fuzz_lambda(f, 2000 + seed), 5):
+                witness = rank_one_exists(f, lam)
+                assert witness == rank_one_by_charts(f, lam), (seed, lam)
+                outcomes.add(witness is None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("build, kept", [
         (lambda: reduce(construct_product, [construct_projective_space(1)] * 8), 9),

@@ -1,16 +1,19 @@
 """Fan validation and the standard constructors."""
 
+import ast
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from oracles import fraction_vertices, is_cone, skewed_products
-from toricstab import fan, lattice
+from blowups import random_blowup
+from oracles import _pair_face_violation, fraction_vertices, is_cone, skewed_products
+from toricstab import lattice
 from toricstab.charts import chart_of, rank_one_exists
 from toricstab.cli import load_fan_file
 from toricstab.errors import BadDimension, BadTwist, InvalidFan
@@ -59,11 +62,17 @@ def suspension(f: Fan) -> Fan:
     return make_fan(n + 1, rays, [c + (j,) for c in f.max_cones for j in (k, k + 1)])
 
 
-def bad_intersection(a, b, common):
-    return (
-        "BadIntersection",
-        f"cones {a} and {b} intersect outside the face spanned by their common rays {common}",
-    )
+def both_contain(a, b, v):
+    return ("BadIntersection", f"cones {a} and {b} both contain the generic vector {v}")
+
+
+WITNESS = re.compile(r"cones (.*) and (.*) both contain the generic vector (.*)")
+
+# The codes ``validate_fan`` raises before its walk reads any cone's duals.
+BEFORE_THE_WALK = {
+    "BadRay", "NonPrimitiveRay", "DuplicateRay", "BadIndex", "DuplicateCone", "UnusedRay",
+    "NotSmooth",
+}
 
 
 CARRIED_RAYS = [(-1, 0, 1), (0, 0, -1), (0, 1, 2), (1, 0, 0), (2, -1, -2), (2, 1, 1)]
@@ -301,10 +310,11 @@ class TestValidateFan:
         assert any("(0, 2)" in detail for _, detail in ei.value.violations)
 
     def test_overlapping_cones(self):
+        # The cones overlap, but the generic vector lies in one of them: the
+        # walls name the fault.
         with pytest.raises(InvalidFan) as ei:
             validate_fan(INVALID_FANS["overlapping_cones"])
-        assert "BadIntersection" in codes_of(ei)
-        assert "NotComplete" in codes_of(ei)
+        assert codes_of(ei) == {"NotComplete"}
 
     def test_cones_on_one_side_of_a_wall(self):
         with pytest.raises(InvalidFan) as ei:
@@ -314,8 +324,7 @@ class TestValidateFan:
             ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
             ("NotComplete", "wall (2,) lies in 1 maximal cone(s)"),
             ("NotComplete", "maximal cones are not connected through walls"),
-            ("BadIntersection", "cones (0, 1) and (1, 2) intersect outside the face "
-             "spanned by their common rays (1,)"),
+            both_contain((0, 1), (1, 2), (1, 2)),
         )
         with pytest.raises(InvalidFan) as ei:
             validate_fan(INVALID_FANS["one_side_of_a_wall_3d"])
@@ -326,8 +335,6 @@ class TestValidateFan:
             ("NotComplete", "wall (1, 2) lies in 1 maximal cone(s)"),
             ("NotComplete", "wall (1, 3) lies in 1 maximal cone(s)"),
             ("NotComplete", "maximal cones are not connected through walls"),
-            ("BadIntersection", "cones (0, 1, 2) and (0, 1, 3) intersect outside the face "
-             "spanned by their common rays (0, 1)"),
         )
 
     def test_unused_ray(self):
@@ -408,15 +415,16 @@ class TestIsCone:
 
 
 def _covering_and_pairwise(f: Fan):
-    """Covering count and pairwise violations of a smooth fan, computed
-    directly from the two checks ``validate_fan`` chooses between."""
+    """Covering count and pairwise violations of a smooth fan: the count
+    ``validate_fan`` decides by, from per-cone duals, and the pairwise
+    oracle it is checked against."""
     duals = [dual_basis([f.rays[i] for i in c]) for c in f.max_cones]
     cones = f.max_cones
     pairwise = [
         detail
         for a in range(len(cones))
         for b in range(a + 1, len(cones))
-        if (detail := fan._pair_face_violation(
+        if (detail := _pair_face_violation(
             f.rays, cones[a], cones[b], duals[a], duals[b]
         )) is not None
     ]
@@ -433,37 +441,16 @@ def _power(factor: Fan, k: int) -> Fan:
 
 class TestCoveringCount:
     def test_winding_fan_fails_only_the_intersection_check(self):
+        # t = 2 pairs to 0 with a dual, so the search moves on to t = 3.
         with pytest.raises(InvalidFan) as ei:
             validate_fan(INVALID_FANS["winding"])
-        assert ei.value.violations == (
-            bad_intersection((0, 1), (2, 3), ()),
-            bad_intersection((0, 1), (3, 4), ()),
-            bad_intersection((1, 2), (3, 4), ()),
-            bad_intersection((1, 2), (4, 5), ()),
-            bad_intersection((2, 3), (4, 5), ()),
-            bad_intersection((2, 3), (0, 5), ()),
-        )
+        assert ei.value.violations == (both_contain((0, 1), (3, 4), (1, 3)),)
 
     def test_winding_suspension_fails_only_the_intersection_check(self):
         with pytest.raises(InvalidFan) as ei:
             validate_fan(INVALID_FANS["winding_suspension"])
         assert len(INVALID_FANS["winding_suspension"].max_cones) == 12
-        # (cone a, cone b, rays shared by both) of every offending pair
-        pairs = [
-            ((0, 1, 6), (2, 3, 6), (6,)), ((0, 1, 6), (2, 3, 7), ()),
-            ((0, 1, 6), (3, 4, 6), (6,)), ((0, 1, 6), (3, 4, 7), ()),
-            ((0, 1, 7), (2, 3, 6), ()), ((0, 1, 7), (2, 3, 7), (7,)),
-            ((0, 1, 7), (3, 4, 6), ()), ((0, 1, 7), (3, 4, 7), (7,)),
-            ((1, 2, 6), (3, 4, 6), (6,)), ((1, 2, 6), (3, 4, 7), ()),
-            ((1, 2, 6), (4, 5, 6), (6,)), ((1, 2, 6), (4, 5, 7), ()),
-            ((1, 2, 7), (3, 4, 6), ()), ((1, 2, 7), (3, 4, 7), (7,)),
-            ((1, 2, 7), (4, 5, 6), ()), ((1, 2, 7), (4, 5, 7), (7,)),
-            ((2, 3, 6), (4, 5, 6), (6,)), ((2, 3, 6), (4, 5, 7), ()),
-            ((2, 3, 6), (0, 5, 6), (6,)), ((2, 3, 6), (0, 5, 7), ()),
-            ((2, 3, 7), (4, 5, 6), ()), ((2, 3, 7), (4, 5, 7), (7,)),
-            ((2, 3, 7), (0, 5, 6), ()), ((2, 3, 7), (0, 5, 7), (7,)),
-        ]
-        assert ei.value.violations == tuple(bad_intersection(*p) for p in pairs)
+        assert ei.value.violations == (both_contain((0, 1, 6), (3, 4, 6), (1, 3, 9)),)
 
     def test_winding_fans_cover_twice(self):
         for name in ("winding", "winding_suspension"):
@@ -472,7 +459,7 @@ class TestCoveringCount:
 
     def test_count_is_one_exactly_when_no_pair_overlaps(self):
         # The equivalence needs the wall stages: "overlapping_cones" has
-        # count 1 but unpaired walls, and there the pairwise check runs anyway.
+        # count 1 but unpaired walls, and there the walls name the fault.
         fans = list(INVALID_FANS.values())
         for seed in range(50):
             f = random_polarized(seed)[0]
@@ -492,14 +479,31 @@ class TestCoveringCount:
             checked += 1
         assert checked == 102
 
-    def test_failed_wall_stage_still_reports_every_overlap(self):
-        for name in ("overlapping_cones", "one_side_of_a_wall", "one_side_of_a_wall_3d"):
-            f = INVALID_FANS[name]
-            with pytest.raises(InvalidFan) as ei:
+    def test_every_named_pair_overlaps_and_holds_the_named_vector(self):
+        # The fixtures whose cones all reach the walk, and the fans of
+        # test_count_is_one_exactly_when_no_pair_overlaps.
+        fans = list(INVALID_FANS.values())
+        for seed in range(50):
+            f = random_polarized(seed)[0]
+            fans += [f, transform_fan(f, random_unimodular(f.dim, random.Random(seed)))]
+        checked, named = 0, 0
+        for f in fans:
+            try:
                 validate_fan(f)
-            reported = [d for code, d in ei.value.violations if code == "BadIntersection"]
-            assert reported == _covering_and_pairwise(f)[1], name
-        assert _covering_and_pairwise(INVALID_FANS["overlapping_cones"])[0] == 1
+                violations = ()
+            except InvalidFan as e:
+                violations = e.violations
+            if {code for code, _ in violations} & BEFORE_THE_WALK:
+                continue
+            checked += 1
+            duals = {c: dual_basis(cone_rays(f, c)) for c in f.max_cones}
+            for code, detail in violations:
+                if code == "BadIntersection":
+                    a, b, v = map(ast.literal_eval, WITNESS.fullmatch(detail).groups())
+                    assert _pair_face_violation(f.rays, a, b, duals[a], duals[b]), detail
+                    assert all(dot(v, m) > 0 for m in duals[a] + duals[b]), detail
+                    named += 1
+        assert (checked, named) == (112, 3)
 
     def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
         # B5 has 8 cones and 16 walls: the start cone's 4 duals paired with
@@ -527,15 +531,18 @@ class TestCoveringCount:
         assert len(dots) == 8 + 255 + 255 * 7
         assert not searches
 
-    def test_pairwise_check_only_runs_as_fallback(self, count_calls):
-        calls = count_calls(fan, "_pair_face_violation")
-        catalog_fano4()
-        _power(construct_projective_space(1), 8)
-        _power(construct_hirzebruch(1), 4)
-        assert len(calls) == 0
-        with pytest.raises(InvalidFan):
-            validate_fan(INVALID_FANS["winding"])
-        assert len(calls) > 0
+    def test_a_product_of_eight_lines_missing_a_cone_costs_one_walk(self, count_calls):
+        # P1^8 without its first cone: 255 cones; the walk from cone 0 pairs
+        # its 8 duals with v and crosses into the other 254 cones, 8
+        # pairings each.  The 8 walls of the missing cone lie in one cone
+        # each, no cone holds v, and no pair of cones is tested.
+        f = _power(construct_projective_space(1), 8)
+        dots = count_calls(lattice, "dot")
+        with pytest.raises(InvalidFan) as ei:
+            validate_fan(make_fan(f.dim, f.rays, f.max_cones[1:]))
+        walls = sorted(f.max_cones[0][:k] + f.max_cones[0][k + 1:] for k in range(8))
+        assert ei.value.violations == tuple(not_complete(w) for w in walls)
+        assert len(dots) == 8 + 254 * 8
 
     def test_validated_fan_keeps_cone_duals(self):
         f = construct_hirzebruch(1)
@@ -679,11 +686,6 @@ CARRIED_VIOLATIONS = (
     not_complete((1, 4)),
     ("NotComplete", "cones (3, 4, 5) and (1, 3, 5) lie on one side of wall (3, 5)"),
     not_complete((4, 5)),
-    bad_intersection((0, 1, 5), (0, 2, 3), (0,)),
-    bad_intersection((0, 1, 5), (1, 2, 3), (1,)),
-    bad_intersection((3, 4, 5), (1, 2, 3), (3,)),
-    bad_intersection((3, 4, 5), (1, 3, 5), (3, 5)),
-    bad_intersection((1, 2, 3), (1, 3, 5), (1, 3)),
 )
 
 
@@ -699,14 +701,13 @@ VIOLATIONS = {
         not_complete((1,)),
         not_complete((2,)),
         ("NotComplete", "maximal cones are not connected through walls"),
-        bad_intersection((0, 1), (0, 2), (0,)),
     ),
     "one_side_of_a_wall": (
         not_complete((0,)),
         ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
         not_complete((2,)),
         ("NotComplete", "maximal cones are not connected through walls"),
-        bad_intersection((0, 1), (1, 2), (1,)),
+        both_contain((0, 1), (1, 2), (1, 2)),
     ),
     "one_side_of_a_wall_3d": (
         ("NotComplete", "cones (0, 1, 2) and (0, 1, 3) lie on one side of wall (0, 1)"),
@@ -715,7 +716,6 @@ VIOLATIONS = {
         not_complete((1, 2)),
         not_complete((1, 3)),
         ("NotComplete", "maximal cones are not connected through walls"),
-        bad_intersection((0, 1, 2), (0, 1, 3), (0, 1)),
     ),
     "unused_ray": (("UnusedRay", "ray 3 = (1, 1) is in no maximal cone"),),
     "bad_cone_index": (("BadIndex", "cone 0 = (0, 5)"),),
@@ -739,14 +739,12 @@ VIOLATIONS = {
         not_complete((0,), 3),
         not_complete((4,)),
         ("NotComplete", "maximal cones are not connected through walls"),
-        bad_intersection((0, 3), (0, 4), (0,)),
     ),
     "wall_in_three_cones_3d": (
         not_complete((0, 1), 3),
         not_complete((0, 4)),
         not_complete((1, 4)),
         ("NotComplete", "maximal cones are not connected through walls"),
-        bad_intersection((0, 1, 3), (0, 1, 4), (0, 1)),
     ),
 }
 
@@ -784,6 +782,14 @@ class TestWallCrossing:
         # The search past t = 2 runs on some of them.
         assert sum(_zero_at_two(f) for _, f in crossed) == 33
 
+    def test_carried_pairings_and_duals_match_per_cone_ones_on_blowups(self):
+        # Connected ray matroids, which the products above rarely give.
+        for seed in range(50):
+            g = random_blowup(seed)[0]
+            f = validate_fan(make_fan(g.dim, g.rays, g.max_cones))
+            assert f.pairings == generic_vector(f.dim, f.duals)[1], seed
+            assert f.duals == tuple(dual_basis(cone_rays(f, c)) for c in f.max_cones), seed
+
     def test_walls_are_unchanged(self, crossed):
         # SHA-256 over repr(f.walls) of every fan, a line each, in order, as
         # the walk gave them when it keyed each wall by its tuple of rays.
@@ -803,8 +809,7 @@ class TestWallCrossing:
             ("NotComplete", "cones (0, 1) and (0, 2) lie on one side of wall (0,)"),
             ("NotComplete", "cones (0, 1) and (1, 2) lie on one side of wall (1,)"),
             ("NotComplete", "maximal cones are not connected through walls"),
-            bad_intersection((0, 1), (1, 2), (1,)),
-            bad_intersection((0, 1), (0, 2), (0,)),
+            both_contain((0, 1), (1, 2), (1, 2)),
         )
 
     def test_a_zero_pairing_at_t_2_falls_back_to_the_search(self, count_calls):

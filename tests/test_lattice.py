@@ -20,10 +20,10 @@ from oracles import (
     closure_flats,
     facet_lattice_basis,
     lattice_volume,
+    primitive_vector,
     rank,
     subspace_contains,
 )
-from oracles import primitive_vector as rational_primitive_vector
 from toricstab import lattice
 from toricstab.errors import DimMismatch, NotSmoothCone, ZeroSpan, ZeroVector
 from toricstab.fan import (
@@ -38,7 +38,6 @@ from toricstab.lattice import (
     dual_basis,
     hermite_canonical,
     integer_kernel,
-    primitive_vector,
     proper_flats,
     row_hermite,
 )
@@ -52,11 +51,14 @@ from toricstab.testkit import (
 
 
 class TestPrimitiveVector:
+    """The oracles' primitive generator, which the span and hull oracles and
+    the pairwise intersection oracle use."""
+
     def test_divides_out_gcd(self):
         assert primitive_vector((2, -4, 6)) == (1, -2, 3)
 
     def test_clears_denominators(self):
-        assert rational_primitive_vector((Fraction(1, 2), Fraction(3, 2))) == (1, 3)
+        assert primitive_vector((Fraction(1, 2), Fraction(3, 2))) == (1, 3)
 
     def test_keeps_direction(self):
         assert primitive_vector((0, -2)) == (0, -1)
@@ -70,23 +72,26 @@ class TestPrimitiveVector:
             primitive_vector(())
 
     def test_integer_path_matches_rational_path(self):
+        # v and v / d give the same primitive integer vector: v over the
+        # gcd of its entries.
         rng = random.Random(2024)
         zeros = 0
         for _ in range(20000):
             v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 7)))
-            as_fractions = tuple(Fraction(x) for x in v)
+            d = rng.randint(1, 9)
+            scaled = tuple(Fraction(x, d) for x in v)
             if not any(v):
                 zeros += 1
                 with pytest.raises(ZeroVector):
                     primitive_vector(v)
                 with pytest.raises(ZeroVector):
-                    rational_primitive_vector(as_fractions)
+                    primitive_vector(scaled)
                 continue
             p = primitive_vector(v)
-            assert p == rational_primitive_vector(as_fractions), v
-            assert all(type(x) is int for x in p)
+            assert primitive_vector(scaled) == p, (v, d)
+            assert all(type(x) is int for x in p) and gcd(*p) == 1, v
+            assert tuple(x * gcd(*v) for x in p) == v
         assert zeros > 0
-
 
 class TestDot:
     def test_unequal_lengths_raise(self):

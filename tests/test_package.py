@@ -143,6 +143,59 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == {}
 
 
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _private_reads(source):
+    """``_``-prefixed attributes read off a module of the package, as
+    ``(line, "module._name")`` pairs; a module is a name that ``import
+    toricstab...`` or ``from toricstab import <module>`` binds.  A test that
+    reads one checks the program against its own private rule, where an
+    oracle should be independent of it; a name passed as a string, as to
+    ``count_calls``, only counts calls and stays allowed."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] != "toricstab":
+                    continue
+                if a.asname:
+                    modules.add(a.asname)
+                else:
+                    modules |= {"toricstab"} | {f"toricstab.{m}" for m in MODULES}
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module == "toricstab":
+            modules |= {a.asname or a.name for a in node.names if a.name in MODULES}
+    return sorted(
+        (node.lineno, f"{ast.unparse(node.value)}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.startswith("__") and ast.unparse(node.value) in modules
+    )
+
+
+def test_no_test_reads_a_private_attribute_of_the_package():
+    snippet = (
+        "import toricstab\n"
+        "import toricstab.fan as tf\n"
+        "from toricstab import charts, fan as f, decide\n"
+        "from toricstab.fan import Fan\n"
+        "f._pair(1)\n"
+        "count_calls(charts, '_regular')\n"
+        "x = tf._walls + toricstab.lattice._row + toricstab._v\n"
+        "y = Fan._cache, decide._x, other._y, f.__name__\n"
+    )
+    assert _private_reads(snippet) == [
+        (5, "f._pair"), (7, "tf._walls"), (7, "toricstab._v"), (7, "toricstab.lattice._row"),
+    ]
+    found = {
+        path.name: uses
+        for path in sorted(TESTS.glob("*.py"))
+        if (uses := _private_reads(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
 def _float_uses(source):
     """Float literals, uses of the name ``float`` and imports from ``math``
     beyond its integer functions, as ``(line, what)`` pairs."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowups import random_blowup
 from oracles import (
     ample_by_fractions,
     chow_volumes,
@@ -392,6 +393,7 @@ class TestVertexFormulaProperties:
     def test_matches_chow_ring_volumes_on_seeds_and_catalog(self):
         cases = [random_polarized(seed) for seed in range(200)]
         cases += [(f, anticanonical(f)) for _, f in catalog_fano4()]
+        cases += [random_blowup(seed) for seed in range(50)]
         for f, d in cases:
             assert _volumes(f, d.coeffs) == chow_volumes(f, d.coeffs), f
 
