@@ -19,10 +19,10 @@ scan of every (r+1)-subset of a row's -1 rays that
 face test.  ``_pair_face_violation`` is the pairwise intersection test, by
 double description, that ``fan.validate_fan`` once ran on every pair of
 cones of a fan that failed a check: the reference for its covering count
-and for the pairs of cones that count names.  ``rank_one_by_charts`` is the all-charts reference for
-``charts.rank_one_exists``, which tests only the charts of a cover: it
-tries the same lines through the public chart objects on every maximal
-cone; ``in_semigroup`` tests a weight against a chart's rays, and
+and for the pairs of cones that count names.  ``rank_one_by_charts`` is
+the all-charts reference for ``charts.rank_one_exists``, which tests only
+the charts of a cover: it tries the same lines through the public chart
+objects on every maximal cone; ``in_semigroup`` tests a weight against a chart's rays, and
 ``weight_space_dim`` counts the tangent sections of one weight on a chart
 by it.  ``skewed_products`` are the product fans the ``oracle`` benchmark
 draws from.  ``hirzebruch_lines`` lists the ray-spanned lines of a twisted
