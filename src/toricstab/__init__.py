@@ -50,7 +50,6 @@ from .fan import (
     validate_fan,
 )
 from .polytope import (
-    Polytope,
     ToricDivisor,
     VolumeTable,
     anticanonical,
@@ -84,7 +83,7 @@ __all__ = [
     "BadCoefficient", "BadDimension", "BadTwist", "BadVolumeTable",
     "Certificate", "Chart", "DimMismatch", "Fan", "IncomparableLevels", "InconsistentRank",
     "InvalidFan", "InvalidJumpData", "InvalidLambda", "JumpData", "MonomialDerivation",
-    "NonAmple", "NotMaximal", "ParseError", "Polytope",
+    "NonAmple", "NotMaximal", "ParseError",
     "RankMismatch", "Stability", "StabilityVerdict", "SubsheafCandidate",
     "ToricDivisor", "ToricStabError", "TooManyRays", "VolumeTable", "ZeroVector",
     "anticanonical",

@@ -7,7 +7,8 @@ equalities; for an ample D these are the vertices, the facets correspond
 to the rays, and each facet volume is measured in the lattice of its own
 hyperplane (unit simplex = 1/(dim-1)!).
 
-A polarization needs one integer height per cone: with q the common
+The divisor is the one object per polarization: its gate reduces the
+polytope to one integer height per cone and keeps them.  With q the common
 denominator of the a_i and xi the fan's generic vector,
 ``h_s = <xi, q*u_s> = -sum_{l in s} q*a_l <xi, m_{s,l}>``, n products with
 the pairings the validated fan keeps.  Ampleness is decided wall by wall
@@ -47,10 +48,20 @@ class ToricDivisor:
     (BadCoefficient otherwise, bools included), and is kept as a tuple of
     ``Fraction``; ``fan`` is then validated in place, once per fan
     (InvalidFan when it is not smooth and complete).
+
+    The divisor is also its polytope.  No constructor takes ``scale`` or
+    ``heights``; the gate forms both once and keeps them outside equality,
+    hashing and repr: ``scale`` is the common denominator q of the
+    coefficients, and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring);
+    the cone points u_s themselves are never solved.  Moving along the k-th
+    of the fan's ``duals[s]`` keeps every equality of cone s but that of its
+    k-th ray: for an ample divisor these are the edges at u_s.
     """
 
     fan: Fan
     coeffs: tuple[Fraction, ...]
+    scale: int = field(init=False, compare=False, repr=False)
+    heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -63,7 +74,13 @@ class ToricDivisor:
         if len(cs) != len(self.fan.rays):
             raise DimMismatch(f"{len(cs)} coefficients for {len(self.fan.rays)} rays")
         object.__setattr__(self, "coeffs", tuple(map(Fraction, cs)))
-        validate_fan(self.fan)
+        f = validate_fan(self.fan)
+        q = lcm(*(c.denominator for c in cs))
+        cs = tuple(c.numerator * (q // c.denominator) for c in cs)
+        object.__setattr__(self, "scale", q)
+        object.__setattr__(self, "heights", tuple(
+            -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
+        ))
 
 
 def divisor(f: Fan, coeffs) -> ToricDivisor:
@@ -75,32 +92,6 @@ def divisor(f: Fan, coeffs) -> ToricDivisor:
 def anticanonical(f: Fan) -> ToricDivisor:
     """The anticanonical divisor: coefficient one on every ray."""
     return divisor(f, [1] * len(f.rays))
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """A divisor's polytope as one integer height per maximal cone.
-
-    No constructor takes ``scale`` or ``heights``; both come from
-    ``divisor``: ``scale`` is the common denominator q of its coefficients,
-    and ``heights[s]`` is ``<xi, q*u_s>`` (module docstring); the cone
-    points u_s themselves are never solved.  Moving along the k-th of the
-    fan's ``duals[s]`` keeps every equality of cone s but that of its k-th
-    ray: for an ample divisor these are the edges at u_s.
-    """
-
-    divisor: ToricDivisor
-    scale: int = field(init=False)
-    heights: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        f, coeffs = self.divisor.fan, self.divisor.coeffs
-        q = lcm(*(c.denominator for c in coeffs))
-        cs = tuple(c.numerator * (q // c.denominator) for c in coeffs)
-        object.__setattr__(self, "scale", q)
-        object.__setattr__(self, "heights", tuple(
-            -sum(cs[r] * x for r, x in zip(cone, row)) for cone, row in zip(f.max_cones, f.pairings)
-        ))
 
 
 @dataclass(frozen=True)
@@ -138,33 +129,33 @@ class VolumeTable:
         return tuple(Fraction(w, den) for w in self.weights)
 
 
-def polytope_from_divisor(d: ToricDivisor) -> Polytope:
-    """The polytope of ``d``: one height per maximal cone."""
-    return Polytope(d)
+def polytope_from_divisor(d: ToricDivisor) -> ToricDivisor:
+    """``d`` itself: a divisor keeps its polytope's scale and heights."""
+    return d
 
 
-def is_ample(p: Polytope) -> bool:
+def is_ample(d: ToricDivisor) -> bool:
     """Whether ``D.V(tau) > 0`` on every wall tau: the sign of
     ``(h_t - h_s) * pairings[s][k]`` for each wall ``(s, k, t)`` of the fan
     (module docstring)."""
-    f, h = p.divisor.fan, p.heights
+    f, h = d.fan, d.heights
     return all((h[t] - h[s]) * f.pairings[s][k] > 0 for s, k, t in f.walls)
 
 
-def _facet_numerators(p: Polytope) -> list[int]:
+def _facet_numerators(d: ToricDivisor) -> list[int]:
     """``D^(n-1).D_i * L * q^(n-1)`` for every ray i: the vertex formula of
     ``facet_volumes``, a localization that holds for any divisor."""
-    f = p.divisor.fan
+    f = d.fan
     n = f.dim
     nums = [0] * len(f.rays)
-    for cone, height, row, factor in zip(f.max_cones, p.heights, f.pairings, f.cone_factors[1]):
+    for cone, height, row, factor in zip(f.max_cones, d.heights, f.pairings, f.cone_factors[1]):
         height = height ** (n - 1) * factor
         for r, x in zip(cone, row):
             nums[r] -= height * x
     return nums
 
 
-def facet_volumes(p: Polytope) -> VolumeTable:
+def facet_volumes(d: ToricDivisor) -> VolumeTable:
     """Normalized volume of every facet of an ample polytope.
 
     With xi the generic vector of the fan's covering count (it pairs
@@ -185,13 +176,13 @@ def facet_volumes(p: Polytope) -> VolumeTable:
     Raises NonAmple when the divisor is not ample (the facet structure is
     then degenerate and the slope theory does not apply).
     """
-    if not is_ample(p):
+    if not is_ample(d):
         raise NonAmple("the divisor is not ample on this fan")
-    f = p.divisor.fan
-    return VolumeTable(f.dim, _facet_numerators(p), f.cone_factors[0] * p.scale ** (f.dim - 1))
+    f = d.fan
+    return VolumeTable(f.dim, _facet_numerators(d), f.cone_factors[0] * d.scale ** (f.dim - 1))
 
 
-def is_reflexive(p: Polytope) -> bool:
+def is_reflexive(d: ToricDivisor) -> bool:
     """Whether P_D is reflexive with the origin as its interior point: a
     lattice polytope with every facet at lattice distance 1.
 
@@ -204,10 +195,10 @@ def is_reflexive(p: Polytope) -> bool:
 
     Raises NonAmple when D is not nef: ``D.V(tau) < 0`` on some wall tau.
     """
-    f, h = p.divisor.fan, p.heights
+    f, h = d.fan, d.heights
     if any((h[t] - h[s]) * f.pairings[s][k] < 0 for s, k, t in f.walls):
         raise NonAmple("the divisor is not nef on this fan")
-    if p.scale != 1:
+    if d.scale != 1:
         return False
-    nums = _facet_numerators(p)
-    return all(a == 1 if x > 0 else a >= 1 for a, x in zip(p.divisor.coeffs, nums))
+    nums = _facet_numerators(d)
+    return all(a == 1 if x > 0 else a >= 1 for a, x in zip(d.coeffs, nums))

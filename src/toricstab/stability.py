@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .errors import DimMismatch, TooManyRays
 from .fan import Fan
-from .polytope import ToricDivisor, VolumeTable, facet_volumes, polytope_from_divisor
+from .polytope import ToricDivisor, VolumeTable, facet_volumes
 
 SCOPE_NOTE = (
     "scope: the verdict maximizes slope over saturated equivariant subsheaves "
@@ -104,7 +104,7 @@ def decide(f: Fan, a: ToricDivisor, max_rays: int = MAX_RAYS) -> StabilityVerdic
     if a.fan != f:
         raise DimMismatch("divisor was built on a different fan")
     f = a.fan
-    vols = facet_volumes(polytope_from_divisor(a))
+    vols = facet_volumes(a)
     if len(f.rays) > max_rays:
         raise TooManyRays(
             f"fan has {len(f.rays)} rays; candidate enumeration capped at "

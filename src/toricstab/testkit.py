@@ -19,7 +19,7 @@ from .fan import (
     make_fan,
     validate_fan,
 )
-from .polytope import anticanonical, divisor, is_ample, polytope_from_divisor
+from .polytope import anticanonical, divisor, is_ample
 from .sheafdata import validate_lambda_matrix
 from .stability import certificate, decide
 
@@ -209,9 +209,9 @@ _BASE_FANS = (
     (lambda: construct_hirzebruch(1), (1, 0, 0, 1)),
     (lambda: construct_hirzebruch(2), (1, 0, 0, 1)),
     (lambda: construct_hirzebruch(4), (1, 0, 0, 1)),
-    (lambda: construct_p1_bundle(3, 1), (1, 1, 1, 1, 1, 1)),
-    (lambda: construct_p1_bundle(3, 2), (1, 1, 1, 1, 1, 1)),
-    (lambda: construct_p1_bundle(4, 2), (1, 1, 1, 1, 1, 1, 1)),
+    (lambda: construct_p1_bundle(3, 1), (1, 1, 1, 1, 1)),
+    (lambda: construct_p1_bundle(3, 2), (1, 1, 1, 1, 1)),
+    (lambda: construct_p1_bundle(4, 2), (1, 1, 1, 1, 1, 1)),
     (lambda: construct_proj_split(1, (1, 0, 0)), (1, 1, 1, 1, 1, 1)),
     (lambda: construct_proj_split(2, (1, 1)), (1, 1, 1, 1, 1, 1)),
     (lambda: construct_proj_split(2, (2, 0)), (1, 1, 1, 1, 1, 1)),
@@ -244,7 +244,7 @@ def random_polarized(seed: int):
     for _ in range(60):
         coeffs = tuple(rng.randint(1, 6) for _ in f.rays)
         d = divisor(f, coeffs)
-        if is_ample(polytope_from_divisor(d)):
+        if is_ample(d):
             return f, d
     k = rng.randint(1, 4)
     return f, divisor(f, tuple(k * c for c in fallback))

@@ -189,13 +189,13 @@ class TestAnalyze:
                                                              capsys):
         # eleven characters for a million digits
         path = write_fan(tmp_path, construct_projective_space(4), "p4.json")
-        polytopes = count_calls(polytope, "polytope_from_divisor")
+        divisors = count_calls(polytope, "ToricDivisor")
         for token in ("1e1000000", "2E3", "1.5e0"):
             assert main(["analyze", path, "--divisor", token + ",1,1,1,1"]) == 4
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: bad rational {token!r}")
-        assert polytopes == []
+        assert divisors == []
         assert main(["analyze", path, "--divisor", "0.5,1/2,1,1,1"]) == 0
         assert json.loads(capsys.readouterr().out)["divisor"][:2] == ["1/2", "1/2"]
 
@@ -213,10 +213,10 @@ class TestAnalyze:
 
     def test_one_ampleness_check_per_request(self, f2_path, count_calls, capsys):
         for divisor, code in (("1,1,3,1", 0), ("1,1,1,1", 3)):
-            polytopes = count_calls(polytope, "polytope_from_divisor")
+            divisors = count_calls(polytope, "ToricDivisor")
             ample = count_calls(polytope, "is_ample")
             assert main(["analyze", f2_path, "--divisor", divisor]) == code
-            assert len(polytopes) == 1 and len(ample) == 1
+            assert len(divisors) == 1 and len(ample) == 1
 
     def test_missing_file_exits_4(self, capsys):
         assert main(["analyze", "/no/such/file.json", "--anticanonical"]) == 4
@@ -431,12 +431,12 @@ class TestScan:
         assert capsys.readouterr().out.splitlines()[1] == "1,1,1,1,2,2,true,semistable"
 
     def test_one_ampleness_check_per_grid_point(self, count_calls, capsys):
-        polytopes = count_calls(polytope, "polytope_from_divisor")
+        divisors = count_calls(polytope, "ToricDivisor")
         ample = count_calls(polytope, "is_ample")
         args = ["scan", "--m", "2", "--a1", "1", "--a2", "1", "--a3", "3", "--a4", "1"]
         assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["1,1,3,1,2,2,true,unstable"]
-        assert len(polytopes) == 1 and len(ample) == 1
+        assert len(divisors) == 1 and len(ample) == 1
 
     def test_uses_lf_line_endings(self, capsys):
         main(["scan", "--m", "0", "--a1", "1", "--a2", "1", "--a3", "1",

@@ -128,6 +128,12 @@ INVALID_FANS = {
         3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, -1)],
         [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)],
     ),
+    # Wall (0,) lies in all four cones: its fourth is counted on a crowded wall.
+    "wall_in_four_cones": make_fan(
+        2, [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1)], [(0, 1), (0, 2), (0, 3), (0, 4)]
+    ),
+    # A short row after a good one: no wall table is made.
+    "short_cone_row": make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1,), (0, 2)]),
 }
 
 
@@ -503,7 +509,7 @@ class TestCoveringCount:
                     assert _pair_face_violation(f.rays, a, b, duals[a], duals[b]), detail
                     assert all(dot(v, m) > 0 for m in duals[a] + duals[b]), detail
                     named += 1
-        assert (checked, named) == (112, 3)
+        assert (checked, named) == (113, 3)
 
     def test_one_pairing_of_each_dual_with_the_generic_vector(self, count_calls):
         # B5 has 8 cones and 16 walls: the start cone's 4 duals paired with
@@ -612,7 +618,7 @@ class TestPreparedFan:
         raw = transform_fan(f, random_unimodular(2, random.Random(7)))
         assert not raw.validated
         p = polytope_from_divisor(divisor(raw, (1, 0, 0, 4)))
-        assert p.divisor.fan.validated and p.divisor.fan == raw
+        assert p.fan.validated and p.fan == raw
         assert facet_volumes(p) == facet_volumes(polytope_from_divisor(divisor(f, (1, 0, 0, 4))))
 
     def test_divisor_validates_a_raw_fan_once(self, count_calls):
@@ -746,6 +752,12 @@ VIOLATIONS = {
         not_complete((1, 4)),
         ("NotComplete", "maximal cones are not connected through walls"),
     ),
+    "wall_in_four_cones": (
+        not_complete((0,), 4),
+        *(not_complete((i,)) for i in range(1, 5)),
+        ("NotComplete", "maximal cones are not connected through walls"),
+    ),
+    "short_cone_row": (("BadIndex", "cone 1 = (1,)"),),
 }
 
 

@@ -226,6 +226,14 @@ class TestHermiteCanonical:
         with pytest.raises(ZeroSpan):
             hermite_canonical([(0, 0, 0)])
 
+    def test_empty_raises(self):
+        with pytest.raises(ZeroSpan, match="empty spanning set"):
+            hermite_canonical([])
+
+    def test_line_of_zero_raises(self):
+        with pytest.raises(ZeroVector):
+            lattice.line_of((0, 0))
+
     def test_equal_spans_equal_values(self):
         a = hermite_canonical([(1, 2, 3), (0, 1, 1)])
         b = hermite_canonical([(1, 3, 4), (2, 3, 5)])

@@ -35,6 +35,7 @@ REMOVED = (
     "weight_space_dim",
     "admissible_slope_bound",
     "BadRank",
+    "Polytope",
 )
 
 

@@ -35,7 +35,6 @@ from toricstab.fan import (
 )
 from toricstab.lattice import dot, generic_vector
 from toricstab.polytope import (
-    Polytope,
     ToricDivisor,
     VolumeTable,
     anticanonical,
@@ -88,7 +87,7 @@ class TestVertices:
         f = construct_projective_space(2)
         p = polytope_from_divisor(anticanonical(f))
         # ray r bounds exactly the cones containing it
-        assert facets(p.divisor.fan) == ((1, 2), (0, 2), (0, 1))
+        assert facets(p.fan) == ((1, 2), (0, 2), (0, 1))
 
     def test_vertices_satisfy_their_equalities(self):
         f = construct_proj_split(1, (1, 0, 0))
@@ -142,12 +141,25 @@ class TestVertices:
     def test_a_polytope_derives_its_scale_and_heights(self):
         # Given heights would misstate the volumes: 3x them are those of 3D,
         # and scale 7 divides them by 7.
-        d = divisor(construct_hirzebruch(1), (1, 0, 0, 1))
-        p = polytope_from_divisor(d)
-        assert Polytope(d) == p and p.scale == 1 and facet_volumes(p).values == (1, 1, 1, 2)
-        for scale, heights in ((1, tuple(3 * h for h in p.heights)), (7, p.heights)):
+        f = construct_hirzebruch(1)
+        d = divisor(f, (1, 0, 0, 1))
+        assert polytope_from_divisor(d) is d
+        assert d.scale == 1 and facet_volumes(d).values == (1, 1, 1, 2)
+        for scale, heights in ((1, tuple(3 * h for h in d.heights)), (7, d.heights)):
             with pytest.raises(TypeError):
-                Polytope(d, scale, heights)
+                ToricDivisor(f, (1, 0, 0, 1), scale, heights)
+
+    def test_scale_and_heights_take_no_part_in_equality_hashing_or_repr(self):
+        f = construct_hirzebruch(1)
+        d = divisor(f, (1, 0, 0, 1))
+        e = divisor(make_fan(2, f.rays, f.max_cones), (1, 0, 0, 1))
+        assert d == e and hash(d) == hash(e) == hash((f, d.coeffs))
+        assert d != divisor(f, (1, 0, 0, 2))
+        assert repr(d) == (
+            "ToricDivisor(fan=Fan(dim=2, rays=((1, 0), (0, 1), (-1, 1), (0, -1)), "
+            "max_cones=((0, 1), (1, 2), (2, 3), (0, 3))), coeffs=(Fraction(1, 1), "
+            "Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)))"
+        )
 
     def test_a_divisor_built_directly_equals_divisor(self):
         f = construct_projective_space(2)
@@ -193,7 +205,7 @@ class TestAmpleness:
             a1, a2, a3, a4 = coeffs
             p = hirzebruch_polytope(m, coeffs)
             expected = a1 + a3 - m * a2 > 0 and a2 + a4 > 0
-            assert is_ample(p) == expected == ample_by_fractions(p.divisor.fan, coeffs)
+            assert is_ample(p) == expected == ample_by_fractions(p.fan, coeffs)
 
     @pytest.mark.parametrize("block", range(5))
     def test_wall_signs_match_the_global_scan(self, block):
@@ -451,7 +463,7 @@ class TestGenericFunctional:
     def test_search_steps_past_an_orthogonal_edge(self, f, coeffs):
         g = transform_fan(f, self.SKEW)
         p = polytope_from_divisor(divisor(g, coeffs))
-        duals = p.divisor.fan.duals
+        duals = p.fan.duals
         xi = generic_vector(g.dim, duals)[0]
         assert (2, -1) in duals[g.max_cones.index((0, 1))]
         assert xi[1] > 2
@@ -515,7 +527,7 @@ class TestReflexive:
     def test_non_nef_divisor_raises(self):
         # a1 + a3 - a2 < 0: negative on the curve of ray 1
         p = hirzebruch_polytope(1, (1, 1, -1, 1))
-        assert not nef_by_fractions(p.divisor.fan, (1, 1, -1, 1))
+        assert not nef_by_fractions(p.fan, (1, 1, -1, 1))
         with pytest.raises(NonAmple, match="not nef"):
             is_reflexive(p)
 

@@ -7,7 +7,8 @@ from itertools import islice
 
 import pytest
 
-from oracles import _inverse, is_cone
+from oracles import _inverse, ample_by_fractions, is_cone
+from toricstab import testkit
 from toricstab.fan import (
     catalog_fano4,
     construct_hirzebruch,
@@ -15,6 +16,7 @@ from toricstab.fan import (
     construct_projective_space,
     validate_fan,
 )
+from toricstab.lattice import dot
 from toricstab.polytope import is_ample, polytope_from_divisor
 from toricstab.sheafdata import validate_lambda_matrix
 from toricstab.testkit import (
@@ -177,6 +179,19 @@ class TestRandomFans:
             f, d = random_polarized(seed)
             assert validate_fan(f) == f
             assert is_ample(polytope_from_divisor(d))
+
+    def test_the_fallback_divisor_is_ample_on_every_base_fan(self, monkeypatch):
+        # With every draw rejected each seed takes its base fan's known ample
+        # vector.  The rays' coordinates in every cone's duals do not change
+        # with the basis, and they tell the 15 base fans apart: seeds 0-49
+        # reach them all (the last at seed 31).
+        monkeypatch.setattr(testkit, "is_ample", lambda d: False)
+        bases = set()
+        for seed in range(50):
+            f, d = random_polarized(seed)
+            assert is_ample(d) and ample_by_fractions(f, d.coeffs), seed
+            bases.add(tuple(sorted(dot(m, r) for ms in f.duals for m in ms for r in f.rays)))
+        assert len(bases) == 15
 
     def test_deterministic(self):
         f1, d1 = random_polarized(13)

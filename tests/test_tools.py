@@ -42,6 +42,19 @@ def test_gap_is_measured_in_base_quartile_spreads():
     assert p90["wins"] == 5 and p90["rel"] == 1.0 / 3.0 - 1
 
 
+def test_first_worse_counts_the_pairs_whose_first_run_read_worse():
+    # BASE runs first in pairs 0 and 2, CHANGE in pairs 1 and 3.  The first
+    # run is slower in pairs 0, 1 and 2 and equal in pair 3, whichever side
+    # it is: CHANGE wins pairs 0 and 2 on both metrics, and the first run
+    # reads worse in 3 of 4.
+    pairs = [(run(90, 2.0), run(100, 1.0)), (run(100, 1.0), run(90, 2.0)),
+             (run(90, 2.0), run(100, 1.5)), (run(100, 1.0), run(100, 1.0))]
+    ops, p90 = ab_pairs.summarize(pairs, METRICS)
+    assert (ops["first_worse"], p90["first_worse"]) == (3, 3)
+    assert (ops["wins"], p90["wins"]) == (2, 2)
+    assert "first worse 3/4" in ab_pairs.format_rows("sweep", [p90])
+
+
 def test_a_pair_needs_equal_digests_and_no_failed_ops():
     assert ab_pairs.pair_problems(run(1, 1), run(1, 1)) == []
     assert ab_pairs.pair_problems(run(1, 1, digest="a"), run(1, 1, digest="b")) == [

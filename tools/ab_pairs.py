@@ -16,7 +16,9 @@ script exits 1.
 For each workload and each end-to-end metric of CHANGE's BENCHMARK.json it
 prints BASE's median and quartiles, CHANGE's median, the change of the
 median relative to BASE's, the gap between the medians over BASE's
-interquartile range, in how many pairs CHANGE was better, and a verdict:
+interquartile range, in how many pairs CHANGE was better, in how many the
+side that ran first read worse (a count near 0 or near the number of pairs
+shows an order bias), and a verdict:
 ``gain`` when CHANGE was better in at least 9 of 10 pairs and its median
 is better than BASE's by more than BASE's interquartile range;
 ``regression`` when CHANGE's median is worse than BASE's by more than the
@@ -36,6 +38,11 @@ from pathlib import Path
 
 PAIRS = 10
 GAIN_WINS = 0.9  # the share of pairs a gain must win
+
+
+def base_first(i: int) -> bool:
+    """Whether BASE runs first in pair ``i``: on even pairs."""
+    return i % 2 == 0
 
 
 def verdict(row: dict, lower: bool) -> str:
@@ -83,11 +90,12 @@ def pair_problems(base: dict, change: dict) -> list[str]:
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
-    """Per metric: both medians, BASE's quartiles, CHANGE's wins and the
-    verdict.
+    """Per metric: both medians, BASE's quartiles, CHANGE's wins, the
+    pairs whose first run read worse and the verdict.
 
-    ``pairs`` holds (base, change) runs as ``run_once`` returns them;
-    ``metrics`` the ``end_to_end`` entries of BENCHMARK.json.
+    ``pairs`` holds (base, change) runs as ``run_once`` returns them, in
+    pair order, so ``base_first`` tells which ran first; ``metrics`` the
+    ``end_to_end`` entries of BENCHMARK.json.
     """
     rows = []
     for metric in metrics:
@@ -96,12 +104,16 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         change = [c["metrics"][name] for _, c in pairs]
         q1, median, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        firsts = [(b, c) if base_first(i) else (c, b)
+                  for i, (b, c) in enumerate(zip(base, change))]
+        first_worse = sum((x > y) if lower else (x < y) for x, y in firsts)
         change_median = statistics.median(change)
         row = {"metric": name, "base_median": median, "base_q1": q1, "base_q3": q3,
                "change_median": change_median,
                "rel": change_median / median - 1 if median else 0.0,
                "gap_over_iqr": abs(change_median - median) / (q3 - q1) if q3 > q1 else None,
-               "wins": wins, "pairs": len(pairs), "bound": metric.get("bound")}
+               "wins": wins, "first_worse": first_worse, "pairs": len(pairs),
+               "bound": metric.get("bound")}
         rows.append({**row, "verdict": verdict(row, lower)})
     return rows
 
@@ -113,7 +125,8 @@ def format_rows(workload: str, rows: list[dict]) -> str:
         out.append(f"  {r['metric']:<14} base {r['base_median']:.6g} "
                    f"[{r['base_q1']:.6g}-{r['base_q3']:.6g}] change {r['change_median']:.6g} "
                    f"({r['rel']:+.1%}, bound {r['bound']}) gap/IQR {gap} "
-                   f"wins {r['wins']}/{r['pairs']} {r['verdict']}")
+                   f"wins {r['wins']}/{r['pairs']} first worse {r['first_worse']}/{r['pairs']} "
+                   f"{r['verdict']}")
     return "\n".join(out)
 
 
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
         for i in range(PAIRS):
             seed = args.seed + i
             order = [("base", args.base), ("change", args.change)]
-            if i % 2:
+            if not base_first(i):
                 order.reverse()
             runs = {side: run_once(root, workload, seed, seconds) for side, root in order}
             problems = pair_problems(runs["base"], runs["change"])
