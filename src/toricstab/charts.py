@@ -13,11 +13,9 @@ data that is independent of the subspace criterion used by the
 stability module: the two are compared against each other in tests and
 by the `oracle` command, never merged.
 
-``rank_one_exists`` tests only the charts of a cover whose cones reach
-every ray: a section of the locally free TX on the normal X that is
-regular in codimension one is regular (Hartshorne, *Algebraic Geometry*,
-Prop. II.6.3A), and the torus and the generic point of each D_rho lie in
-a cover chart.
+``rank_one_exists`` tests one line, the only one the data allow, on the
+charts of a cover whose cones reach every ray; its docstring proves that
+every chart answers as those of the cover do.
 """
 
 from __future__ import annotations
@@ -98,20 +96,24 @@ def _regular(u, v, rays, dual) -> bool:
 def rank_one_exists(f: Fan, lam) -> Vector | None:
     """Direction line of a rank-one sheaf realizing the data, or None.
 
-    Tries each ray line (those carrying a -1 first) and, when no entry
-    is -1, a generic line, each once and built only when tried.  A line v
-    witnesses the data when chi(u) d_v, with u the pinned weight, is
+    The data allow one line only, so it is the one tested: v is
+    ``line_of`` the first ray carrying -1, or of ray 0 when no entry is -1.
+    v witnesses the data when chi(u) d_v, with u the pinned weight, is
     regular on the chart of every cone of a cover: in cone order, each
     cone that holds a ray no earlier kept cone holds, at most
-    ``rays - n + 1`` of them.  That is the answer of every chart.  On
-    U_sigma ⊃ U_rho, for each ray rho of a kept sigma, chi(u_sigma)
-    generates the rank-one sheaf, as chi(u_tau) does for any tau through
-    rho (they differ by a unit on U_rho); on the torus chi(u) d_v is
-    regular anyway.  TX is locally free and X normal, so a map from the
-    rank-one sheaf to TX that is regular in codimension one is regular
-    everywhere (Hartshorne, *Algebraic Geometry*, Prop. II.6.3A).  ``f``
-    is validated in place, once per fan (InvalidFan when it is not smooth
-    and complete).
+    ``rays - n + 1`` of them.  ``f`` is validated in place, once per fan
+    (InvalidFan when it is not smooth and complete).
+
+    Why one line suffices.  On the chart of sigma, with duals m_k, the
+    exponent u + m_k pairs with the ray rho_j of sigma to lam_j + delta_jk.
+    If no ray of sigma carries -1, every exponent pairs >= 0, so every line
+    is regular there.  If ray a of sigma carries -1, every k != a with
+    <m_k, v> != 0 gives -1 at rho_a, so v is regular there exactly when
+    v is parallel to rho_a; sigma holds no second such ray, since
+    ``validate_lambda_matrix`` rejects two rays carrying -1 that span a
+    cone.  The cover reaches every ray, so a witness exists exactly when
+    all rays carrying -1 are parallel, and it is their line; with no -1,
+    every line is a witness.  Every chart answers as the cover does.
     """
     validate_fan(f)
     try:
@@ -121,31 +123,20 @@ def rank_one_exists(f: Fan, lam) -> Vector | None:
     ok, problems = validate_lambda_matrix(f, (lam,))
     if not ok:
         raise InvalidLambda(problems)
-    # Per chart of the cover: its pinned weight u = sum_i lam_i m_i, the one
-    # solution of <u, ray_i> = lam_i on the cone's rays, its rays and duals.
-    charts = []
+    v = line_of(f.rays[lam.index(-1) if -1 in lam else 0])
     reached: set[int] = set()
     for c, dual in zip(f.max_cones, f.duals):
         if reached.issuperset(c):
             continue
         reached.update(c)
+        # The pinned weight u = sum_i lam_i m_i: <u, ray_i> = lam_i on c.
         u = (0,) * f.dim
         for i, m in zip(c, dual):
             if lam[i]:
                 u = tuple(x + lam[i] * y for x, y in zip(u, m))
-        charts.append((u, cone_rays(f, c), dual))
-    negative = [i for i, l in enumerate(lam) if l == -1]
-    others = [i for i, l in enumerate(lam) if l != -1]
-    generic = [] if negative else [(1,) * f.dim]
-    tried: set[Vector] = set()
-    for w in [f.rays[i] for i in negative + others] + generic:
-        v = line_of(w)
-        if v in tried:
-            continue
-        tried.add(v)
-        if all(_regular(u, v, rays, dual) for u, rays, dual in charts):
-            return v
-    return None
+        if not _regular(u, v, cone_rays(f, c), dual):
+            return None
+    return v
 
 
 def reexpand(terms, source: Chart, target: Chart):

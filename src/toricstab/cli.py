@@ -92,6 +92,8 @@ def load_fan_file(path: str) -> Fan:
         raise ParseError(f"cannot read fan file: {e}") from None
     except ValueError as e:  # bad JSON or UTF-8, or an integer past the digit limit
         raise ParseError(f"fan file is not valid JSON: {e}") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise ParseError("fan file is nested too deeply") from None
     if not isinstance(raw, dict) or not {"dim", "rays", "max_cones"} <= raw.keys():
         raise ParseError('fan file needs keys "dim", "rays", "max_cones"')
     try:
@@ -145,15 +147,13 @@ def report_for(a, max_rays: int = MAX_RAYS) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     f = load_fan_file(args.fan)
     if args.anticanonical:
         a = anticanonical(f)
     else:
         a = divisor(f, tuple(_parse_fraction(t) for t in args.divisor.split(",")))
-    report = report_for(a, max_rays=args.max_rays)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(report_for(a, max_rays=args.max_rays), indent=2) + "\n"
 
 
 def _parse_factor(spec: str) -> Fan:
@@ -168,7 +168,7 @@ def _parse_factor(spec: str) -> Fan:
     raise ParseError(f"unknown factor kind {kind!r} (use pn or hirzebruch)")
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> str:
     if args.kind == "pn":
         if len(args.params) != 1:
             raise ParseError("pn takes exactly one parameter: the dimension")
@@ -186,8 +186,7 @@ def cmd_construct(args) -> int:
         if len(args.params) != 2:
             raise ParseError("product takes exactly two factor specs, e.g. pn:1 pn:3")
         f = construct_product(_parse_factor(args.params[0]), _parse_factor(args.params[1]))
-    _emit(json.dumps(fan_to_dict(f), indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(fan_to_dict(f), indent=2) + "\n"
 
 
 def catalog_rows() -> list[dict]:
@@ -199,17 +198,15 @@ def catalog_rows() -> list[dict]:
     return rows
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> str:
     rows = catalog_rows()
     if args.json:
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(rows, indent=2) + "\n"
     lines = [f"{'name':<4}  {'verdict':<11}  destabilizer rank"]
     for row in rows:
         rank = "-" if row["rank"] is None else str(row["rank"])
         lines.append(f"{row['name']:<4}  {row['verdict']:<11}  {rank}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _parse_range(text: str) -> range:
@@ -224,7 +221,7 @@ def _parse_range(text: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> str:
     f = construct_hirzebruch(args.m)
     ranges = [_parse_range(getattr(args, k)) for k in ("a1", "a2", "a3", "a4")]
     lines = ["a1,a2,a3,a4,a,b,ample,verdict"]
@@ -238,11 +235,10 @@ def cmd_scan(args) -> int:
             ample, verdict = False, ""
         numbers = ",".join(map(_decimal, (a1, a2, a3, a4, a, b)))
         lines.append(f"{numbers},{str(ample).lower()},{verdict}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     f = load_fan_file(args.fan)
     lam = tuple(_parse_int(t, "lambda entry") for t in args.lam.split(","))
     witness = rank_one_exists(f, lam)
@@ -254,8 +250,7 @@ def cmd_oracle(args) -> int:
         f"span dim: {span_dim} ({'witness expected' if expected else 'no witness expected'})",
         "AGREE" if (witness is not None) == expected else "DISAGREE",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 @cache
@@ -314,7 +309,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 4
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except InvalidFan as e:
         print(f"error: invalid fan: {e}", file=sys.stderr)
         return 2

@@ -20,15 +20,18 @@ face test.  ``_pair_face_violation`` is the pairwise intersection test, by
 double description, that ``fan.validate_fan`` once ran on every pair of
 cones of a fan that failed a check: the reference for its covering count
 and for the pairs of cones that count names.  ``rank_one_by_charts`` is
-the all-charts reference for ``charts.rank_one_exists``, which tests only
-the charts of a cover: it tries the same lines through the public chart
-objects on every maximal cone; ``in_semigroup`` tests a weight against a chart's rays, and
+the all-charts reference for ``charts.rank_one_exists``, which tests one
+line on the charts of a cover: it tries every ray's line, and a generic
+one, through the public chart objects on every maximal cone;
+``in_semigroup`` tests a weight against a chart's rays, and
 ``weight_space_dim`` counts the tangent sections of one weight on a chart
 by it.  ``skewed_products`` are the product fans the ``oracle`` benchmark
 draws from.  ``hirzebruch_lines`` lists the ray-spanned lines of a twisted
 surface F_m with their slopes in closed form, and ``hirzebruch_closed_form``
 decides F_m's verdict from them, comparing the best slope with mu(TX)
-itself rather than by the rule ``decide`` applies.
+itself rather than by the rule ``decide`` applies.  ``product_verdict``
+decides a product of fans from its factors' verdicts and facet volumes
+alone, without walking a flat of the product.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from itertools import product as iproduct
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from random import Random
 
 from toricstab import lattice
@@ -45,9 +48,9 @@ from toricstab.charts import MonomialDerivation, chart_of, is_regular
 from toricstab.errors import BadTwist, DimMismatch, ToricStabError, ZeroSpan, ZeroVector
 from toricstab.fan import construct_hirzebruch, construct_product, construct_projective_space
 from toricstab.lattice import Vector, dot, integer_kernel
-from toricstab.polytope import VolumeTable
+from toricstab.polytope import VolumeTable, divisor
 from toricstab.stability import (
-    GENERIC_NOTE, SCOPE_NOTE, Stability, StabilityVerdict, SubsheafCandidate,
+    GENERIC_NOTE, SCOPE_NOTE, Stability, StabilityVerdict, SubsheafCandidate, decide,
 )
 from toricstab.testkit import random_unimodular, transform_fan
 
@@ -453,9 +456,11 @@ def barycenter_is_origin(f) -> bool:
 
 def rank_one_by_charts(f, lam):
     """The first line that realizes the rank-one data ``lam`` on the
-    validated fan ``f``, in the order ``charts.rank_one_exists`` tries them
-    (the lines of the rays carrying -1, then of the other rays, then of
-    (1, ..., 1) when no entry is -1), or None.  A line v realizes it when on
+    validated fan ``f``, trying the lines of the rays carrying -1, then of
+    the other rays, then of (1, ..., 1) when no entry is -1, or None.
+    ``charts.rank_one_exists`` tests only the first of these lines, which
+    its docstring proves is the only one the data allow; this reference
+    tries every one of them on every chart.  A line v realizes it when on
     every maximal cone the weight u with <u, ray> = lam on the cone's rays
     (the chart's duals combined, checked against its rays) makes
     chi(u) d_v regular by the public ``chart_of``, ``MonomialDerivation``
@@ -561,3 +566,46 @@ def hirzebruch_closed_form(m: int, a1: int, a2: int, a3: int, a4: int) -> Stabil
         volumes=vols,
         fan=construct_hirzebruch(m),
     )
+
+
+# ---------------------------------------------------------------------------
+# Products from their factors
+
+
+def product_verdict(factors) -> tuple[tuple[Fraction, ...], Fraction, Stability]:
+    """The numbers ``D^(n-1).D_rho`` in ray order, mu(TX) and the status of
+    TX on the product of ``factors``, a list of ``(fan, coeffs)``, each
+    divisor ample on its fan, at the divisor the coefficients concatenate to.
+
+    Recursive on X = X1 x X2, with X1 the first factor, X2 the product of
+    the rest, n = n1 + n2 and D = p1*A + p2*B.  Of the terms
+    ``C(n-1, k) A^k B^(n-1-k)`` of D^(n-1), only k = n1 - 1 meets the
+    pull-back of a ray rho of X1, so
+    ``D^(n-1).D_rho = C(n-1, n1-1) (A^(n1-1).D_rho) B^n2``, and symmetrically
+    for X2.  ``A^(n1-1).D_rho`` is ``weights[rho] / den`` of X1's own
+    ``facet_volumes`` (the volume table of its verdict) and
+    ``B^n2 = sum b_rho' (B^(n2-1).D_rho')``.
+
+    TX = p1*TX1 + p2*TX2 is never stable: each summand is a proper
+    subsheaf.  A subsheaf of TX1 pulls back with its weights scaled by one
+    positive constant, so a destabilizer of TX1 destabilizes p1*TX1, and
+    then it or p2*TX2 destabilizes TX.  So TX is semistable exactly when
+    no factor is unstable and the summands' slopes W(E1)/n1 and W(E2)/n2
+    are equal, W summing the weights above over a factor's rays; otherwise
+    it is unstable.
+    """
+    (f1, a), *rest = factors
+    v1 = decide(f1, divisor(f1, a))
+    w1 = tuple(Fraction(w, v1.volumes.den) for w in v1.volumes.weights)
+    if not rest:
+        return w1, v1.mu_tx, v1.status
+    w2, _, status2 = product_verdict(rest)
+    n1, n2 = f1.dim, sum(f.dim for f, _ in rest)
+    a_top = sum(x * c for x, c in zip(w1, a))
+    b_top = sum(x * c for x, c in zip(w2, (c for _, coeffs in rest for c in coeffs)))
+    e1 = tuple(comb(n1 + n2 - 1, n1 - 1) * b_top * x for x in w1)
+    e2 = tuple(comb(n1 + n2 - 1, n2 - 1) * a_top * x for x in w2)
+    balanced = sum(e1) * n2 == sum(e2) * n1
+    unstable = Stability.UNSTABLE in (v1.status, status2)
+    status = Stability.SEMISTABLE if balanced and not unstable else Stability.UNSTABLE
+    return e1 + e2, Fraction(sum(e1) + sum(e2), n1 + n2), status

@@ -330,6 +330,29 @@ class TestRankOneExists:
         assert not accepts((1, 2))
         assert rank_one_exists(F1, lam) is None
 
+    def test_a_chart_allows_only_the_line_of_its_pole(self):
+        # The argument of rank_one_exists, chart by chart: a chart accepts
+        # every line when none of its rays carries -1, and otherwise only
+        # the line of the one ray that does.
+        fans = [f for _, f in catalog_fano4()] + [construct_hirzebruch(m) for m in range(6)]
+        fans += [random_polarized(seed)[0] for seed in range(20)]
+        checks, outcomes = 0, set()
+        for i, f in enumerate(fans):
+            lines = {line_of(ray) for ray in f.rays}
+            for lam in islice(fuzz_lambda(f, 3100 + i), 5):
+                for sigma in f.max_cones:
+                    c = chart_of(f, sigma)
+                    u = tuple(sum(lam[j] * m[k] for j, m in zip(c.cone, c.dual))
+                              for k in range(f.dim))
+                    poles = {line_of(f.rays[j]) for j in c.cone if lam[j] == -1}
+                    for v in lines:
+                        accepted = is_regular(D(u, v), c)
+                        assert accepted == (not poles or poles == {v}), (i, lam, sigma, v)
+                        outcomes.add((bool(poles), accepted))
+                        checks += 1
+        assert outcomes == {(False, True), (True, True), (True, False)}
+        assert checks == 4885
+
     def test_agrees_with_span_criterion(self):
         rng = random.Random(20260816)
         fans = [f for _, f in catalog_fano4()]

@@ -248,6 +248,15 @@ class TestAnalyze:
         bad.write_text("not json at all")
         assert main(["analyze", str(bad), "--anticanonical"]) == 4
 
+    @pytest.mark.parametrize("argv", [["analyze", "--anticanonical"], ["oracle", "--lam", "0"]],
+                             ids=["analyze", "oracle"])
+    def test_fan_file_nested_too_deeply_exits_4(self, tmp_path, capsys, argv):
+        # json raises RecursionError, not ValueError, past its nesting depth.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main([argv[0], str(deep), *argv[1:]]) == 4
+        assert capsys.readouterr() == ("", "error: fan file is nested too deeply\n")
+
     # Each is P2 with one number that int() would quietly turn into a valid
     # entry, so the file would be analyzed as some other fan.
     @pytest.mark.parametrize("field, value", [

@@ -4,7 +4,8 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, lcm
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     chow_volumes,
     hirzebruch_closed_form,
     hirzebruch_lines,
+    product_verdict,
     rank,
     subspace_contains,
 )
@@ -681,3 +683,48 @@ class TestClosedForm:
                             assert direct.candidates == hirzebruch_lines(m, a, b)
                             checked += 1
         assert checked >= 100
+
+
+def _agrees_with_product_oracle(f, factors):
+    """``decide`` on ``f``, the product of ``factors`` in their order, gives
+    ``product_verdict``'s facet volumes ``D^(n-1).D_rho / (n-1)!``, mu(TX)
+    and status; returns the status."""
+    v = decide(f, divisor(f, [c for _, coeffs in factors for c in coeffs]))
+    weights, mu, status = product_verdict(factors)
+    assert v.volumes.values == tuple(w / factorial(f.dim - 1) for w in weights)
+    assert (v.mu_tx, v.status) == (mu, status)
+    return status
+
+
+class TestProductOracle:
+    def test_catalog_pairs_at_anticanonical(self):
+        statuses = [
+            _agrees_with_product_oracle(
+                construct_product(f, g), [(f, [1] * len(f.rays)), (g, [1] * len(g.rays))])
+            for (_, f), (_, g) in combinations_with_replacement(catalog_fano4(), 2)
+        ]
+        # At -K both factors have slope 35 (-K1)^4 (-K2)^4 / 4, so a pair is
+        # semistable when neither factor is unstable: P4, B4, B5, C4.
+        assert len(statuses) == 55 and statuses.count(Stability.SEMISTABLE) == 10
+
+    @pytest.mark.parametrize("base, top", [
+        (construct_projective_space(1), 12), (F1, 4), (construct_projective_space(2), 3),
+    ], ids=["P1^k", "F1^k", "P2^k"])
+    def test_ladder_powers(self, base, top):
+        # Each base is semistable at -K, and so is every power of it.
+        f = base
+        for k in range(2, top + 1):
+            f = construct_product(f, base)
+            factors = [(base, [1] * len(base.rays))] * k
+            assert _agrees_with_product_oracle(f, factors) is Stability.SEMISTABLE
+
+    def test_fractional_coefficients_enter_by_the_divisor_scale(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        p1, p2 = construct_projective_space(1), construct_projective_space(2)
+        for factors, status in [
+            ([(p1, (half, half)), (p2, (1, 1, 1))], Stability.UNSTABLE),
+            ([(p2, (third, third, third)), (p2, (1, 0, 0))], Stability.SEMISTABLE),
+            ([(F1, (half, 0, 1, third)), (p1, (1, 2)), (p1, (third, 0))], Stability.UNSTABLE),
+        ]:
+            f = reduce(construct_product, [g for g, _ in factors])
+            assert _agrees_with_product_oracle(f, factors) is status
